@@ -48,7 +48,11 @@ class FpCtx {
   [[nodiscard]] E one() const { return one_; }
   [[nodiscard]] E two_inv() const { return two_inv_; }
 
+  /// To Montgomery form. Decoders range-check and samplers draw below the
+  /// modulus, so reduced input takes a single multiply by R^2; only
+  /// unreduced input pays the division.
   [[nodiscard]] E from_uint(const UInt<L>& a) const {
+    if (a < mod_) return mont_mul(a, r2_);
     return mont_mul(mpint::mod(mpint::resize<2 * L>(a), mod_), r2_);
   }
 

@@ -18,6 +18,7 @@
 #include <concepts>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "crypto/bytes.hpp"
 #include "crypto/rng.hpp"
@@ -85,6 +86,17 @@ concept BilinearGroup = requires(const GG& gg, crypto::Rng& rng, const typename 
   { gg.gt_bytes() } -> std::convertible_to<std::size_t>;
 
   { gg.name() } -> std::convertible_to<std::string>;
+};
+
+/// Optional whole-message GT codec: gt_ser_many/gt_deser_many write and read
+/// the same bytes as repeated gt_ser/gt_deser, but a backend whose element
+/// codec needs a field inversion shares one inversion across the call.
+/// Detected with `requires`; concept-only backends keep the element stream.
+template <class GG>
+concept NativeGtBatchCodec = requires(const GG& gg, ByteWriter& w, ByteReader& r,
+                                      std::span<const typename GG::GT> ts, std::size_t n) {
+  gg.gt_ser_many(w, ts);
+  { gg.gt_deser_many(r, n) } -> std::same_as<std::vector<typename GG::GT>>;
 };
 
 }  // namespace dlr::group

@@ -279,6 +279,16 @@ class CountingGroup {
   [[nodiscard]] G g_deser(ByteReader& r) const { return inner_.g_deser(r); }
   void gt_ser(ByteWriter& w, const GT& t) const { inner_.gt_ser(w, t); }
   [[nodiscard]] GT gt_deser(ByteReader& r) const { return inner_.gt_deser(r); }
+  void gt_ser_many(ByteWriter& w, std::span<const GT> ts) const
+    requires NativeGtBatchCodec<GG>
+  {
+    inner_.gt_ser_many(w, ts);
+  }
+  [[nodiscard]] std::vector<GT> gt_deser_many(ByteReader& r, std::size_t n) const
+    requires NativeGtBatchCodec<GG>
+  {
+    return inner_.gt_deser_many(r, n);
+  }
 
   [[nodiscard]] std::string name() const { return "counting(" + inner_.name() + ")"; }
 

@@ -59,6 +59,61 @@ std::shared_ptr<const PairingCtx<4, 1>> make_ss256() {
 
 namespace dlr::group {
 
+// The GT torus codec (format in tate_group.hpp), compiled here once per preset
+// by the explicit instantiations below.
+
+template <std::size_t LQ, std::size_t LR>
+void TateGroup<LQ, LR>::gt_ser_many(ByteWriter& w, std::span<const GT> ts) const {
+  const auto& fq = ctx_->fq();
+  const auto& f2 = ctx_->fq2();
+  // On the circle a == 1 forces b == 0, so 1 - a is non-zero for every
+  // element but the identity.
+  std::vector<typename Ctx::Fq::E> inv_den;  // (1 - a)^{-1} per non-identity
+  inv_den.reserve(ts.size());
+  for (const auto& t : ts) {
+    if (!f2.is_norm_one(t)) throw std::invalid_argument("gt_ser: not a norm-1 element");
+    if (!gt_is_id(t)) inv_den.push_back(fq.sub(fq.one(), t.a));
+  }
+  fq.batch_inv(inv_den);
+  std::size_t j = 0;
+  for (const auto& t : ts) {
+    if (gt_is_id(t)) {
+      w.u8(kGtIdentity);
+      w.raw(mpint::UInt<LQ>{}.to_bytes());
+    } else {
+      w.u8(kGtTorus);
+      w.raw(fq.to_uint(fq.mul(t.b, inv_den[j++])).to_bytes());
+    }
+  }
+}
+
+template <std::size_t LQ, std::size_t LR>
+std::vector<typename TateGroup<LQ, LR>::GT> TateGroup<LQ, LR>::gt_deser_many(
+    ByteReader& r, std::size_t n) const {
+  const auto& fq = ctx_->fq();
+  std::vector<GT> out(n, gt_id());
+  std::vector<typename Ctx::Fq::E> cs, inv_den;  // c and (c^2 + 1)^{-1} per torus element
+  std::vector<std::size_t> at;                   // its index in out
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto flag = r.u8();
+    const auto v = mpint::UInt<LQ>::from_bytes(r.raw(8 * LQ));
+    if (flag == kGtIdentity) {
+      if (!v.is_zero()) throw std::invalid_argument("gt_deser: non-zero identity payload");
+      continue;
+    }
+    if (flag != kGtTorus) throw std::invalid_argument("gt_deser: bad flag");
+    if (v >= fq.modulus()) throw std::invalid_argument("gt_deser: torus coordinate out of range");
+    const auto c = fq.from_uint(v);
+    cs.push_back(c);
+    inv_den.push_back(fq.add(fq.sqr(c), fq.one()));
+    at.push_back(i);
+  }
+  fq.batch_inv(inv_den);
+  for (std::size_t j = 0; j < at.size(); ++j)
+    out[at[j]] = GT{fq.sub(fq.one(), fq.dbl(inv_den[j])), fq.dbl(fq.mul(cs[j], inv_den[j]))};
+  return out;
+}
+
 template class TateGroup<8, 3>;
 template class TateGroup<4, 1>;
 template class TateGroup<16, 4>;

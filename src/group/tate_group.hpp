@@ -80,8 +80,8 @@ class TateGroup {
   [[nodiscard]] GT gt_random(crypto::Rng& rng) const { return ctx_->random_gt(rng); }
   [[nodiscard]] GT gt_mul(const GT& a, const GT& b) const { return ctx_->fq2().mul(a, b); }
   [[nodiscard]] GT gt_inv(const GT& a) const { return ctx_->gt_inv(a); }
-  /// GT exponentiation. Genuine GT elements are norm-1 (gt_deser rejects
-  /// anything else), which unlocks the signed-window fast lane: conjugation
+  /// GT exponentiation. Genuine GT elements are norm-1 (gt_deser can produce
+  /// nothing else), which unlocks the signed-window fast lane: conjugation
   /// is a free inverse and squaring costs 1 mul + 1 sqr. Elements off the
   /// circle (possible only through raw field values in tests) fall back to
   /// generic square-and-multiply; both paths agree where both apply.
@@ -265,10 +265,20 @@ class TateGroup {
   // sizes then match the paper's information-theoretic accounting (for SS512,
   // log r = 160 bits = exactly 20 bytes per scalar).
   //
-  // Group elements use point compression: a G element is (flag, x) with the
-  // flag encoding infinity or the parity of y; a GT element is (flag, re)
-  // with im recovered from the norm-1 relation re^2 + im^2 = 1. This halves
-  // protocol communication; decompression costs one square root.
+  // Group elements take one flag byte and one F_q payload, half of an
+  // uncompressed encoding. A G element is (flag, x): flag 1 is the point at
+  // infinity with an all-zero payload, flags 2/3 carry the parity of y, and
+  // decompression costs one square root.
+  //
+  // A GT element x = a + bi lies on the norm-1 circle a^2 + b^2 = 1 and is
+  // sent as its torus coordinate (Rubin-Silverberg, CRYPTO 2003): flag 0 and
+  // c = b / (1 - a). Decoding is a = (c^2 - 1) / (c^2 + 1) = 1 - 2 / (c^2 + 1),
+  // b = 2c / (c^2 + 1). c^2 + 1 is never zero because -1 is a non-square mod
+  // q == 3 (mod 4), so every in-range c decodes to a norm-1 element without a
+  // square root or a membership test. The identity, the one point c cannot
+  // reach, is flag 1 with an all-zero payload. The encoder rejects elements
+  // off the circle. gt_ser_many/gt_deser_many share ONE batch inversion
+  // across a whole protocol message; gt_ser/gt_deser are the one-element case.
   [[nodiscard]] std::size_t sc_bytes() const { return (scalar_bits() + 7) / 8; }
   [[nodiscard]] std::size_t g_bytes() const { return 1 + 8 * LQ; }
   [[nodiscard]] std::size_t gt_bytes() const { return 1 + 8 * LQ; }
@@ -298,7 +308,10 @@ class TateGroup {
   [[nodiscard]] G g_deser(ByteReader& r) const {
     const auto flag = r.u8();
     const auto x = mpint::UInt<LQ>::from_bytes(r.raw(8 * LQ));
-    if (flag == 1) return G{};
+    if (flag == 1) {
+      if (!x.is_zero()) throw std::invalid_argument("g_deser: non-zero infinity payload");
+      return G{};
+    }
     if (flag != 2 && flag != 3) throw std::invalid_argument("g_deser: bad flag");
     const auto& fq = ctx_->fq();
     if (x >= fq.modulus()) throw std::invalid_argument("g_deser: x out of range");
@@ -307,30 +320,18 @@ class TateGroup {
     return *p;
   }
 
-  void gt_ser(ByteWriter& w, const GT& t) const {
-    const auto& fq = ctx_->fq();
-    w.u8(fq.to_uint(t.b).is_odd() ? 3 : 2);
-    w.raw(fq.to_uint(t.a).to_bytes());
-  }
-  [[nodiscard]] GT gt_deser(ByteReader& r) const {
-    const auto flag = r.u8();
-    if (flag != 2 && flag != 3) throw std::invalid_argument("gt_deser: bad flag");
-    const auto& fq = ctx_->fq();
-    const auto a = mpint::UInt<LQ>::from_bytes(r.raw(8 * LQ));
-    if (a >= fq.modulus()) throw std::invalid_argument("gt_deser: re out of range");
-    // Norm-1 elements satisfy re^2 + im^2 = 1: recover im up to sign.
-    const auto re = fq.from_uint(a);
-    const auto im2 = fq.sub(fq.one(), fq.sqr(re));
-    const auto im = fq.sqrt(im2);
-    if (!im) throw std::invalid_argument("gt_deser: not a norm-1 element");
-    auto b = *im;
-    if (fq.to_uint(b).is_odd() != (flag == 3)) b = fq.neg(b);
-    return GT{re, b};
-  }
+  void gt_ser(ByteWriter& w, const GT& t) const { gt_ser_many(w, std::span<const GT>(&t, 1)); }
+  [[nodiscard]] GT gt_deser(ByteReader& r) const { return gt_deser_many(r, 1).front(); }
+
+  void gt_ser_many(ByteWriter& w, std::span<const GT> ts) const;
+  [[nodiscard]] std::vector<GT> gt_deser_many(ByteReader& r, std::size_t n) const;
 
   [[nodiscard]] std::string name() const { return ctx_->name(); }
 
  private:
+  static constexpr std::uint8_t kGtTorus = 0;     // GT flag: torus coordinate follows
+  static constexpr std::uint8_t kGtIdentity = 1;  // GT flag: identity, zero payload
+
   std::shared_ptr<const Ctx> ctx_;
   field::FpCtx<LR> zr_;
   // Registry handle (stable for the process lifetime; shared across copies).

@@ -309,14 +309,13 @@ class DlrParty1 {
     // with DLR_PARALLEL set the independent pair_ct rows fan out across the
     // pool (each writes its own slot; serialization below stays ordered).
     const group::PreparedPair<GG> pa(gg_, c.a);
-    std::vector<CtT> d(fs_.size() + 1);
-    service::par_for(d.size(), [&](std::size_t i) {
+    std::vector<CtT> d(fs_.size() + 2);
+    service::par_for(fs_.size() + 1, [&](std::size_t i) {
       d[i] = Core::pair_ct(gg_, pa, i < fs_.size() ? fs_[i] : *fphi_);
     });
+    d.back() = ht_.enc(sigma_gt(), c.b, rng);  // dB uses rng -> stays serial
     ByteWriter w;
-    for (const auto& di : d) ht_.ser_ct(w, di);
-    const CtT db = ht_.enc(sigma_gt(), c.b, rng);  // uses rng -> stays serial
-    ht_.ser_ct(w, db);
+    ht_.ser_cts(w, d);
     return w.take();
   }
 
@@ -627,19 +626,7 @@ class DlrParty2 {
   /// concurrently under a shared lock (refresh takes the exclusive one).
   [[nodiscard]] Bytes dec_respond(const Bytes& msg) const {
     telemetry::ScopedSpan span("dec.round2");
-    ByteReader r(msg);
-    std::vector<CtT> d;
-    d.reserve(prm_.ell);
-    for (std::size_t i = 0; i < prm_.ell; ++i) d.push_back(ht_.deser_ct(r));
-    const CtT dphi = ht_.deser_ct(r);
-    const CtT db = ht_.deser_ct(r);
-    if (!r.done()) throw std::invalid_argument("dec_respond: trailing bytes");
-
-    CtT acc = ht_.ct_mul(db, ht_.ct_multi_pow(d, sk2_.s));
-    acc = ht_.ct_mul(acc, ht_.ct_inv(dphi));
-    ByteWriter w;
-    ht_.ser_ct(w, acc);
-    return w.take();
+    return dec_round2(msg, [&](std::span<const CtT> d) { return ht_.ct_multi_pow(d, sk2_.s); });
   }
 
   /// Shared preparation for a batch of round-2 requests. Every request in a
@@ -657,20 +644,8 @@ class DlrParty2 {
 
     [[nodiscard]] Bytes run(const Bytes& msg) const {
       telemetry::ScopedSpan span("dec.round2");
-      const DlrParty2& p2 = *p2_;
-      ByteReader r(msg);
-      std::vector<CtT> d;
-      d.reserve(p2.prm_.ell);
-      for (std::size_t i = 0; i < p2.prm_.ell; ++i) d.push_back(p2.ht_.deser_ct(r));
-      const CtT dphi = p2.ht_.deser_ct(r);
-      const CtT db = p2.ht_.deser_ct(r);
-      if (!r.done()) throw std::invalid_argument("dec_respond: trailing bytes");
-
-      CtT acc = p2.ht_.ct_mul(db, p2.ht_.ct_multi_pow_prepared(key_, d));
-      acc = p2.ht_.ct_mul(acc, p2.ht_.ct_inv(dphi));
-      ByteWriter w;
-      p2.ht_.ser_ct(w, acc);
-      return w.take();
+      return p2_->dec_round2(
+          msg, [&](std::span<const CtT> d) { return p2_->ht_.ct_multi_pow_prepared(key_, d); });
     }
 
    private:
@@ -780,6 +755,21 @@ class DlrParty2 {
   }
 
  private:
+  /// Round 2 around a share multi-pow: decode the l+2 round-1 ciphertexts
+  /// (d_1..d_l, dPhi, dB) in one batched call, return
+  /// ser(dB * multi_pow(d) / dPhi).
+  template <class MultiPow>
+  [[nodiscard]] Bytes dec_round2(const Bytes& msg, const MultiPow& multi_pow) const {
+    ByteReader r(msg);
+    const auto d = ht_.deser_cts(r, prm_.ell + 2);
+    if (!r.done()) throw std::invalid_argument("dec_respond: trailing bytes");
+    CtT acc = ht_.ct_mul(d[prm_.ell + 1], multi_pow(std::span<const CtT>(d.data(), prm_.ell)));
+    acc = ht_.ct_mul(acc, ht_.ct_inv(d[prm_.ell]));
+    ByteWriter w;
+    ht_.ser_ct(w, acc);
+    return w.take();
+  }
+
   void capture_refresh_snapshot(const typename Core::Sk2& next) {
     ByteWriter w;
     for (const auto& s : sk2_.s) gg_.sc_ser(w, s);

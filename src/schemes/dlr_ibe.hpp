@@ -186,11 +186,13 @@ class DlrIbeP1 {
     const auto& share = ids_.at(id);
     begin_op();
     const GT v = sch_.bb_.pairing_correction(share.r, c.c);
+    std::vector<CtT> d;
+    d.reserve(share.unit.a.size() + 2);
+    for (const auto& ai : share.unit.a) d.push_back(pair_enc(c.a, ai));
+    d.push_back(pair_enc(c.a, share.unit.phi));
+    d.push_back(sch_.ht_.enc(sigma_gt(), gg.gt_mul(c.b, v), rng_));
     ByteWriter w;
-    for (const auto& ai : share.unit.a)
-      sch_.ht_.ser_ct(w, pair_enc(c.a, ai));
-    sch_.ht_.ser_ct(w, pair_enc(c.a, share.unit.phi));
-    sch_.ht_.ser_ct(w, sch_.ht_.enc(sigma_gt(), gg.gt_mul(c.b, v), rng_));
+    sch_.ht_.ser_cts(w, d);
     return w.take();
   }
 
@@ -374,15 +376,13 @@ class DlrIbeP2 {
   /// Decryption round 2 under the identity's share.
   [[nodiscard]] Bytes dec_respond(const std::string& id, const Bytes& msg) {
     const auto& s = ids_.at(id).s;
+    const std::size_t ell = sch_.prm_.ell;
     ByteReader r(msg);
-    std::vector<CtT> d;
-    d.reserve(sch_.prm_.ell);
-    for (std::size_t i = 0; i < sch_.prm_.ell; ++i) d.push_back(sch_.ht_.deser_ct(r));
-    const CtT dphi = sch_.ht_.deser_ct(r);
-    const CtT db = sch_.ht_.deser_ct(r);
+    const auto d = sch_.ht_.deser_cts(r, ell + 2);  // (d_1..d_l, dPhi, dB)
     if (!r.done()) throw std::invalid_argument("DlrIbeP2::dec_respond: trailing bytes");
-    CtT acc = sch_.ht_.ct_mul(db, sch_.ht_.ct_multi_pow(d, s));
-    acc = sch_.ht_.ct_mul(acc, sch_.ht_.ct_inv(dphi));
+    CtT acc = sch_.ht_.ct_mul(d[ell + 1],
+                              sch_.ht_.ct_multi_pow(std::span<const CtT>(d.data(), ell), s));
+    acc = sch_.ht_.ct_mul(acc, sch_.ht_.ct_inv(d[ell]));
     ByteWriter w;
     sch_.ht_.ser_ct(w, acc);
     return w.take();

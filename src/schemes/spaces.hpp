@@ -38,6 +38,7 @@ struct SpaceG {
   static bool eq(const GG& gg, const Elem& a, const Elem& b) { return gg.g_eq(a, b); }
   static void ser(const GG& gg, ByteWriter& w, const Elem& a) { gg.g_ser(w, a); }
   static Elem deser(const GG& gg, ByteReader& r) { return gg.g_deser(r); }
+  static constexpr bool kBatchCodec = false;
   static std::size_t bytes(const GG& gg) { return gg.g_bytes(); }
 };
 
@@ -68,6 +69,15 @@ struct SpaceGT {
   static bool eq(const GG& gg, const Elem& a, const Elem& b) { return gg.gt_eq(a, b); }
   static void ser(const GG& gg, ByteWriter& w, const Elem& a) { gg.gt_ser(w, a); }
   static Elem deser(const GG& gg, ByteReader& r) { return gg.gt_deser(r); }
+  /// Whole-message codec (native backends only, see kBatchCodec): one call
+  /// shares the backend's field inversion across every element.
+  static constexpr bool kBatchCodec = group::NativeGtBatchCodec<GG>;
+  static void ser_many(const GG& gg, ByteWriter& w, std::span<const Elem> ts) {
+    gg.gt_ser_many(w, ts);
+  }
+  static std::vector<Elem> deser_many(const GG& gg, ByteReader& r, std::size_t n) {
+    return gg.gt_deser_many(r, n);
+  }
   static std::size_t bytes(const GG& gg) { return gg.gt_bytes(); }
 };
 

@@ -95,6 +95,40 @@ TEST(PreparedMultiPowTest, CountingGroupProfilesThePreparedPath) {
   EXPECT_TRUE(gg.gt_eq(via, direct));
 }
 
+/// CountingGroup forwards the batch GT codec, so counting runs (bench_t1/f2)
+/// take the one-inversion path and put the bare group's bytes on the wire.
+TEST(GtBatchCodecTest, CountingGroupRound1MatchesBareGroup) {
+  using CG = group::CountingGroup<group::TateSS256>;
+  static_assert(group::NativeGtBatchCodec<CG>);
+  static_assert(!group::NativeGtBatchCodec<group::CountingGroup<MockGroup>>);
+  const auto bare = make_tate_ss256();
+  const CG counted(bare);
+  const auto prm = schemes::DlrParams::derive(bare.scalar_bits(), 1, 1);
+  auto sys_bare = schemes::DlrSystem<group::TateSS256>::create(bare, prm,
+                                                              schemes::P1Mode::Plain, 805);
+  auto sys_counted = schemes::DlrSystem<CG>::create(counted, prm, schemes::P1Mode::Plain, 805);
+  Rng rng_bare(806), rng_counted(806);
+  const auto m = bare.gt_random(rng_bare);
+  (void)counted.gt_random(rng_counted);
+  const Bytes msg_bare = sys_bare.p1().dec_round1(sys_bare.encrypt(m, rng_bare));
+  const Bytes msg_counted = sys_counted.p1().dec_round1(sys_counted.encrypt(m, rng_counted));
+  EXPECT_EQ(msg_counted, msg_bare);
+
+  const schemes::HpskeGT<group::TateSS256> ht_bare(bare, prm.kappa);
+  const schemes::HpskeGT<CG> ht_counted(counted, prm.kappa);
+  ByteReader r_bare(msg_bare), r_counted(msg_counted);
+  const auto d_bare = ht_bare.deser_cts(r_bare, prm.ell + 2);
+  const auto d_counted = ht_counted.deser_cts(r_counted, prm.ell + 2);
+  EXPECT_TRUE(r_bare.done() && r_counted.done());
+  ASSERT_EQ(d_counted.size(), d_bare.size());
+  for (std::size_t i = 0; i < d_bare.size(); ++i) {
+    EXPECT_TRUE(d_counted[i].b == d_bare[i].b) << i;
+    EXPECT_TRUE(d_counted[i].c0 == d_bare[i].c0) << i;
+  }
+  EXPECT_TRUE(counted.gt_eq(
+      sys_counted.p1().dec_finish(sys_counted.p2().dec_respond(msg_counted)), m));
+}
+
 // ---- hpske ct_multi_pow_prepared ----------------------------------------------
 
 template <class GG>

@@ -95,6 +95,48 @@ TEST(FpTest, ConversionsSS512) {
   check_fp_conversions(FpCtx<8>(pairing::make_ss512()->fq().modulus()), 105, 50);
 }
 
+/// from_uint takes a single Montgomery multiply on reduced input and divides
+/// first otherwise; both branches must agree with mulmod_slow, which reduces
+/// its (unreduced) inputs by long division.
+template <std::size_t L>
+void check_from_uint_branches(const FpCtx<L>& f, std::uint64_t seed, int iters) {
+  Rng rng(seed);
+  const auto& p = f.modulus();
+  UInt<L> ones;
+  for (auto& l : ones.limb) l = ~0ull;
+  const UInt<L> room = ones - p;  // unreduced values are p + [0, room)
+  std::vector<UInt<L>> unreduced{p, ones, p + UInt<L>::from_u64(1)};
+  std::vector<UInt<L>> reduced{UInt<L>{}, UInt<L>::from_u64(1), p - UInt<L>::from_u64(1)};
+  for (int i = 0; i < iters; ++i) {
+    reduced.push_back(f.random_uint(rng));
+    unreduced.push_back(p + mpint::mod(f.random_uint(rng), room));
+  }
+  const auto check = [&](const UInt<L>& a, const UInt<L>& b) {
+    EXPECT_EQ(f.to_uint(f.mul(f.from_uint(a), f.from_uint(b))), mpint::mulmod_slow(a, b, p));
+  };
+  for (const auto& a : reduced) {
+    ASSERT_LT(a, p);
+    check(a, reduced.back());
+    EXPECT_EQ(f.to_uint(f.from_uint(a)), a);
+  }
+  for (const auto& a : unreduced) {
+    ASSERT_GE(a, p);
+    check(a, reduced.back());
+    check(a, a);
+    EXPECT_EQ(f.to_uint(f.from_uint(a)), mpint::mod(a, p));
+  }
+}
+
+TEST(FpTest, FromUintBothBranchesSS256) {
+  check_from_uint_branches(FpCtx<4>(pairing::make_ss256()->fq().modulus()), 108, 50);
+}
+TEST(FpTest, FromUintBothBranchesSS512) {
+  check_from_uint_branches(FpCtx<8>(pairing::make_ss512()->fq().modulus()), 109, 20);
+}
+TEST(FpTest, FromUintBothBranchesSS256Scalar) {
+  check_from_uint_branches(FpCtx<1>(pairing::make_ss256()->order()), 110, 50);
+}
+
 TEST(FpTest, PowAndSqrtSS256) {
   check_fp_pow_sqrt(FpCtx<4>(pairing::make_ss256()->fq().modulus()), 106);
 }

@@ -1,11 +1,13 @@
 // BilinearGroup backend tests: the concept itself, the mock model's exactness,
-// the Tate facade's serialization and invalid-input rejection, and
-// cross-backend algebraic agreement.
+// the Tate facade's serialization (including the GT torus codec and its
+// batched form) and invalid-input rejection, and cross-backend algebraic
+// agreement.
 #include <gtest/gtest.h>
 
 #include "group/bilinear.hpp"
 #include "group/mock_group.hpp"
 #include "group/tate_group.hpp"
+#include "schemes/dlr.hpp"
 
 namespace dlr::group {
 namespace {
@@ -16,6 +18,8 @@ static_assert(BilinearGroup<MockGroup>);
 static_assert(BilinearGroup<TateSS256>);
 static_assert(BilinearGroup<TateSS512>);
 static_assert(BilinearGroup<TateSS1024>);
+static_assert(NativeGtBatchCodec<TateSS256>);
+static_assert(!NativeGtBatchCodec<MockGroup>);
 
 // A generic battery every backend must pass.
 template <BilinearGroup GG>
@@ -167,6 +171,144 @@ TEST(TateSS512Test, Battery) { backend_battery(make_tate_ss512(), 504, 1); }
 TEST(TateSS512Test, Serialization) { serialization_battery(make_tate_ss512(), 505); }
 TEST(TateSS1024Test, Serialization) { serialization_battery(make_tate_ss1024(), 509); }
 
+// ---- Tate GT torus codec ---------------------------------------------------------
+
+template <class GG>
+Bytes raw_element(std::uint8_t flag, const typename GG::Ctx::Fq::E& payload) {
+  ByteWriter w;
+  w.u8(flag);
+  w.raw(payload.to_bytes());
+  return w.take();
+}
+
+/// -1 = (-1, 0): on the norm-1 circle but outside the odd-order GT; its
+/// torus coordinate is 0.
+template <class GG>
+typename GG::GT gt_minus_one(const GG& gg) {
+  const auto& fq = gg.ctx().fq();
+  return {fq.neg(fq.one()), fq.zero()};
+}
+
+template <class GG>
+void expect_gt_rejected(const GG& gg, const Bytes& b) {
+  ByteReader r(b);
+  EXPECT_THROW((void)gg.gt_deser(r), std::invalid_argument);
+}
+
+template <class GG>
+void gt_codec_battery(const GG& gg, std::uint64_t seed) {
+  using U = typename GG::Ctx::Fq::E;
+  const auto& fq = gg.ctx().fq();
+  const auto& f2 = gg.ctx().fq2();
+  Rng rng(seed);
+  const auto encode = [&](const typename GG::GT& t) {
+    ByteWriter w;
+    gg.gt_ser(w, t);
+    return w.take();
+  };
+  const auto decode = [&](const Bytes& b) {
+    ByteReader r(b);
+    const auto t = gg.gt_deser(r);
+    EXPECT_TRUE(r.done());
+    return t;
+  };
+
+  // Round trips: the identity, -1 and random GT elements.
+  std::vector<typename GG::GT> elems{gg.gt_id(), gt_minus_one(gg)};
+  for (int i = 0; i < 8; ++i) elems.push_back(gg.gt_random(rng));
+  for (const auto& t : elems) {
+    const auto b = encode(t);
+    EXPECT_EQ(b.size(), gg.gt_bytes());
+    EXPECT_TRUE(gg.gt_eq(decode(b), t));
+  }
+  EXPECT_EQ(encode(gg.gt_id()), raw_element<GG>(1, U{}));
+  EXPECT_EQ(encode(gt_minus_one(gg)), raw_element<GG>(0, U{}));
+
+  // Every in-range torus coordinate decodes to a norm-1 element, and
+  // re-encoding that element reproduces the bytes.
+  std::vector<U> cs{U{}, U::from_u64(1), U::from_u64(2), fq.modulus() - U::from_u64(1)};
+  for (int i = 0; i < 16; ++i) cs.push_back(fq.random_uint(rng));
+  for (const auto& c : cs) {
+    const auto b = raw_element<GG>(0, c);
+    const auto t = decode(b);
+    EXPECT_TRUE(f2.is_norm_one(t));
+    EXPECT_EQ(encode(t), b);
+  }
+
+  // Rejected, typed: c >= q, unknown flags (2 and 3 are the retired
+  // real-part encoding), and an identity with a non-zero payload.
+  U ones;
+  for (auto& l : ones.limb) l = ~0ull;
+  expect_gt_rejected(gg, raw_element<GG>(0, fq.modulus()));
+  expect_gt_rejected(gg, raw_element<GG>(0, ones));
+  for (const std::uint8_t flag : {2, 3, 4, 0x80, 0xff})
+    expect_gt_rejected(gg, raw_element<GG>(flag, U::from_u64(1)));
+  expect_gt_rejected(gg, raw_element<GG>(1, U::from_u64(1)));
+  // The old encoding of a real element, (2 or 3 by the parity of im, re).
+  const auto z = gg.gt_random(rng);
+  expect_gt_rejected(gg, raw_element<GG>(fq.to_uint(z.b).is_odd() ? 3 : 2, fq.to_uint(z.a)));
+  // The encoder refuses elements off the circle instead of encoding another.
+  ByteWriter w;
+  EXPECT_THROW(gg.gt_ser(w, typename GG::GT{fq.from_uint(U::from_u64(2)), fq.zero()}),
+               std::invalid_argument);
+
+  // G's point at infinity is canonical too: flag 1 takes only a zero payload.
+  ByteWriter gw;
+  gg.g_ser(gw, gg.g_id());
+  EXPECT_EQ(gw.bytes(), raw_element<GG>(1, U{}));
+  const auto bad_inf = raw_element<GG>(1, U::from_u64(1));
+  ByteReader gr(bad_inf);
+  EXPECT_THROW((void)gg.g_deser(gr), std::invalid_argument);
+}
+
+/// gt_deser_many over a whole DLR round-1 message ((l+2)(kappa+1) elements,
+/// one shared inversion) must equal element-by-element decoding, also when
+/// identities, which skip the inversion, sit among the elements.
+template <class GG>
+void gt_batch_battery(const GG& gg, std::uint64_t seed) {
+  const auto prm = schemes::DlrParams::derive(gg.scalar_bits(), 1, 1);
+  auto sys = schemes::DlrSystem<GG>::create(gg, prm, schemes::P1Mode::Plain, seed);
+  Rng rng(seed + 1);
+  const Bytes msg = sys.p1().dec_round1(sys.encrypt(gg.gt_random(rng), rng));
+  const std::size_t n = (prm.ell + 2) * (prm.kappa + 1);
+  ASSERT_EQ(msg.size(), n * gg.gt_bytes());
+
+  const auto batched_equals_single = [&](const Bytes& m) {
+    ByteReader rb(m);
+    const auto many = gg.gt_deser_many(rb, n);
+    EXPECT_TRUE(rb.done());
+    ByteReader rs(m);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_TRUE(gg.gt_eq(many[i], gg.gt_deser(rs))) << i;
+    return many;
+  };
+  auto elems = batched_equals_single(msg);
+  ByteWriter again;
+  gg.gt_ser_many(again, elems);
+  EXPECT_EQ(again.bytes(), msg);
+
+  elems.front() = gg.gt_id();
+  elems[prm.kappa] = gt_minus_one(gg);
+  elems[n / 2] = gg.gt_id();
+  elems.back() = gg.gt_id();
+  ByteWriter mixed;
+  gg.gt_ser_many(mixed, elems);
+  const auto back = batched_equals_single(mixed.bytes());
+  for (std::size_t i = 0; i < n; ++i) EXPECT_TRUE(gg.gt_eq(back[i], elems[i])) << i;
+
+  // One bad element fails the whole batch, typed.
+  Bytes bad = msg;
+  bad[(n - 1) * gg.gt_bytes()] = 2;
+  ByteReader rbad(bad);
+  EXPECT_THROW((void)gg.gt_deser_many(rbad, n), std::invalid_argument);
+}
+
+TEST(TateSS256Test, GtTorusCodec) { gt_codec_battery(make_tate_ss256(), 530); }
+TEST(TateSS512Test, GtTorusCodec) { gt_codec_battery(make_tate_ss512(), 531); }
+TEST(TateSS1024Test, GtTorusCodec) { gt_codec_battery(make_tate_ss1024(), 532); }
+TEST(TateSS256Test, GtBatchDecodeMatchesSingle) { gt_batch_battery(make_tate_ss256(), 533); }
+TEST(TateSS512Test, GtBatchDecodeMatchesSingle) { gt_batch_battery(make_tate_ss512(), 534); }
+TEST(TateSS1024Test, GtBatchDecodeMatchesSingle) { gt_batch_battery(make_tate_ss1024(), 535); }
+
 TEST(MockGroupTest, RejectsCompositeOrder) {
   EXPECT_THROW(MockGroup(1000), std::invalid_argument);
   EXPECT_THROW(MockGroup(1), std::invalid_argument);
@@ -240,28 +382,26 @@ TEST(TateSS256Test, DeserRejectsBadCompressedPoints) {
   }
 }
 
+// The square-root decoder this test once fed (a real part re with 1 - re^2 a
+// non-residue) is gone: under the torus codec no in-range encoding lies off
+// the norm-1 circle, so the test asserts that guarantee directly and checks
+// that its old input, now a retired flag, is still rejected.
 TEST(TateSS256Test, DeserRejectsNonNormOneGt) {
   const auto gg = make_tate_ss256();
   const auto& fq = gg.ctx().fq();
-  // Find re with 1 - re^2 a non-residue: such a compressed GT element cannot
-  // exist on the norm-1 circle.
+  const auto& f2 = gg.ctx().fq2();
+  for (std::uint64_t c = 0; c < 256; ++c) {
+    const auto b = raw_element<TateSS256>(0, mpint::UInt<4>::from_u64(c));
+    ByteReader r(b);
+    EXPECT_TRUE(f2.is_norm_one(gg.gt_deser(r))) << c;
+  }
   for (std::uint64_t a = 2;; ++a) {
     const auto re = fq.from_uint(mpint::UInt<4>::from_u64(a));
     const auto im2 = fq.sub(fq.one(), fq.sqr(re));
     if (fq.is_zero(im2) || fq.sqrt(im2)) continue;
-    ByteWriter w;
-    w.u8(2);
-    w.raw(mpint::UInt<4>::from_u64(a).to_bytes());
-    ByteReader r(w.bytes());
-    EXPECT_THROW((void)gg.gt_deser(r), std::invalid_argument);
+    expect_gt_rejected(gg, raw_element<TateSS256>(2, mpint::UInt<4>::from_u64(a)));
     break;
   }
-  // Bad flag.
-  ByteWriter w;
-  w.u8(0);
-  w.raw(mpint::UInt<4>::from_u64(1).to_bytes());
-  ByteReader r(w.bytes());
-  EXPECT_THROW((void)gg.gt_deser(r), std::invalid_argument);
 }
 
 TEST(TateSS256Test, ScalarDeserRejectsOverflow) {

@@ -86,14 +86,17 @@ void mutate(Bytes& b, Rng& rng) {
   }
 }
 
-TEST(ProtocolFuzzTest, P2SurvivesArbitraryDecMessages) {
-  const MockGroup gg = group::make_mock();
+/// P2's round 2 over mutated round-1 messages. On Tate this fuzzes the
+/// batched GT decoder: flag bytes, out-of-range torus coordinates and
+/// truncation anywhere in the (l+2)(kappa+1)-element message.
+template <class GG>
+void fuzz_p2_dec_messages(const GG& gg, std::uint64_t seed, int iters) {
   const auto prm = DlrParams::derive(gg.scalar_bits(), gg.scalar_bits());
-  auto sys = DlrSystem<MockGroup>::create(gg, prm, P1Mode::Plain, 6200);
-  Rng rng(6201);
-  const auto c = DlrCore<MockGroup>::enc(gg, sys.pk(), gg.gt_random(rng), rng);
+  auto sys = DlrSystem<GG>::create(gg, prm, P1Mode::Plain, seed);
+  Rng rng(seed + 1);
+  const auto c = DlrCore<GG>::enc(gg, sys.pk(), gg.gt_random(rng), rng);
   const auto good = sys.p1().dec_round1(c);
-  for (int i = 0; i < 300; ++i) {
+  for (int i = 0; i < iters; ++i) {
     Bytes bad = good;
     mutate(bad, rng);
     try {
@@ -102,6 +105,14 @@ TEST(ProtocolFuzzTest, P2SurvivesArbitraryDecMessages) {
     } catch (const std::out_of_range&) {
     }  // anything else (or a crash) fails the test
   }
+}
+
+TEST(ProtocolFuzzTest, P2SurvivesArbitraryDecMessages) {
+  fuzz_p2_dec_messages(group::make_mock(), 6200, 300);
+}
+
+TEST(ProtocolFuzzTest, P2SurvivesArbitraryDecMessagesTateSS256) {
+  fuzz_p2_dec_messages(group::make_tate_ss256(), 6210, 300);
 }
 
 TEST(ProtocolFuzzTest, P2SurvivesArbitraryRefMessages) {
@@ -131,15 +142,16 @@ TEST(ProtocolFuzzTest, P2SurvivesArbitraryRefMessages) {
   (void)sk2_before;
 }
 
-TEST(ProtocolFuzzTest, P1SurvivesArbitraryReplies) {
-  const MockGroup gg = group::make_mock();
+/// P1's round 3 over mutated round-2 replies (one GT ciphertext).
+template <class GG>
+void fuzz_p1_replies(const GG& gg, std::uint64_t seed, int iters) {
   const auto prm = DlrParams::derive(gg.scalar_bits(), gg.scalar_bits());
-  auto sys = DlrSystem<MockGroup>::create(gg, prm, P1Mode::Plain, 6204);
-  Rng rng(6205);
-  const auto c = DlrCore<MockGroup>::enc(gg, sys.pk(), gg.gt_random(rng), rng);
+  auto sys = DlrSystem<GG>::create(gg, prm, P1Mode::Plain, seed);
+  Rng rng(seed + 1);
+  const auto c = DlrCore<GG>::enc(gg, sys.pk(), gg.gt_random(rng), rng);
   const auto msg1 = sys.p1().dec_round1(c);
   const auto good = sys.p2().dec_respond(msg1);
-  for (int i = 0; i < 300; ++i) {
+  for (int i = 0; i < iters; ++i) {
     Bytes bad = good;
     mutate(bad, rng);
     try {
@@ -148,6 +160,14 @@ TEST(ProtocolFuzzTest, P1SurvivesArbitraryReplies) {
     } catch (const std::out_of_range&) {
     }
   }
+}
+
+TEST(ProtocolFuzzTest, P1SurvivesArbitraryReplies) {
+  fuzz_p1_replies(group::make_mock(), 6204, 300);
+}
+
+TEST(ProtocolFuzzTest, P1SurvivesArbitraryRepliesTateSS256) {
+  fuzz_p1_replies(group::make_tate_ss256(), 6214, 300);
 }
 
 // ---- primality module ------------------------------------------------------------------
