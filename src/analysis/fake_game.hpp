@@ -101,17 +101,15 @@ class FakeGame {
       // because C encrypts uniform messages under the planted pk.
       p.advice_m = gg_.gt_random(rng);
       p.bg = Core::enc(gg_, pk(), p.advice_m, rng);
-      // All l+1 transported ciphertexts share the first argument A = bg.a;
-      // prepare its Miller loop once.
-      const group::PreparedPair<GG> pa(gg_, p.bg.a);
       p.f.clear();
-      p.d.clear();
-      for (std::size_t i = 0; i < prm_.ell; ++i) {
+      for (std::size_t i = 0; i < prm_.ell; ++i)
         p.f.push_back(hg_.enc(p.sigma, p.sk1.a[i], rng));
-        p.d.push_back(Core::pair_ct(gg_, pa, p.f.back()));
-      }
       p.fphi = hg_.enc(p.sigma, p.sk1.phi, rng);
-      p.dphi = Core::pair_ct(gg_, pa, p.fphi);
+      // All l+1 transported ciphertexts share the first argument A = bg.a:
+      // one pair_cts call, as in dec_round1.
+      p.d = Core::pair_cts(gg_, p.bg.a, p.f, p.fphi);
+      p.dphi = std::move(p.d.back());
+      p.d.pop_back();
       p.db = ht_.enc(sigma_t, p.bg.b, rng);
       p.cprime = ht_.enc(sigma_t, p.advice_m, rng);  // c' encrypts the advice M!
 

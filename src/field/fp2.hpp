@@ -72,11 +72,6 @@ class Fp2Ctx {
   /// subgroup order).
   [[nodiscard]] bool is_norm_one(const E& x) const { return fp_.eq(norm(x), fp_.one()); }
 
-  /// Scale by a base-field element: (a + bi) * s.
-  [[nodiscard]] E scale(const E& x, const UInt<L>& s) const {
-    return {fp_.mul(x.a, s), fp_.mul(x.b, s)};
-  }
-
   [[nodiscard]] E inv(const E& x) const {
     const auto n = norm(x);
     const auto ninv = fp_.inv(n);  // throws on zero

@@ -3,14 +3,14 @@
 // PreparedPair<GG> front-ends the fixed-argument Miller precomputation: on
 // backends with a native `prepare_pair` hook (TateGroup, and decorators that
 // forward it) construction runs the Miller loop once and every pair() call is
-// a cheap line-evaluation + norm-1 final exponentiation; on concept-only
+// a cheap line-evaluation + Lucas final exponentiation; on concept-only
 // backends (MockGroup) it degrades to per-call gg.pair, so scheme code can
 // use it unconditionally.
 //
-// pair_many() evaluates a whole coordinate row against the fixed argument --
-// on the native path this additionally shares ONE batched base-field
-// inversion across all final exponentiations, which is why pair_ct routes its
-// kappa+1 coordinates through a single call.
+// pair_many() evaluates many coordinates against the fixed argument -- on
+// the native path this additionally shares ONE batched base-field inversion
+// across all final exponentiations, which is why DlrCore::pair_cts routes
+// every coordinate of a round-1 message through a single call.
 //
 // Every evaluation bumps the `group.pairing.prepared` counter, so bench JSON
 // shows how much pairing work rode the fast lane.

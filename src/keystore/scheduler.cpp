@@ -14,10 +14,19 @@ RefreshScheduler::RefreshScheduler(Source source, RefreshFn refresh, Options opt
 RefreshScheduler::~RefreshScheduler() { stop(); }
 
 void RefreshScheduler::start() {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (running_) return;
+  }
+  // The first sweep runs here, on the caller's thread, so its candidates are
+  // queued before start() returns: a caller's sweep_now()/wait_idle() can
+  // neither miss them nor race a sweeper thread for the same keys.
+  std::vector<Candidate> first = poll_source();
   std::lock_guard<std::mutex> lk(mu_);
   if (running_) return;
   running_ = true;
   stopping_ = false;
+  enqueue_locked(std::move(first));
   sweeper_ = std::thread([this] { sweeper_loop(); });
   workers_.reserve(opt_.max_concurrent);
   for (std::size_t i = 0; i < opt_.max_concurrent; ++i)
@@ -44,21 +53,28 @@ void RefreshScheduler::stop() {
   running_ = false;
 }
 
+std::vector<RefreshScheduler::Candidate> RefreshScheduler::poll_source() {
+  std::vector<Candidate> cands;
+  try {
+    cands = source_();
+  } catch (...) {
+    // A failing source is a keystore bug; keep sweeping regardless.
+  }
+  telemetry::Registry::global().counter("ks.sched.sweeps").add();
+  return cands;
+}
+
+// start() ran the first sweep; every later one follows a full interval.
 void RefreshScheduler::sweeper_loop() {
   std::unique_lock<std::mutex> lk(mu_);
-  while (!stopping_) {
-    lk.unlock();
-    std::vector<Candidate> cands;
-    try {
-      cands = source_();
-    } catch (...) {
-      // A failing source is a keystore bug; keep sweeping regardless.
-    }
-    telemetry::Registry::global().counter("ks.sched.sweeps").add();
-    lk.lock();
-    if (stopping_) break;
-    enqueue_locked(std::move(cands));
+  for (;;) {
     cv_.wait_for(lk, opt_.sweep_interval, [this] { return stopping_; });
+    if (stopping_) return;
+    lk.unlock();
+    std::vector<Candidate> cands = poll_source();
+    lk.lock();
+    if (stopping_) return;
+    enqueue_locked(std::move(cands));
   }
 }
 

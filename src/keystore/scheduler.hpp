@@ -8,9 +8,10 @@
 // largest fraction of their budget, long before any reaches it.
 //
 // Policy:
-//   - A sweep every `sweep_interval` pulls candidates from the Source
-//     callback (the keystore reports every key at or above
-//     `refresh_threshold` of its budget, most-spent first).
+//   - A sweep pulls candidates from the Source callback (the keystore
+//     reports every key at or above `refresh_threshold` of its budget,
+//     most-spent first). start() runs the first sweep on the caller's
+//     thread; the sweeper thread then runs one every `sweep_interval`.
 //   - Candidates enter a most-spent-first queue; at most `max_concurrent`
 //     refreshes run at once, so a refresh storm can never starve decryption
 //     traffic of worker threads or share locks.
@@ -65,7 +66,8 @@ class RefreshScheduler {
   RefreshScheduler(const RefreshScheduler&) = delete;
   RefreshScheduler& operator=(const RefreshScheduler&) = delete;
 
-  /// Start the sweeper + worker threads. Idempotent.
+  /// Run the first sweep on the caller's thread, then start the sweeper
+  /// (one sweep per interval) and the worker threads. Idempotent.
   void start();
   /// Stop all threads; in-flight refreshes finish, the queue is dropped.
   void stop();
@@ -83,6 +85,9 @@ class RefreshScheduler {
   [[nodiscard]] std::size_t backlog() const;  // queued + in flight
 
  private:
+  /// One call of the source, counted as a sweep; a throwing source yields
+  /// no candidates.
+  std::vector<Candidate> poll_source();
   void sweeper_loop();
   void worker_loop();
   void enqueue_locked(std::vector<Candidate> cands);

@@ -12,11 +12,16 @@
 // The final exponentiation uses f^(q-1) = conj(f)/f (Frobenius on F_{q^2} is
 // conjugation) followed by an exponentiation by the cofactor h = (q+1)/r.
 // GT is the order-r subgroup of F_{q^2}^*; its elements have norm 1, so
-// inversion in GT is conjugation.
+// inversion in GT is conjugation. final_exp is the reference map;
+// final_exp_many computes the same map for a batch on traces (a Lucas
+// ladder over the bits of h) with one shared base-field inversion.
 #pragma once
 
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "crypto/sha256.hpp"
 #include "ec/curve.hpp"
@@ -107,12 +112,10 @@ class PairingCtx {
     }
   }
 
-  /// Project an arbitrary nonzero field element onto GT. The first factor
-  /// u = x^(q-1) satisfies u^(q+1) = x^(q^2-1) = 1, i.e. it is norm-1, so the
-  /// cofactor exponentiation may take the fast lane.
+  /// Project an arbitrary nonzero field element onto GT: x^((q-1)h), the
+  /// final exponentiation.
   [[nodiscard]] GT gt_from_field(const GT& x) const {
-    const auto u = fq2_.mul(fq2_.conj(x), fq2_.inv(x));  // x^(q-1)
-    return fq2_.pow_norm1(u, h_);
+    return final_exp_many(std::span<const GT>(&x, 1)).front();
   }
 
   /// GT inversion: conjugation (elements have norm 1).
@@ -192,20 +195,75 @@ class PairingCtx {
   }
 
   /// f -> f^((q^2-1)/r) = (conj(f)/f)^h. Reference implementation (generic
-  /// Fq2 inversion + square-and-multiply); the hot path uses final_exp_fast.
+  /// Fq2 inversion + square-and-multiply), kept as the oracle for
+  /// final_exp_many and used by the reference pairing above.
   [[nodiscard]] GT final_exp(const GT& f) const {
     const auto u = fq2_.mul(fq2_.conj(f), fq2_.inv(f));
     return fq2_.pow(u, h_);
   }
 
-  /// Same map on the norm-1 fast lane: conj(f)/f = conj(f^2)/norm(f) needs
-  /// only a base-field inversion (batchable -- see PreparedPairing), and the
-  /// cofactor exponentiation of the norm-1 intermediate uses signed windows
-  /// with free inversion plus cyclotomic-style squaring. Agrees with
-  /// final_exp exactly.
-  [[nodiscard]] GT final_exp_fast(const GT& f) const {
-    const auto u = fq2_.scale(fq2_.conj(fq2_.sqr(f)), fq_.inv(fq2_.norm(f)));
-    return fq2_.pow_norm1(u, h_);
+  /// The same map for a batch of nonzero values, on traces (Scott-Barreto,
+  /// "Compressed Pairings", CRYPTO 2004). For f = a + bi the first factor
+  /// u = conj(f)/f = conj(f^2)/N(f) lies on the norm-1 circle, so
+  /// V_k = u^k + u^-k = 2 Re(u^k) obeys the Lucas recurrences
+  ///
+  ///   V_2k = V_k^2 - 2,   V_2k+1 = V_k V_k+1 - V_1,   V_1 = 2 Re(u),
+  ///
+  /// and a ladder over the bits of h carries (V_k, V_k+1) at one squaring
+  /// and one multiplication per bit, with no window table. The imaginary
+  /// part follows from Re(u^h u) = Re(u^h) Re(u) - Im(u^h) Im(u):
+  ///
+  ///   Im(u^h) = (Re(u^h) Re(u) - V_h+1 / 2) / Im(u),  1/Im(u) = -N(f)/(2ab).
+  ///
+  /// 1/N(f) and 1/(4ab) for the whole batch come from ONE batch inversion.
+  /// An f with ab = 0 has u = +-1 and maps to the identity: h is even, since
+  /// 4 | q+1 and r is odd. Agrees with final_exp element by element.
+  [[nodiscard]] std::vector<GT> final_exp_many(std::span<const GT> fs) const {
+    const auto& fq = fq_;
+    struct Pending {
+      std::size_t at;
+      UInt<LQ> re;  // a^2 - b^2 = N(f) Re(u)
+      UInt<LQ> n;   // N(f) = a^2 + b^2
+    };
+    std::vector<GT> out(fs.size(), fq2_.one());
+    std::vector<Pending> todo;
+    std::vector<UInt<LQ>> invs;  // N(f), 4ab per pending element
+    todo.reserve(fs.size());
+    invs.reserve(2 * fs.size());
+    for (std::size_t i = 0; i < fs.size(); ++i) {
+      const auto& f = fs[i];
+      if (fq2_.is_zero(f)) throw std::domain_error("final_exp_many: zero");
+      if (fq.is_zero(f.a) || fq.is_zero(f.b)) continue;
+      const auto a2 = fq.sqr(f.a);
+      const auto b2 = fq.sqr(f.b);
+      todo.push_back({i, fq.sub(a2, b2), fq.add(a2, b2)});
+      invs.push_back(todo.back().n);
+      invs.push_back(fq.dbl(fq.dbl(fq.mul(f.a, f.b))));
+    }
+    fq.batch_inv(invs);
+    const auto two = fq.dbl(fq.one());
+    const std::size_t nbits = h_.bit_length();
+    for (std::size_t j = 0; j < todo.size(); ++j) {
+      const auto x = fq.mul(todo[j].re, invs[2 * j]);  // Re(u)
+      const auto v1 = fq.dbl(x);
+      auto v = v1;                         // V_k
+      auto w = fq.sub(fq.sqr(v1), two);    // V_k+1
+      for (std::size_t i = nbits - 1; i-- > 0;) {
+        const auto vw = fq.sub(fq.mul(v, w), v1);  // V_2k+1
+        if (h_.bit(i)) {
+          v = vw;
+          w = fq.sub(fq.sqr(w), two);
+        } else {
+          w = vw;
+          v = fq.sub(fq.sqr(v), two);
+        }
+      }
+      // Re(u^h) = V_h/2; Im(u^h) = (V_h Re(u) - V_h+1)/(2 Im(u)), where
+      // 1/(2 Im(u)) = -N(f)/(4ab).
+      const auto im = fq.mul(fq.mul(fq.sub(w, fq.mul(v, x)), todo[j].n), invs[2 * j + 1]);
+      out[todo[j].at] = GT{fq.mul(v, fq.two_inv()), im};
+    }
+    return out;
   }
 
  private:
@@ -253,16 +311,18 @@ class PairingCtx {
 //
 // where c0/cx/cy depend only on P and the running point T -- not on Q. For a
 // fixed first argument the whole loop over T can therefore run once,
-// recording ~|r| coefficient triples; evaluating against a second argument
-// then costs 3 F_q muls per step plus the shared-squaring chain, about 1/3 of
-// a full Miller loop, and the final exponentiation rides the norm-1 fast
-// lane. pair_many() additionally batches the per-evaluation base-field
-// inversion (Montgomery simultaneous inversion), leaving ONE Fermat
-// inversion for an entire ciphertext row.
+// recording ~|r| coefficient pairs. Each recorded line is divided by its cy
+// at preparation (Costello-Stebila, "Fixed Argument Pairings", LATINCRYPT
+// 2010), with ONE batch inversion over all of them:
 //
-// Outputs agree exactly with PairingCtx::pair: the recorded steps replay the
-// same multiplication sequence, and final_exp_fast computes the same map as
-// final_exp.
+//   line'(Q) = (c0' + cx' * xQ) + yQ i,   c0' = c0/cy, cx' = cx/cy.
+//
+// The dropped factor is the F_q^* product of the cy, which the final
+// exponentiation erases, so an evaluation costs 1 F_q mul per step plus the
+// shared squaring chain, about 1/3 of a full Miller loop. Outputs therefore
+// agree with PairingCtx::pair after the final exponentiation, not before it.
+// pair_many() hands all its Miller values to PairingCtx::final_exp_many,
+// which shares ONE inversion across the whole batch.
 
 template <std::size_t LQ, std::size_t LR>
 class PreparedPairing {
@@ -278,46 +338,27 @@ class PreparedPairing {
 
   /// e(P, q) for the fixed P.
   [[nodiscard]] GT pair(const G& q) const {
-    if (inf_ || q.inf) return ctx_->fq2().one();
-    return ctx_->final_exp_fast(miller_eval(q));
+    return pair_many(std::span<const G>(&q, 1)).front();
   }
 
   /// e(P, q_j) for many q_j, sharing one batched inversion across the final
   /// exponentiations.
   [[nodiscard]] std::vector<GT> pair_many(std::span<const G> qs) const {
-    const auto& fq = ctx_->fq();
-    const auto& f2 = ctx_->fq2();
-    std::vector<GT> out(qs.size(), f2.one());
-    if (inf_) return out;
-    std::vector<GT> conj2;               // conj(m^2) per non-infinite q
-    std::vector<UInt<LQ>> norms;         // norm(m) per non-infinite q
-    std::vector<std::size_t> idx;
-    conj2.reserve(qs.size());
-    norms.reserve(qs.size());
-    idx.reserve(qs.size());
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      if (qs[i].inf) continue;
-      const GT m = miller_eval(qs[i]);
-      conj2.push_back(f2.conj(f2.sqr(m)));
-      norms.push_back(f2.norm(m));
-      idx.push_back(i);
-    }
-    fq.batch_inv(norms);
-    for (std::size_t j = 0; j < idx.size(); ++j) {
-      const GT u = f2.scale(conj2[j], norms[j]);  // conj(m)/m, norm-1
-      out[idx[j]] = f2.pow_norm1(u, ctx_->cofactor());
-    }
-    return out;
+    std::vector<GT> ms(qs.size(), ctx_->fq2().one());  // infinity pairs to one
+    if (!inf_)
+      for (std::size_t i = 0; i < qs.size(); ++i)
+        if (!qs[i].inf) ms[i] = miller_eval(qs[i]);
+    return ctx_->final_exp_many(ms);
   }
 
-  /// f_{r,P}(phi(q)) before the final exponentiation (bit-identical to
-  /// PairingCtx::miller(P, q)).
+  /// f_{r,P}(phi(q)) up to an F_q^* factor (the product of the recorded cy),
+  /// before the final exponentiation.
   [[nodiscard]] GT miller_eval(const G& q) const {
     const auto& fq = ctx_->fq();
     const auto& f2 = ctx_->fq2();
     GT f = f2.one();
     for (const auto& s : steps_) {
-      const GT line{fq.add(s.c0, fq.mul(s.cx, q.x)), fq.mul(s.cy, q.y)};
+      const GT line{fq.add(s.c0, fq.mul(s.cx, q.x)), q.y};
       f = s.dbl ? f2.mul(f2.sqr(f), line) : f2.mul(f, line);
     }
     return f;
@@ -329,8 +370,8 @@ class PreparedPairing {
 
  private:
   struct Step {
-    UInt<LQ> c0, cx, cy;  // line(Q) = (c0 + cx*xQ, cy*yQ)
-    bool dbl;             // doubling step: square f before the line mul
+    UInt<LQ> c0, cx;  // line(Q) = (c0 + cx*xQ, yQ), normalized by cy
+    bool dbl;         // doubling step: square f before the line mul
   };
 
   // Replays PairingCtx::miller symbolically over Q: identical T-updates and
@@ -343,20 +384,20 @@ class PreparedPairing {
     ec::JacPoint<LQ> t = cv.to_jac(p);
     const std::size_t nbits = r.bit_length();
     steps_.reserve(nbits + nbits / 2);
+    std::vector<UInt<LQ>> cys;  // one per step, inverted below
+    cys.reserve(nbits + nbits / 2);
     for (std::size_t i = nbits - 1; i-- > 0;) {
       {
         const auto y2 = fq.sqr(t.Y);
         const auto z2 = fq.sqr(t.Z);
         const auto m = fq.add(fq.mul(three, fq.sqr(t.X)), fq.sqr(z2));  // 3X^2 + Z^4
-        steps_.push_back(Step{fq.sub(fq.mul(m, t.X), fq.dbl(y2)),        // c0
-                              fq.mul(m, z2),                             // cx
-                              fq.mul(fq.dbl(fq.mul(t.Y, t.Z)), z2),      // cy
-                              true});
+        const auto z3 = fq.dbl(fq.mul(t.Y, t.Z));
+        steps_.push_back(Step{fq.sub(fq.mul(m, t.X), fq.dbl(y2)), fq.mul(m, z2), true});
+        cys.push_back(fq.mul(z3, z2));
         const auto s = fq.dbl(fq.dbl(fq.mul(t.X, y2)));
         const auto x3 = fq.sub(fq.sqr(m), fq.dbl(s));
         const auto y3 =
             fq.sub(fq.mul(m, fq.sub(s, x3)), fq.dbl(fq.dbl(fq.dbl(fq.sqr(y2)))));
-        const auto z3 = fq.dbl(fq.mul(t.Y, t.Z));
         t = {x3, y3, z3};
       }
       if (r.bit(i)) {
@@ -373,8 +414,8 @@ class PreparedPairing {
           throw std::logic_error("miller: unexpected doubling inside addition step");
         }
         const auto z3 = fq.mul(t.Z, hh);
-        steps_.push_back(
-            Step{fq.sub(fq.mul(rr, p.x), fq.mul(z3, p.y)), rr, z3, false});
+        steps_.push_back(Step{fq.sub(fq.mul(rr, p.x), fq.mul(z3, p.y)), rr, false});
+        cys.push_back(z3);
         const auto h2 = fq.sqr(hh);
         const auto h3 = fq.mul(h2, hh);
         const auto v = fq.mul(t.X, h2);
@@ -382,6 +423,11 @@ class PreparedPairing {
         const auto y3 = fq.sub(fq.mul(rr, fq.sub(v, x3)), fq.mul(t.Y, h3));
         t = {x3, y3, z3};
       }
+    }
+    fq.batch_inv(cys);
+    for (std::size_t i = 0; i < steps_.size(); ++i) {
+      steps_[i].c0 = fq.mul(steps_[i].c0, cys[i]);
+      steps_[i].cx = fq.mul(steps_[i].cx, cys[i]);
     }
   }
 

@@ -25,7 +25,11 @@
 //     (= kappa*log p + log p bits, the paper's m1 + log p).
 #pragma once
 
+#include <algorithm>
+#include <iterator>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "crypto/rng.hpp"
 #include "group/fixed_pow.hpp"
@@ -161,23 +165,56 @@ struct DlrCore {
   /// plaintext: pair each coordinate with A. Correct under the same sigma
   /// because e(A, b^sigma) = e(A, b)^sigma.
   static CtT pair_ct(const GG& gg, const G& a, const CtG& ct) {
-    return pair_ct(gg, group::PreparedPair<GG>(gg, a), ct);
+    return std::move(pair_cts(gg, a, {}, ct).front());
   }
 
-  /// pair_ct against an already-prepared first argument: callers that
-  /// transport many ciphertexts under the same A (dec_round1 pairs l+1 of
-  /// them) run the Miller loop once and amortize it across every coordinate.
-  /// All kappa+1 coordinates go through ONE pair_many call, which on native
-  /// backends also shares a single batched inversion across their final
-  /// exponentiations.
-  static CtT pair_ct(const GG& gg, const group::PreparedPair<GG>& pa, const CtG& ct) {
-    std::vector<G> coords(ct.b.begin(), ct.b.end());
-    coords.push_back(ct.c0);
-    auto gts = pa.pair_many(gg, coords);
-    CtT out;
-    out.c0 = std::move(gts.back());
-    gts.pop_back();
-    out.b = std::move(gts);
+  /// pair_ct for the l+1 ciphertexts P1 transports under the same A in round
+  /// 1 (f_1..f_l, then fPhi; the fake game's simulator transports the same
+  /// rows). Returns their l+1 transports in that order. The Miller loop for A
+  /// runs once, and every coordinate goes through pair_many, which on native
+  /// backends shares ONE batched inversion across the final exponentiations.
+  /// With DLR_PARALLEL set the flat coordinate list splits into per-thread
+  /// chunks of at least 4 coordinates (as MaskedEnc::masked_product splits
+  /// its bases), one pair_many and so one inversion each; every chunk writes
+  /// its own slots, so the result does not depend on the thread count.
+  static std::vector<CtT> pair_cts(const GG& gg, const G& a, std::span<const CtG> fs,
+                                   const CtG& fphi) {
+    const group::PreparedPair<GG> pa(gg, a);
+    const std::size_t rows = fs.size() + 1;
+    auto row = [&](std::size_t i) -> const CtG& { return i < fs.size() ? fs[i] : fphi; };
+    std::vector<G> coords;
+    coords.reserve(rows * (fphi.b.size() + 1));
+    for (std::size_t i = 0; i < rows; ++i) {
+      coords.insert(coords.end(), row(i).b.begin(), row(i).b.end());
+      coords.push_back(row(i).c0);
+    }
+    const std::span<const G> all(coords);
+    const int t = service::fanout_suppressed() ? 0 : service::parallel_threads();
+    std::vector<GT> gts;
+    if (t <= 1 || all.size() < 8) {
+      gts = pa.pair_many(gg, all);
+    } else {
+      const std::size_t chunks = std::min(static_cast<std::size_t>(t), all.size() / 4);
+      const std::size_t per = (all.size() + chunks - 1) / chunks;
+      gts.resize(all.size());
+      service::par_for(chunks, [&](std::size_t c) {
+        const std::size_t lo = c * per;
+        const std::size_t hi = std::min(all.size(), lo + per);
+        if (lo >= hi) return;
+        auto part = pa.pair_many(gg, all.subspan(lo, hi - lo));
+        std::move(part.begin(), part.end(), gts.begin() + static_cast<std::ptrdiff_t>(lo));
+      });
+    }
+    std::vector<CtT> out;
+    out.reserve(rows + 1);  // dec_round1 appends dB
+    out.resize(rows);
+    auto it = gts.begin();
+    for (std::size_t i = 0; i < rows; ++i) {
+      const auto w = static_cast<std::ptrdiff_t>(row(i).b.size());
+      out[i].b.assign(std::make_move_iterator(it), std::make_move_iterator(it + w));
+      out[i].c0 = std::move(it[w]);
+      it += w + 1;
+    }
     return out;
   }
 
@@ -305,15 +342,10 @@ class DlrParty1 {
   [[nodiscard]] Bytes dec_round1(const typename Core::Ciphertext& c, crypto::Rng& rng) const {
     telemetry::ScopedSpan span("dec.round1");
     if (!fphi_) throw std::logic_error("dec_round1: period not prepared");
-    // One Miller precomputation for A serves all l+1 transported ciphertexts;
-    // with DLR_PARALLEL set the independent pair_ct rows fan out across the
-    // pool (each writes its own slot; serialization below stays ordered).
-    const group::PreparedPair<GG> pa(gg_, c.a);
-    std::vector<CtT> d(fs_.size() + 2);
-    service::par_for(fs_.size() + 1, [&](std::size_t i) {
-      d[i] = Core::pair_ct(gg_, pa, i < fs_.size() ? fs_[i] : *fphi_);
-    });
-    d.back() = ht_.enc(sigma_gt(), c.b, rng);  // dB uses rng -> stays serial
+    // One Miller precomputation for A and one batched final exponentiation
+    // (per fan-out chunk) serve all l+1 transported ciphertexts.
+    std::vector<CtT> d = Core::pair_cts(gg_, c.a, fs_, *fphi_);
+    d.push_back(ht_.enc(sigma_gt(), c.b, rng));  // dB
     ByteWriter w;
     ht_.ser_cts(w, d);
     return w.take();

@@ -288,6 +288,53 @@ TEST(DlrOpsTest, EncryptionCostMatchesFootnote3) {
   EXPECT_EQ(ops.muls(), 1u);
 }
 
+// Construction 5.3's costs, pinned per request on the real pairing at
+// lambda = 64 on SS256 (l = 21, kappa = 4): P1's round 1 pairs every
+// coordinate of the l+1 transported ciphertexts, (l+1)(kappa+1) pairings (dB
+// is encrypted, not paired); P2 never pairs; a refresh pairs nothing. Round 1
+// carries l+2 GT-HPSKE ciphertexts and P2's reply carries one. Fan-out is
+// forced off: CountingGroup's counters are not synchronized.
+TEST(DlrOpsTest, TatePairingCountsAndMessageSizesMatchFormulas) {
+  using CG = group::CountingGroup<Tate>;
+  const auto tate = make_tate_ss256();
+  const auto prm = DlrParams::derive(tate.scalar_bits(), 64);
+  ASSERT_EQ(prm.ell, 21u);
+  ASSERT_EQ(prm.kappa, 4u);
+  CG g1(tate);
+  CG g2(tate);
+  Rng rng(1610);
+  auto kg = DlrCore<CG>::gen(g1, prm, rng);
+  DlrParty1<CG> p1(g1, prm, kg.pk, std::move(kg.sk1), P1Mode::Plain, Rng(1611));
+  DlrParty2<CG> p2(g2, prm, std::move(kg.sk2), Rng(1612));
+  const auto m = g1.gt_random(rng);
+  const auto c = DlrCore<CG>::enc(g1, kg.pk, m, rng);
+  p1.prepare_period();
+  service::set_parallel_threads_for_test(0);
+
+  g1.reset_counts();
+  g2.reset_counts();
+  const auto msg1 = p1.dec_round1(c);
+  const std::size_t round1_pairings = g1.counts().pairings;
+  const auto reply = p2.dec_respond(msg1);
+  EXPECT_TRUE(g1.gt_eq(p1.dec_finish(reply), m));
+  EXPECT_EQ(round1_pairings, (prm.ell + 1) * (prm.kappa + 1));
+  EXPECT_EQ(round1_pairings, 110u);
+  EXPECT_EQ(g1.counts().pairings, round1_pairings);  // dec_finish pairs nothing
+  EXPECT_EQ(g2.counts().pairings, 0u);
+  EXPECT_EQ(msg1.size(), (prm.ell + 2) * (prm.kappa + 1) * g1.gt_bytes());
+  EXPECT_EQ(reply.size(), (prm.kappa + 1) * g1.gt_bytes());
+
+  g1.reset_counts();
+  g2.reset_counts();
+  p1.ref_finish(p2.ref_respond(p1.ref_round1()));
+  EXPECT_EQ(g1.counts().pairings, 0u);
+  EXPECT_EQ(g2.counts().pairings, 0u);
+  service::set_parallel_threads_for_test(-1);
+
+  const auto c2 = DlrCore<CG>::enc(g1, kg.pk, m, rng);
+  EXPECT_TRUE(g1.gt_eq(p1.dec_finish(p2.dec_respond(p1.dec_round1(c2))), m));
+}
+
 // ---- secret memory ---------------------------------------------------------------------
 
 TEST(DlrSnapshotTest, SnapshotSizesMatchAccounting) {

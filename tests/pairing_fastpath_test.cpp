@@ -69,6 +69,47 @@ TEST(PreparedPairingTest, PairManyMatchesLoop) {
   EXPECT_TRUE(pp.pair_many({}).empty());
 }
 
+// ---- final_exp_many vs the reference final_exp ----------------------------------------
+
+template <std::size_t LQ, std::size_t LR>
+void final_exp_battery(std::shared_ptr<const pairing::PairingCtx<LQ, LR>> ctx,
+                       std::uint64_t seed) {
+  using GT = typename pairing::PairingCtx<LQ, LR>::GT;
+  Rng rng(seed);
+  const auto& fq = ctx->fq();
+  const auto& f2 = ctx->fq2();
+  const auto check = [&](const std::vector<GT>& fs) {
+    const auto got = ctx->final_exp_many(fs);
+    ASSERT_EQ(got.size(), fs.size());
+    for (std::size_t i = 0; i < fs.size(); ++i)
+      EXPECT_TRUE(f2.eq(got[i], ctx->final_exp(fs[i])))
+          << "batch of " << fs.size() << ", element " << i;
+  };
+  const auto nonzero = [&] {
+    auto v = fq.random(rng);
+    while (fq.is_zero(v)) v = fq.random(rng);
+    return v;
+  };
+
+  std::vector<GT> millers;
+  for (int i = 0; i < 7; ++i)
+    millers.push_back(ctx->miller(ctx->random_point(rng), ctx->random_point(rng)));
+  check({});
+  check({millers[0]});
+  check(millers);
+
+  // Elements of F_q (b = 0) and of i*F_q (a = 0), and one, mixed into a batch
+  // with generic values: they skip the ladder and must still agree.
+  check({f2.random_nonzero(rng), f2.from_base(nonzero()), millers[1], f2.make(fq.zero(), nonzero()),
+         f2.one(), f2.neg(f2.one()), f2.make(fq.zero(), fq.one())});
+  EXPECT_THROW((void)ctx->final_exp_many(std::vector<GT>{f2.one(), f2.zero()}),
+               std::domain_error);
+}
+
+TEST(FinalExpManyTest, MatchesReferenceSS256) { final_exp_battery(pairing::make_ss256(), 8050); }
+TEST(FinalExpManyTest, MatchesReferenceSS512) { final_exp_battery(pairing::make_ss512(), 8051); }
+TEST(FinalExpManyTest, MatchesReferenceSS1024) { final_exp_battery(pairing::make_ss1024(), 8052); }
+
 // ---- PreparedPair wrapper: generic fallback + native forwarding -----------------------
 
 TEST(PreparedPairTest, GenericFallbackOnMock) {
@@ -261,17 +302,18 @@ TEST(ParallelForTest, EnvKnobParsing) {
 
 // End-to-end determinism: the same seeded protocol run produces identical
 // outputs with the coordinate fan-out enabled, because every parallel loop
-// writes disjoint slots and group arithmetic is exact.
-TEST(ParallelForTest, ProtocolOutputsIndependentOfDlrParallel) {
-  using Sys = schemes::DlrSystem<MockGroup>;
-  const auto gg = make_mock();
-  const auto prm = schemes::DlrParams::derive(gg.scalar_bits(), gg.scalar_bits());
-
+// writes disjoint slots and group arithmetic is exact. On the Tate backend
+// this compares the chunked pair_cts of round 1 (one batched final
+// exponentiation per chunk) with the serial single batch.
+template <group::BilinearGroup GG>
+void protocol_outputs_independent_of_fanout(const GG& gg, const schemes::DlrParams& prm,
+                                            int periods) {
+  using Sys = schemes::DlrSystem<GG>;
   const auto run_once = [&] {
     auto sys = Sys::create(gg, prm, schemes::P1Mode::Plain, 8060);
     Rng rng(8061);
-    std::vector<MockGroup::GT> outs;
-    for (int i = 0; i < 3; ++i) {
+    std::vector<typename GG::GT> outs;
+    for (int i = 0; i < periods; ++i) {
       const auto m = gg.gt_random(rng);
       outs.push_back(m);
       outs.push_back(sys.decrypt(sys.encrypt(m, rng)));
@@ -293,6 +335,15 @@ TEST(ParallelForTest, ProtocolOutputsIndependentOfDlrParallel) {
     EXPECT_TRUE(gg.gt_eq(serial[i], parallel[i])) << i;
   for (std::size_t i = 0; i + 1 < serial.size(); i += 2)
     EXPECT_TRUE(gg.gt_eq(serial[i], serial[i + 1])) << "decrypt roundtrip " << i;
+}
+
+TEST(ParallelForTest, ProtocolOutputsIndependentOfDlrParallel) {
+  const auto mock = make_mock();
+  protocol_outputs_independent_of_fanout(
+      mock, schemes::DlrParams::derive(mock.scalar_bits(), mock.scalar_bits()), 3);
+  const auto tate = make_tate_ss256();
+  protocol_outputs_independent_of_fanout(tate, schemes::DlrParams::derive(tate.scalar_bits(), 64),
+                                         2);
 }
 
 }  // namespace

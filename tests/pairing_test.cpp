@@ -233,6 +233,7 @@ TEST(PairingTest, GtFromFieldLandsInSubgroup) {
     const auto y = ctx->gt_from_field(x);
     EXPECT_TRUE(f2.eq(f2.pow(y, ctx->order()), f2.one()));
     EXPECT_TRUE(ctx->fq().eq(f2.norm(y), ctx->fq().one()));  // norm-1 circle
+    EXPECT_TRUE(f2.eq(y, ctx->final_exp(x)));  // the final exponentiation itself
   }
 }
 
