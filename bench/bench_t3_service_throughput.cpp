@@ -1,6 +1,6 @@
 // T3: decryption-service throughput -- requests/sec of the multi-threaded
-// P2Server (src/service/) over real loopback TCP, swept across worker-pool
-// sizes and concurrent-client counts.
+// single-key P2Server (the one-key KsServer) over real loopback TCP, swept
+// across worker-pool sizes and concurrent-client counts.
 //
 // The backend is the mock group with a large leakage parameter, so each
 // DistDec round 2 is ~ell HPSKE ciphertext exponentiations: enough work per
@@ -101,7 +101,6 @@ struct Fixture {
 struct ScrapeStats {
   std::uint64_t scrapes = 0;
   std::map<std::string, double> last_svc;  // final value of each svc_* sample
-  double max_inflight = 0;
   double max_queue_depth = 0;
 };
 
@@ -132,8 +131,6 @@ double run_point(Fixture& fx, int workers, int clients, int requests,
           for (const auto& [name, v] : samples) {
             if (name.rfind("svc_", 0) != 0) continue;
             scrape->last_svc[name] = v;
-            if (name == "svc_inflight")
-              scrape->max_inflight = std::max(scrape->max_inflight, v);
             if (name == "svc_queue_depth")
               scrape->max_queue_depth = std::max(scrape->max_queue_depth, v);
           }
@@ -732,7 +729,6 @@ int main(int argc, char** argv) {
     reg.gauge("bench.scrape.rps").set(rps_scraped);
     reg.gauge("bench.scrape.polls").set(static_cast<double>(st.scrapes));
     reg.gauge("bench.scrape.overhead_pct").set(overhead_pct);
-    reg.gauge("bench.scrape.inflight.max").set(st.max_inflight);
     reg.gauge("bench.scrape.queue_depth.max").set(st.max_queue_depth);
     for (const auto& [name, v] : st.last_svc)
       reg.gauge("bench.scrape." + name).set(v);
@@ -741,7 +737,6 @@ int main(int argc, char** argv) {
     stable.row({"req/s (admin polled)", bench::fmt(rps_scraped, 1)});
     stable.row({"scrape polls landed", std::to_string(st.scrapes)});
     stable.row({"overhead vs unscraped (%)", bench::fmt(overhead_pct, 2)});
-    stable.row({"max svc_inflight seen", bench::fmt(st.max_inflight, 0)});
     stable.row({"max svc_queue_depth seen", bench::fmt(st.max_queue_depth, 0)});
     stable.print();
   }

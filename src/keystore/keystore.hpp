@@ -2,16 +2,16 @@
 // §11): (tenant, key-id) -> {DlrParty2 share, epoch machine, pending 2PC
 // refresh, leakage budget}.
 //
-// Each key runs the PR 4 two-phase epoch commit INDEPENDENTLY -- the same
-// prepare / commit / hello-reconciliation state machine as P2Server, with
-// identical dedup (duplicate prepares resend the journaled reply verbatim;
-// duplicate commits ack idempotently by epoch+digest; a rolled-back digest
-// is remembered so a stray prepare cannot resurrect it). Where P2Server
-// splits its one key across p2_mu_ + pending_mu_ + an EpochCoordinator, a
-// keystore entry is small enough for ONE shared_mutex: decryptions hold it
-// shared (dec_respond is const), prepare/commit/hello hold it exclusive --
-// acquiring the exclusive lock IS the drain barrier, since it waits out
-// every in-flight reader of that key and only that key.
+// Each key runs the two-phase epoch commit (DESIGN.md §9) INDEPENDENTLY:
+// prepare / commit / hello reconciliation with dedup (duplicate prepares
+// resend the journaled reply verbatim; duplicate commits ack idempotently
+// by epoch+digest; a rolled-back digest is remembered so a stray prepare
+// cannot resurrect it). The single-key server is the one-key case of the
+// same store (its key is default_key_id()). A keystore entry has ONE
+// shared_mutex: decryptions hold it shared (dec_respond is const),
+// prepare/commit/hello hold it exclusive -- acquiring the exclusive lock IS
+// the drain barrier, since it waits out every in-flight reader of that key
+// and only that key.
 //
 // Persistence is one SegmentJournal for the whole store: every durable
 // transition (put, prepare, commit, rollback) appends that key's full record
@@ -320,9 +320,9 @@ class KeyStore {
     return e->epoch;
   }
 
-  /// Reconnect reconciliation for ONE key -- P2Server's verdict table
-  /// (Commit iff we installed the client's pending refresh, Rollback if we
-  /// never did, fork errors otherwise).
+  /// Reconnect reconciliation for ONE key (DESIGN.md §9 verdict table):
+  /// Commit iff we installed the client's pending refresh, Rollback if we
+  /// never did, fork errors otherwise.
   [[nodiscard]] service::HelloOk hello(const KeyId& id, const service::HelloMsg& h) {
     auto e = find(id);
     std::unique_lock lk(e->mu);
@@ -389,10 +389,16 @@ class KeyStore {
     return out;
   }
 
-  [[nodiscard]] std::uint64_t epoch_of(const KeyId& id) const {
-    auto e = find(id);
-    std::shared_lock lk(e->mu);
-    return e->epoch;
+  /// The key's epoch. Neither accessor takes the entry lock (the atomic is
+  /// only written under the exclusive one), so an error reply or a health
+  /// scrape can read it while a commit holds the entry, or while its own
+  /// thread holds a DecSession on it.
+  [[nodiscard]] std::uint64_t epoch_of(const KeyId& id) const { return find(id)->epoch.load(); }
+
+  /// The key's epoch, 0 if the store does not hold it.
+  [[nodiscard]] std::uint64_t epoch_or_zero(const KeyId& id) const {
+    const auto e = find_opt(id);
+    return e ? e->epoch.load() : 0;
   }
 
   [[nodiscard]] double spent_frac(const KeyId& id) const {
@@ -405,6 +411,13 @@ class KeyStore {
     auto e = find(id);
     std::shared_lock lk(e->mu);
     return e->pending.has_value();
+  }
+
+  /// The key's current P2 share (tests: msk-constancy checks).
+  [[nodiscard]] typename Core::Sk2 share_for_test(const KeyId& id) const {
+    auto e = find(id);
+    std::shared_lock lk(e->mu);
+    return e->p2.share();
   }
 
   /// SHA-256 over every key's (tenant, key, epoch, share), sorted -- the
@@ -720,7 +733,7 @@ class KeyStore {
         : p2(gg, prm, std::move(sk2), std::move(rng)) {}
     mutable std::shared_mutex mu;
     schemes::DlrParty2<GG> p2;
-    std::uint64_t epoch = 0;
+    std::atomic<std::uint64_t> epoch{0};  // written under exclusive mu
     std::optional<Pending> pending;
     Bytes rolled_back_digest;
     // Written under exclusive mu; atomic so route_state() can classify a key

@@ -1,21 +1,27 @@
-// KsServer<GG> -- one shard of the multi-tenant keystore service.
+// KsServer<GG> -- one shard of the multi-tenant keystore service, and the
+// single-key P2 server: service::P2Server<GG> is this class.
 //
-// Thread architecture is P2Server's, verbatim: with pipeline=true (default)
-// decryption requests (ks.dec AND the compat svc.dec route) flow through the
-// SAME decode -> BatchCollector -> crypto-worker -> coalesced-encode
-// pipeline as P2Server -- readers decode and address-check, crypto workers
-// pull micro-batches, group them by (tenant, key), and serve each group
-// through one KeyStore::DecSession (one shared entry lock + one share-vector
-// recode per key per batch). Control-plane routes (ks.ref / commit / hello /
-// put / map) stay on a small WorkerPool. With pipeline=false every request
-// runs on the WorkerPool as in PR 7. One background compaction thread
-// periodically folds the segmented journal. What changes is the dispatch: every ks.* request
-// names a (tenant, key) and is served by the KeyStore's per-key epoch
-// machine, and the legacy single-key routes (svc.dec / svc.ref /
-// svc.ref.commit / svc.hello) are kept alive by mapping them onto
-// default_key_id() -- a PR 2-5 DecryptionClient pointed at a KsServer whose
-// store holds the default key behaves exactly as against a P2Server, which
-// is how "single-key mode is a 1-key store".
+// Thread architecture (DESIGN.md §12): with pipeline=true (default)
+// decryption requests (ks.dec AND the single-key svc.dec route) flow through
+// decode -> BatchCollector -> crypto-worker -> coalesced-encode: readers
+// decode and address-check, crypto workers pull micro-batches, group them by
+// (tenant, key), and serve each group through one KeyStore::DecSession (one
+// shared entry lock + one share-vector recode per key per batch). A refresh
+// commit takes the entry's exclusive lock, so it drains every open session
+// first and no batch ever spans two epochs. Control-plane routes (ks.ref /
+// commit / hello / put / map and the svc.* refresh routes) stay on a small
+// WorkerPool. With pipeline=false every request runs whole on the
+// WorkerPool. One background compaction thread periodically folds the
+// segmented journal, when the store keeps one.
+//
+// Every ks.* request names a (tenant, key) and is served by the KeyStore's
+// per-key epoch machine. The single-key routes (svc.dec / svc.ref /
+// svc.ref.commit / svc.hello, which name no key) are the same machine for
+// default_key_id(): constructed with a default share, the server is the
+// paper's one auxiliary device P2 as a one-key store, and DecryptionClient
+// talks to it unchanged. Its svc.* replies are pinned byte for byte
+// (ServiceWireTest); an error that no key's own state raised carries the
+// default key's epoch, which a single-key peer reads as the server's epoch.
 //
 // Sharding: the server carries a shard id and a versioned ShardMap (empty =
 // accept everything, the bootstrap/single-shard mode). A ks.* request for a
@@ -102,7 +108,8 @@ class KsServer {
     /// This process's shard id (matched against the installed ShardMap).
     std::uint32_t shard_id = 0;
     typename Store::Options store{};
-    /// Background journal-compaction cadence (0 = no compaction thread).
+    /// Background journal-compaction cadence (0 = no compaction thread;
+    /// a store without a journal runs none either).
     std::chrono::milliseconds compact_interval{500};
     /// Wraps each accepted connection (fault injection in tests/benches).
     std::function<std::shared_ptr<transport::Conn>(std::shared_ptr<transport::FramedConn>)>
@@ -133,6 +140,13 @@ class KsServer {
     /// bench): presents a controllable capacity so saturation is
     /// deterministic instead of a race against real crypto speed.
     std::chrono::microseconds inject_crypto_delay{0};
+    /// Emit a SlowRequest event when a decryption's server-side handling
+    /// exceeds this many milliseconds (0 = disabled).
+    double slow_request_ms = 0;
+    /// Answer svc.hello like a pre-observability v1 server: reject a
+    /// versioned hello as BadRequest and never negotiate wire tracing
+    /// (interop tests).
+    bool legacy_hello = false;
   };
 
   KsServer(GG gg, schemes::DlrParams prm, crypto::Rng rng, Options opt)
@@ -145,12 +159,22 @@ class KsServer {
                                                 .high_water = opt_.overload_high_water,
                                                 .hint_cap_ms = opt_.retry_after_cap_ms}) {}
 
+  /// The single-key server: a store holding `default_sk2` as
+  /// default_key_id(), unless Options::store.state_dir already journals that
+  /// key -- then the recovered share and epoch win.
+  KsServer(GG gg, schemes::DlrParams prm, typename Core::Sk2 default_sk2, crypto::Rng rng,
+           Options opt)
+      : KsServer(std::move(gg), prm, std::move(rng), std::move(opt)) {
+    if (!store_.contains(default_key_id())) store_.put(default_key_id(), std::move(default_sk2));
+  }
+
   ~KsServer() { stop(); }
   KsServer(const KsServer&) = delete;
   KsServer& operator=(const KsServer&) = delete;
 
   void start(std::uint16_t port = 0) {
     listener_ = transport::Listener::loopback(port);
+    started_at_ = std::chrono::steady_clock::now();
     pool_ = std::make_unique<service::WorkerPool>(
         opt_.pipeline ? kControlWorkers : opt_.workers, opt_.queue_cap);
     if (opt_.adaptive_parallel) {
@@ -171,7 +195,7 @@ class KsServer {
       admin_->start(opt_.admin_port);
     }
     accept_thread_ = std::thread([this] { accept_loop(); });
-    if (opt_.compact_interval.count() > 0)
+    if (opt_.compact_interval.count() > 0 && store_.journal() != nullptr)
       compact_thread_ = std::thread([this] { compact_loop(); });
     mig_thread_ = std::thread([this] { migrate_loop(); });
     // Journaled mid-migration keys (crash restart) go straight back on the
@@ -368,7 +392,7 @@ class KsServer {
       map_shards = map_.shards().size();
     }
     auto* j = const_cast<Store&>(store_).journal();
-    return {
+    std::vector<std::pair<std::string, std::string>> fields = {
         {"shard_id", std::to_string(opt_.shard_id)},
         {"keys", std::to_string(store_.size())},
         {"map_version", std::to_string(map_version)},
@@ -391,7 +415,15 @@ class KsServer {
         {"reshard_window", reshard_window_open() ? "open" : "closed"},
         {"migrated_out", std::to_string(mig_out_total_.load())},
         {"migrated_in", std::to_string(mig_in_total_.load())},
+        {"uptime_ms", std::to_string(std::chrono::duration_cast<std::chrono::milliseconds>(
+                                         std::chrono::steady_clock::now() - started_at_)
+                                         .count())},
     };
+    // The single-key server's own epoch (the svc.* routes' key); read
+    // without the entry lock, so a scrape never waits out a commit.
+    if (store_.contains(default_key_id()))
+      fields.emplace_back("epoch", std::to_string(default_epoch()));
+    return fields;
   }
 
   void accept_loop() {
@@ -453,7 +485,7 @@ class KsServer {
         gov_.count_shed_overload();
         shed_event("cause=pool-full label=" + hdr.label, gov_.shed_overload());
         try {
-          send_err(*conn, hdr, ServiceErrc::Overloaded, 0, "worker queue full",
+          send_err(*conn, hdr, ServiceErrc::Overloaded, "worker queue full",
                    gov_.retry_after_ms(depth));
         } catch (const transport::TransportError&) {
           break;
@@ -521,7 +553,7 @@ class KsServer {
   bool enqueue_dec(const std::shared_ptr<transport::Conn>& conn, transport::Frame f) {
     try {
       if (draining_stop_.load()) {
-        send_err(*conn, f, ServiceErrc::Shutdown, 0, "server shutting down");
+        send_err(*conn, f, ServiceErrc::Shutdown, "server shutting down");
         return true;
       }
       KsDecJob job;
@@ -553,7 +585,7 @@ class KsServer {
           return true;
         case service::BatchCollector<KsDecJob>::Submit::Stopped:
           try {
-            send_err(*conn, f, ServiceErrc::Shutdown, 0, "server shutting down");
+            send_err(*conn, f, ServiceErrc::Shutdown, "server shutting down");
           } catch (...) {
           }
           return false;
@@ -565,7 +597,7 @@ class KsServer {
           gov_.count_shed_overload();
           shed_event("cause=batch-full depth=" + std::to_string(depth),
                      gov_.shed_overload());
-          send_err(*conn, f, ServiceErrc::Overloaded, 0, "decrypt queue full",
+          send_err(*conn, f, ServiceErrc::Overloaded, "decrypt queue full",
                    gov_.retry_after_ms(depth));
           return true;
         }
@@ -573,7 +605,7 @@ class KsServer {
       return true;
     } catch (const ServiceError& e) {
       try {
-        send_err(*conn, f, e.code(), e.server_epoch(), e.what());
+        send_err(*conn, f, e);
       } catch (...) {
       }
       return true;
@@ -581,7 +613,7 @@ class KsServer {
       return false;
     } catch (const std::exception& e) {
       try {
-        send_err(*conn, f, ServiceErrc::Internal, 0, e.what());
+        send_err(*conn, f, ServiceErrc::Internal, e.what());
       } catch (...) {
       }
       return true;
@@ -628,6 +660,7 @@ class KsServer {
           now >= batch[i].deadline) {
         gov_.count_shed_deadline();
         outs[i].errc = ServiceErrc::DeadlineExceeded;
+        outs[i].err_epoch = default_epoch();
         outs[i].err = "deadline expired in queue";
         continue;
       }
@@ -665,9 +698,10 @@ class KsServer {
           } catch (const ServiceError& e) {
             outs[i].errc = e.code();
             outs[i].err_epoch = e.server_epoch();
-            outs[i].err = e.what();
+            outs[i].err = e.detail();
           } catch (const std::exception& e) {
             outs[i].errc = ServiceErrc::Internal;
+            outs[i].err_epoch = default_epoch();
             outs[i].err = e.what();
           }
           const auto ctx = telemetry::Tracer::global().current();
@@ -680,11 +714,12 @@ class KsServer {
         for (const std::size_t i : idxs) {
           outs[i].errc = e.code();
           outs[i].err_epoch = e.server_epoch();
-          outs[i].err = e.what();
+          outs[i].err = e.detail();
         }
       } catch (const std::exception& e) {
         for (const std::size_t i : idxs) {
           outs[i].errc = ServiceErrc::Internal;
+          outs[i].err_epoch = default_epoch();
           outs[i].err = e.what();
         }
       }
@@ -695,6 +730,7 @@ class KsServer {
       gov_.record_batch(ran, std::chrono::duration<double, std::micro>(
                                  std::chrono::steady_clock::now() - crypto_t0)
                                  .count());
+    for (const auto& j : batch) slow_request_since(j.enq);
 
     // Demultiplex: one frame list per connection, sent with one syscall.
     const auto encode_now = std::chrono::steady_clock::now();
@@ -710,19 +746,17 @@ class KsServer {
         gov_.count_shed_deadline();
         o.label = nullptr;
         o.errc = ServiceErrc::DeadlineExceeded;
-        o.err_epoch = 0;
+        o.err_epoch = default_epoch();
         o.err = "deadline expired before encode";
       }
       transport::Frame out;
       if (o.label != nullptr) {
+        if (j.compat) requests_counter().add();
         out = transport::Frame{j.session, transport::FrameType::Data,
                                static_cast<std::uint8_t>(net::DeviceId::P2), o.label,
                                std::move(o.body)};
       } else {
-        out = transport::Frame{j.session, transport::FrameType::Error,
-                               static_cast<std::uint8_t>(net::DeviceId::P2),
-                               service::kLabelErr,
-                               service::encode_error(o.errc, o.err_epoch, o.err)};
+        out = error_frame(j.session, o.errc, o.err_epoch, o.err);
       }
       if (j.trace_id != 0) {
         out.trace_id = o.stamp_trace != 0 ? o.stamp_trace : j.trace_id;
@@ -759,7 +793,7 @@ class KsServer {
   void handle(transport::Conn& conn, transport::Frame f) {
     try {
       if (draining_stop_.load()) {
-        send_err(conn, f, ServiceErrc::Shutdown, 0, "server shutting down");
+        send_err(conn, f, ServiceErrc::Shutdown, "server shutting down");
         return;
       }
       if (f.label == kKsDec) {
@@ -798,26 +832,26 @@ class KsServer {
       } else if (f.label == service::kLabelHello) {
         handle_compat_hello(conn, f);
       } else {
-        send_err(conn, f, ServiceErrc::BadRequest, 0, "unknown label '" + f.label + "'");
+        send_err(conn, f, ServiceErrc::BadRequest, "unknown label '" + f.label + "'");
       }
     } catch (const MigrationHalt& e) {
       // Test-injected "crash after durable step": park every migration
       // surface (driver + routes) until the process is restarted.
       mig_halted_.store(true);
       try {
-        send_err(conn, f, ServiceErrc::Internal, 0, e.what());
+        send_err(conn, f, ServiceErrc::Internal, e.what());
       } catch (...) {
       }
     } catch (const ServiceError& e) {
       try {
-        send_err(conn, f, e.code(), e.server_epoch(), e.what());
+        send_err(conn, f, e);
       } catch (...) {
       }
     } catch (const transport::TransportError&) {
       // Response could not be delivered (client gone).
     } catch (const std::exception& e) {
       try {
-        send_err(conn, f, ServiceErrc::Internal, 0, e.what());
+        send_err(conn, f, ServiceErrc::Internal, e.what());
       } catch (...) {
       }
     }
@@ -826,9 +860,11 @@ class KsServer {
   void handle_dec(transport::Conn& conn, const transport::Frame& f) {
     telemetry::ScopedSpan span("ks.dec",
                                telemetry::TraceContext{f.trace_id, f.parent_span});
+    const auto t0 = std::chrono::steady_clock::now();
     KsRequest req = decode_ks(f);
     check_owned(req.id);
     const auto out = store_.dec(req.id, req.epoch, req.payload);
+    slow_request_since(t0);
     reply_data(conn, f, kKsDecOk,
                encode_ks_dec_ok({out.reply, out.spent_millibits, out.budget_millibits}));
   }
@@ -856,7 +892,7 @@ class KsServer {
     try {
       kh = decode_ks_hello(f.body);
     } catch (const std::exception& e) {
-      send_err(conn, f, ServiceErrc::BadRequest, 0, e.what());
+      send_err(conn, f, ServiceErrc::BadRequest, e.what());
       return;
     }
     check_owned(kh.id);
@@ -870,7 +906,7 @@ class KsServer {
     try {
       p = decode_ks_put(f.body);
     } catch (const std::exception& e) {
-      send_err(conn, f, ServiceErrc::BadRequest, 0, e.what());
+      send_err(conn, f, ServiceErrc::BadRequest, e.what());
       return;
     }
     check_owned(p.id);
@@ -878,7 +914,7 @@ class KsServer {
       ByteReader sr(p.sk2_ser);
       store_.put(p.id, Core::deser_sk2(store_gg(), sr));
     } catch (const std::exception& e) {
-      send_err(conn, f, ServiceErrc::BadRequest, 0, e.what());
+      send_err(conn, f, ServiceErrc::BadRequest, e.what());
       return;
     }
     reply_data(conn, f, kKsPutOk, {});
@@ -901,14 +937,13 @@ class KsServer {
       p = decode_ks_map_propose(f.body);
       proposed = ShardMap::decode(p.map_body);
     } catch (const std::exception& e) {
-      send_err(conn, f, ServiceErrc::BadRequest, 0, e.what());
+      send_err(conn, f, ServiceErrc::BadRequest, e.what());
       return;
     }
     if (p.min_wire_version > service::kWireDeadlineVersion) {
-      send_err(conn, f, ServiceErrc::BadRequest, 0,
+      send_err(conn, f, ServiceErrc::BadRequest,
                "proposal requires wire version " + std::to_string(p.min_wire_version) +
-                   "; this shard speaks " +
-                   std::to_string(service::kWireDeadlineVersion));
+                   "; this shard speaks " + std::to_string(service::kWireDeadlineVersion));
       return;
     }
     const std::size_t outgoing = propose_map(std::move(proposed));
@@ -923,7 +958,7 @@ class KsServer {
     try {
       m = decode_ks_migrate(f.body);
     } catch (const std::exception& e) {
-      send_err(conn, f, ServiceErrc::BadRequest, 0, e.what());
+      send_err(conn, f, ServiceErrc::BadRequest, e.what());
       return;
     }
     const Bytes digest =
@@ -937,7 +972,7 @@ class KsServer {
     try {
       m = decode_ks_migrate(f.body);
     } catch (const std::exception& e) {
-      send_err(conn, f, ServiceErrc::BadRequest, 0, e.what());
+      send_err(conn, f, ServiceErrc::BadRequest, e.what());
       return;
     }
     store_.commit_incoming(m.id, m.blob, m.spent_millibits);
@@ -952,7 +987,7 @@ class KsServer {
     try {
       d = decode_ks_mig_done(f.body);
     } catch (const std::exception& e) {
-      send_err(conn, f, ServiceErrc::BadRequest, 0, e.what());
+      send_err(conn, f, ServiceErrc::BadRequest, e.what());
       return;
     }
     {
@@ -1157,14 +1192,17 @@ class KsServer {
     }
   }
 
-  // ---- single-key compatibility routes (svc.*, PR 2-5 wire format) ----
+  // ---- single-key routes (svc.*): the default key ---------------------
 
   void handle_compat_dec(transport::Conn& conn, const transport::Frame& f) {
     telemetry::ScopedSpan span("svc.dec",
                                telemetry::TraceContext{f.trace_id, f.parent_span});
+    const auto t0 = std::chrono::steady_clock::now();
     service::Request req = decode_svc(f);
-    const auto out = store_.dec(default_key_id(), req.epoch, req.round1);
-    reply_data(conn, f, service::kLabelDecOk, Bytes(out.reply));
+    auto out = store_.dec(default_key_id(), req.epoch, req.round1);
+    slow_request_since(t0);
+    requests_counter().add();
+    reply_data(conn, f, service::kLabelDecOk, std::move(out.reply));
   }
 
   void handle_compat_ref(transport::Conn& conn, const transport::Frame& f) {
@@ -1177,11 +1215,13 @@ class KsServer {
   }
 
   void handle_compat_commit(transport::Conn& conn, const transport::Frame& f) {
+    telemetry::ScopedSpan span("svc.refresh",
+                               telemetry::TraceContext{f.trace_id, f.parent_span});
     service::CommitMsg cm;
     try {
       cm = service::decode_commit(f.body);
     } catch (const std::exception& e) {
-      send_err(conn, f, ServiceErrc::BadRequest, 0, e.what());
+      send_err(conn, f, ServiceErrc::BadRequest, e.what());
       return;
     }
     reply_data(conn, f, service::kLabelRefCommitOk,
@@ -1193,12 +1233,21 @@ class KsServer {
     service::HelloMsg h;
     try {
       h = service::decode_hello(f.body);
+      // A pre-observability server rejected the trailing version byte inside
+      // decode_hello; legacy_hello reproduces that so interop tests can prove
+      // the client's v1 fallback.
+      if (opt_.legacy_hello && h.version != 0)
+        throw std::invalid_argument("svc.hello: trailing bytes");
     } catch (const std::exception& e) {
-      send_err(conn, f, ServiceErrc::BadRequest, 0, e.what());
+      send_err(conn, f, ServiceErrc::BadRequest, e.what());
       return;
     }
     service::HelloOk ok = store_.hello(default_key_id(), h);
-    ok.version = std::min<std::uint8_t>(h.version, service::kWireDeadlineVersion);
+    // The echoed version arms wire tracing on the client, so a legacy server
+    // (version 0) never receives a trace envelope it would reject.
+    ok.version = opt_.legacy_hello
+                     ? 0
+                     : std::min<std::uint8_t>(h.version, service::kWireDeadlineVersion);
     reply_data(conn, f, service::kLabelHelloOk, service::encode_hello_ok(ok));
   }
 
@@ -1206,7 +1255,7 @@ class KsServer {
     try {
       return decode_ks_request(f.body);
     } catch (const std::exception& e) {
-      throw ServiceError(ServiceErrc::BadRequest, 0, e.what());
+      throw ServiceError(ServiceErrc::BadRequest, default_epoch(), e.what());
     }
   }
 
@@ -1214,7 +1263,7 @@ class KsServer {
     try {
       return service::decode_request(f.body);
     } catch (const std::exception& e) {
-      throw ServiceError(ServiceErrc::BadRequest, 0, e.what());
+      throw ServiceError(ServiceErrc::BadRequest, default_epoch(), e.what());
     }
   }
 
@@ -1237,15 +1286,54 @@ class KsServer {
     conn.send(out);
   }
 
-  void send_err(transport::Conn& conn, const transport::Frame& req, ServiceErrc code,
-                std::uint64_t server_epoch, const std::string& msg,
-                std::uint32_t retry_after_ms = 0) {
-    transport::Frame out{req.session, transport::FrameType::Error,
-                         static_cast<std::uint8_t>(net::DeviceId::P2),
-                         service::kLabelErr,
-                         service::encode_error(code, server_epoch, msg, retry_after_ms)};
+  /// The epoch an error reply carries when no key's own state raised it:
+  /// the default key's, 0 if the store does not hold one.
+  [[nodiscard]] std::uint64_t default_epoch() const {
+    return store_.epoch_or_zero(default_key_id());
+  }
+
+  /// An svc.err frame. Every StaleEpoch or Draining answer counts in
+  /// svc.stale: a request a refresh's epoch change turned away.
+  static transport::Frame error_frame(std::uint32_t session, ServiceErrc code,
+                                      std::uint64_t server_epoch, const std::string& msg,
+                                      std::uint32_t retry_after_ms = 0) {
+    if (code == ServiceErrc::StaleEpoch || code == ServiceErrc::Draining) stale_counter().add();
+    return transport::Frame{session, transport::FrameType::Error,
+                            static_cast<std::uint8_t>(net::DeviceId::P2), service::kLabelErr,
+                            service::encode_error(code, server_epoch, msg, retry_after_ms)};
+  }
+
+  void send_err(transport::Conn& conn, const transport::Frame& req, const ServiceError& e) {
+    transport::Frame out = error_frame(req.session, e.code(), e.server_epoch(), e.detail(),
+                                       e.retry_after_ms());
     stamp_reply(out, req);
     conn.send(out);
+  }
+
+  void send_err(transport::Conn& conn, const transport::Frame& req, ServiceErrc code,
+                const std::string& msg, std::uint32_t retry_after_ms = 0) {
+    send_err(conn, req, ServiceError(code, default_epoch(), msg, retry_after_ms));
+  }
+
+  /// SlowRequest event for a decryption whose server-side handling began at t0.
+  void slow_request_since(std::chrono::steady_clock::time_point t0) const {
+    if (opt_.slow_request_ms <= 0) return;
+    const double ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    if (ms > opt_.slow_request_ms)
+      telemetry::event(telemetry::EventKind::SlowRequest,
+                       "ms=" + std::to_string(ms) +
+                           " threshold=" + std::to_string(opt_.slow_request_ms));
+  }
+
+  static telemetry::Counter& requests_counter() {
+    static telemetry::Counter& c = telemetry::Registry::global().counter("svc.requests");
+    return c;
+  }
+
+  static telemetry::Counter& stale_counter() {
+    static telemetry::Counter& c = telemetry::Registry::global().counter("svc.stale");
+    return c;
   }
 
   /// Rate-limited Shed event (every 256th): sustained overload must not
@@ -1280,7 +1368,7 @@ class KsServer {
     shed_event("cause=degraded label=" + f.label + " key=" + id.display() +
                    " depth=" + std::to_string(depth),
                gov_.shed_refresh());
-    send_err(conn, f, ServiceErrc::Overloaded, 0, "degraded: refresh deprioritized",
+    send_err(conn, f, ServiceErrc::Overloaded, "degraded: refresh deprioritized",
              gov_.retry_after_ms(depth));
     return true;
   }
@@ -1318,6 +1406,7 @@ class KsServer {
   transport::Listener listener_;
   std::unique_ptr<service::WorkerPool> pool_;
   std::unique_ptr<service::AdminServer> admin_;
+  std::chrono::steady_clock::time_point started_at_{};
   std::thread accept_thread_;
   std::thread compact_thread_;
   std::mutex compact_mu_;

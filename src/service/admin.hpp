@@ -17,8 +17,9 @@
 // The endpoint is strictly read-only and lock-cheap: a scrape snapshots the
 // registry via stable metric pointers (never blocking the hot path for the
 // duration of the copy) and serializes outside all locks. Components expose
-// state by registering a named health provider -- P2Server registers "p2"
-// (epoch, drain state, queue depth, journal path), P1Runtime registers "p1".
+// state by registering a named health provider -- KsServer (and so the
+// single-key P2Server) registers "keystore" (keys, queue and shed state,
+// journal, uptime), P1Runtime registers "p1".
 //
 // AdminClient::fetch is the curl-equivalent one-shot used by tests, the CI
 // observability probe, and bench --scrape polling.

@@ -1,4 +1,6 @@
-// Atomic single-record on-disk journal for party state.
+// Atomic single-record on-disk journal for party state: P1Runtime's journal.
+// (The P2 server, a one-key KsServer, journals into the keystore's
+// SegmentJournal instead.)
 //
 // One Journal owns one path and stores one record (the latest durable state
 // of a party: share + epoch + any PendingRefresh). save() is crash-atomic in

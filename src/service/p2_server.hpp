@@ -1,1136 +1,13 @@
-// P2Server -- the paper's long-lived auxiliary device (§1.1, §4.4) as a
-// multi-threaded network service.
-//
-// The server owns the P2 share and answers DistDec round-2 requests plus the
-// two-phase refresh protocol (DESIGN.md §9) from the P1-side client over
-// framed, session-multiplexed TCP. Thread architecture with the default
-// pipelined mode (DESIGN.md §12; one arrow = one thread kind):
-//
-//   accept thread ---> per-connection readers ---> BatchCollector ---> crypto
-//   (Listener::accept) (recv + DECODE + epoch     (cross-request       workers
-//                       admission for svc.dec)     micro-batches)      (dec_batch,
-//                                   |                                   coalesced
-//                                   +---> WorkerPool (ref/commit/hello)  ENCODE+send)
-//
-// Readers decode and admit decryption requests, then submit them to a
-// bounded micro-batch collector (size- or deadline-triggered). Crypto
-// workers drain it; every request in a batch shares ONE share-exponent
-// recoding (DlrParty2::DecBatch) and replies are coalesced per connection
-// into a single send_many. With Options::pipeline = false the PR 2
-// architecture remains: every request is handled solo on the worker pool.
-//
-// Refresh is PREPARE / COMMIT:
-//   * svc.ref (PREPARE) computes the next share, journals it as a
-//     PendingRefresh, and replies with round 2 -- the served share is NOT
-//     touched. A duplicated prepare frame is answered with the journaled
-//     reply verbatim (recomputing would resample s' and desynchronize the
-//     share the client later commits to).
-//   * svc.ref.commit drains in-flight decryptions, installs the pending
-//     share, persists the new state, and only then bumps the epoch and acks.
-//     Duplicate commits are recognized by epoch+digest and acked idempotently.
-//   * svc.hello (first frame of every reconnecting client) reconciles: if the
-//     server already installed the client's pending refresh the verdict is
-//     Commit (client rolls forward); otherwise the server discards its own
-//     pending state and verdicts Rollback. A rolled-back digest is remembered
-//     so a lingering duplicate prepare cannot resurrect it.
-//
-// Shared-state discipline:
-//   * the DlrParty2 share sits behind shared_mutex p2_mu_: decryption jobs
-//     hold it shared, prepare/install hold it exclusive;
-//   * the PendingRefresh + journal sit behind pending_mu_;
-//   * p2_mu_ and pending_mu_ are NEVER held together -- share bytes are
-//     serialized under p2_mu_ first, then handed to the journal write under
-//     pending_mu_;
-//   * the EpochCoordinator admits requests, drains in-flight decryptions
-//     before a commit (bounded by Options::drain_deadline -> retryable
-//     DrainTimeout), and rejects stale/raced requests.
-//
-// Persistence: with Options::state_dir set, every durable transition (initial
-// state, prepare, commit, rollback) atomically rewrites <state_dir>/p2.journal
-// (share + epoch + pending refresh); a restarted server resumes from it --
-// counted in svc.recoveries -- with any pending refresh intact, to be resolved
-// by the first hello.
-//
-// Shutdown: stop() first enters a draining phase (new requests are answered
-// with retryable Shutdown errors while queued work finishes, bounded by
-// Options::stop_drain), then hangs up.
+// P2Server -- the paper's auxiliary device P2 (§1.1) as a network service:
+// the one-key KsServer, whose store holds the P2 share as default_key_id()
+// and answers the single-key svc.* routes (keystore/ks_server.hpp).
 #pragma once
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <functional>
-#include <memory>
-#include <optional>
-#include <shared_mutex>
-#include <thread>
-#include <vector>
-
-#include "crypto/rng.hpp"
-#include "crypto/sha256.hpp"
-#include "schemes/dlr.hpp"
-#include "service/admin.hpp"
-#include "service/batcher.hpp"
-#include "service/epoch.hpp"
-#include "service/journal.hpp"
-#include "service/overload.hpp"
-#include "service/parallel.hpp"
-#include "service/protocol.hpp"
-#include "service/worker_pool.hpp"
-#include "telemetry/events.hpp"
-#include "telemetry/trace.hpp"
-#include "transport/endpoint.hpp"
+#include "keystore/ks_server.hpp"
 
 namespace dlr::service {
 
 template <group::BilinearGroup GG>
-class P2Server {
- public:
-  using Core = schemes::DlrCore<GG>;
-
-  struct Options {
-    int workers = 4;
-    std::size_t queue_cap = 1024;
-    transport::TransportOptions transport{};
-    /// Bound on draining in-flight decryptions before a commit installs.
-    transport::Millis drain_deadline = EpochCoordinator::kDefaultDrainDeadline;
-    /// Grace period stop() allows queued work to finish before hanging up.
-    transport::Millis stop_drain{1000};
-    /// Directory for the state journal; empty = volatile (no persistence).
-    std::string state_dir;
-    /// Wraps each accepted connection (fault injection in tests/benches).
-    std::function<std::shared_ptr<transport::Conn>(std::shared_ptr<transport::FramedConn>)>
-        conn_wrapper;
-    /// Run a read-only AdminServer sidecar (DESIGN.md §10). Disabled by
-    /// default; admin_port 0 binds an ephemeral port (see admin_port()).
-    bool admin = false;
-    std::uint16_t admin_port = 0;
-    /// Emit a SlowRequest event when a decryption's server-side handling
-    /// exceeds this many milliseconds (0 = disabled).
-    double slow_request_ms = 0;
-    /// Behave like a pre-observability v1 server: reject a versioned hello
-    /// as BadRequest and never negotiate wire tracing (interop tests).
-    bool legacy_hello = false;
-    /// Pipelined decode -> crypto -> encode architecture (DESIGN.md §12):
-    /// readers decode + admit svc.dec requests into a cross-request batch
-    /// collector, `workers` crypto threads drain it in micro-batches that
-    /// share the share-exponent recoding, replies are coalesced per
-    /// connection. false = the PR 2 one-job-per-request architecture.
-    bool pipeline = true;
-    /// Hard cap on requests per micro-batch. The effective cap is
-    /// min(max_batch, 2 * workers): two batches of lookahead per crypto
-    /// worker keeps every worker busy while bounding how many queue-mates
-    /// one request can wait behind.
-    std::size_t max_batch = 16;
-    /// How long the collector may linger for queue-mates once it holds at
-    /// least one request (the oldest item's deadline).
-    std::chrono::microseconds batch_wait{200};
-    /// At start(), when DLR_PARALLEL is unset, publish an adaptive
-    /// coordinate fan-out width of hw_threads - (pipeline + reader threads)
-    /// via set_adaptive_parallel_default. An explicit env knob always wins.
-    bool adaptive_parallel = true;
-    /// Overload protection (DESIGN.md §13). Queue depth at or above
-    /// high_water * queue_cap enters degraded mode: refresh PREPAREs are
-    /// deprioritized (retryable Overloaded) before any decrypt is shed.
-    double overload_high_water = 0.75;
-    /// Ceiling on the server-computed retry-after hint attached to every
-    /// Overloaded response (queue depth x EWMA per-item crypto cost).
-    std::uint32_t retry_after_cap_ms = 2000;
-    /// Artificial per-batch crypto-stage delay (tests and the --overload
-    /// bench): lets a mock-group server present a controllable capacity so
-    /// saturation is deterministic instead of a race against real crypto.
-    std::chrono::microseconds inject_crypto_delay{0};
-  };
-
-  /// `sk2` seeds the share only when no journal exists in state_dir;
-  /// otherwise the journaled share+epoch win (svc.recoveries counts that).
-  P2Server(GG gg, schemes::DlrParams prm, typename Core::Sk2 sk2, crypto::Rng rng,
-           Options opt)
-      : opt_(std::move(opt)),
-        gg_(gg),
-        journal_(opt_.state_dir.empty()
-                     ? Journal{}
-                     : Journal(join_path(ensure_dir(opt_.state_dir), "p2.journal"))),
-        rec_(load_state(journal_, gg_)),
-        p2_(std::move(gg), prm, rec_.sk2 ? std::move(*rec_.sk2) : std::move(sk2),
-            std::move(rng)),
-        coord_(rec_.epoch),
-        // Pipelined servers run crypto on dedicated batch workers; the pool
-        // only carries the control plane (ref/commit/hello), which two
-        // threads cover comfortably.
-        pool_(opt_.pipeline ? kControlWorkers : opt_.workers, opt_.queue_cap),
-        batcher_(typename BatchCollector<DecJob>::Options{
-            effective_batch_cap(opt_), opt_.batch_wait, opt_.queue_cap}),
-        gov_(OverloadGovernor::Options{.workers = opt_.workers,
-                                       .queue_cap = opt_.queue_cap,
-                                       .high_water = opt_.overload_high_water,
-                                       .hint_cap_ms = opt_.retry_after_cap_ms}) {
-    if (rec_.pending) pending_ = std::move(rec_.pending);
-    if (journal_.attached() && !rec_.loaded)
-      persist(0, ser_share(), std::nullopt);  // initial durable record
-  }
-
-  ~P2Server() { stop(); }
-  P2Server(const P2Server&) = delete;
-  P2Server& operator=(const P2Server&) = delete;
-
-  /// Bind a loopback listener (port 0 = ephemeral) and start serving.
-  void start(std::uint16_t port = 0) {
-    listener_ = transport::Listener::loopback(port);
-    started_at_ = std::chrono::steady_clock::now();
-    if (opt_.adaptive_parallel) {
-      // Leave the coordinate fan-out pool whatever the hardware has beyond
-      // the server's own threads (crypto workers + roughly one hot reader).
-      // Takes effect only while DLR_PARALLEL is unset; serial when nothing
-      // is left over.
-      const unsigned hw = std::thread::hardware_concurrency();
-      const int own = opt_.pipeline ? opt_.workers + kControlWorkers + 1 : opt_.workers + 1;
-      set_adaptive_parallel_default(
-          hw == 0 ? 0 : std::max(0, static_cast<int>(hw) - own));
-    }
-    if (opt_.admin) {
-      admin_ = std::make_unique<AdminServer>(
-          AdminServer::Options{.transport = opt_.transport});
-      admin_->register_health("p2", [this] { return health_fields(); });
-      admin_->start(opt_.admin_port);
-    }
-    if (opt_.pipeline) {
-      crypto_threads_.reserve(static_cast<std::size_t>(opt_.workers));
-      for (int i = 0; i < opt_.workers; ++i)
-        crypto_threads_.emplace_back([this] { crypto_loop(); });
-    }
-    accept_thread_ = std::thread([this] { accept_loop(); });
-  }
-
-  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
-  /// Bound port of the admin sidecar (0 if Options::admin is off).
-  [[nodiscard]] std::uint16_t admin_port() const { return admin_ ? admin_->port() : 0; }
-  /// The embedded admin sidecar, for registering extra health sections
-  /// (nullptr if Options::admin is off).
-  [[nodiscard]] AdminServer* admin() { return admin_.get(); }
-  [[nodiscard]] std::uint64_t epoch() const { return coord_.epoch(); }
-  [[nodiscard]] std::uint64_t inflight() const { return coord_.inflight(); }
-  [[nodiscard]] std::uint64_t requests_served() const { return requests_.load(); }
-  [[nodiscard]] std::uint64_t refreshes_served() const { return refreshes_.load(); }
-  /// Overload governor (shed counters, EWMA crypto cost) — read-only.
-  [[nodiscard]] const OverloadGovernor& gov() const { return gov_; }
-  [[nodiscard]] bool recovered_from_journal() const { return rec_.loaded; }
-  [[nodiscard]] bool has_pending_for_test() const {
-    std::lock_guard lock(pending_mu_);
-    return pending_.has_value();
-  }
-
-  /// Current P2 share (tests: msk-constancy checks). Takes the share lock.
-  [[nodiscard]] typename Core::Sk2 share_for_test() const {
-    std::shared_lock lock(p2_mu_);
-    return p2_.share();
-  }
-
-  /// Enter the shutdown-draining phase without hanging up: every subsequent
-  /// request is answered with a retryable Shutdown error.
-  void begin_drain() { draining_stop_.store(true); }
-
-  /// Orderly shutdown: answer new work with Shutdown errors, let queued work
-  /// drain (bounded by Options::stop_drain), then close the listener, hang up
-  /// every connection, join readers, stop the worker pool. Idempotent.
-  void stop() {
-    if (stopping_.exchange(true)) {
-      if (accept_thread_.joinable()) accept_thread_.join();
-      return;
-    }
-    draining_stop_.store(true);
-    const auto deadline = std::chrono::steady_clock::now() + opt_.stop_drain;
-    while (std::chrono::steady_clock::now() < deadline &&
-           (coord_.inflight() > 0 || pool_.queued() > 0 || batcher_.queued() > 0))
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    listener_.close();
-    if (accept_thread_.joinable()) accept_thread_.join();
-    // Snapshot the connections, then shut down and join WITHOUT conns_mu_: a
-    // reader's exit path re-takes conns_mu_ to mark itself done, so joining
-    // it while holding the lock deadlocks.
-    std::vector<std::shared_ptr<ConnState>> conns;
-    {
-      std::lock_guard lock(conns_mu_);
-      conns = conns_;
-    }
-    for (auto& c : conns) c->conn->shutdown();
-    // Stop the pool and the batch collector before joining readers: a reader
-    // blocked in submit() (queue full) is released by stop(), and queued jobs
-    // answering hung-up connections fail their send and are swallowed by the
-    // job's catch. Crypto workers drain admitted batches, then exit on the
-    // empty collect().
-    pool_.stop();
-    batcher_.stop();
-    for (auto& t : crypto_threads_)
-      if (t.joinable()) t.join();
-    for (auto& c : conns)
-      if (c->reader.joinable()) c->reader.join();
-    if (admin_) admin_->stop();
-  }
-
- private:
-  /// A prepared-but-not-installed refresh (the server half of the 2PC).
-  struct Pending {
-    std::uint64_t epoch = 0;             // epoch being refreshed away from
-    Bytes digest;                        // sha256 of the prepare round-1 msg
-    typename Core::Sk2 next;             // share to install at commit
-    Bytes reply;                         // journaled round-2 reply (dedup resend)
-  };
-
-  struct Recovered {
-    bool loaded = false;
-    std::uint64_t epoch = 0;
-    std::optional<typename Core::Sk2> sk2;
-    std::optional<Pending> pending;
-  };
-
-  struct ConnState {
-    std::shared_ptr<transport::Conn> conn;
-    std::thread reader;
-    std::atomic<bool> done{false};
-  };
-
-  /// Worker-pool width while the pipeline owns the crypto: the pool only
-  /// serves ref/commit/hello, which are rare and partly serialized anyway.
-  static constexpr int kControlWorkers = 2;
-
-  /// An epoch-admitted decryption request parked in the batch collector.
-  /// begin_decrypt was already called (on the reader); whoever disposes of
-  /// the job must call end_decrypt exactly once.
-  struct DecJob {
-    std::shared_ptr<transport::Conn> conn;
-    std::uint32_t session = 0;
-    std::uint64_t trace_id = 0;
-    std::uint64_t parent_span = 0;
-    std::uint64_t epoch = 0;
-    Bytes round1;
-    std::chrono::steady_clock::time_point enq{};
-    // Absolute expiry derived from the request's deadline budget at decode
-    // time; the epoch value (time_point{}) means "no deadline".
-    std::chrono::steady_clock::time_point deadline{};
-  };
-
-  [[nodiscard]] static std::size_t effective_batch_cap(const Options& o) {
-    const std::size_t per_workers =
-        2 * static_cast<std::size_t>(o.workers < 1 ? 1 : o.workers);
-    return std::max<std::size_t>(1, std::min(o.max_batch, per_workers));
-  }
-
-  /// Health section served by the admin endpoint. Reads atomics and takes
-  /// only the short pending lock -- safe from the scrape thread.
-  [[nodiscard]] std::vector<std::pair<std::string, std::string>> health_fields() const {
-    const auto uptime_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                               std::chrono::steady_clock::now() - started_at_)
-                               .count();
-    bool pending = false;
-    {
-      std::lock_guard lock(pending_mu_);
-      pending = pending_.has_value();
-    }
-    return {
-        {"epoch", std::to_string(coord_.epoch())},
-        {"inflight", std::to_string(coord_.inflight())},
-        {"queue_depth", std::to_string(pool_.queued())},
-        {"workers", std::to_string(opt_.workers)},
-        {"pipeline", opt_.pipeline ? "true" : "false"},
-        {"batch_queue", std::to_string(batcher_.queued())},
-        {"queue_cap", std::to_string(opt_.queue_cap)},
-        {"degraded", gov_.degraded(pool_.queued() + batcher_.queued()) ? "true" : "false"},
-        {"shed_overload", std::to_string(gov_.shed_overload())},
-        {"shed_deadline", std::to_string(gov_.shed_deadline())},
-        {"shed_refresh", std::to_string(gov_.shed_refresh())},
-        {"crypto_cost_us_ewma", std::to_string(gov_.cost_us())},
-        {"draining", draining_stop_.load() ? "true" : "false"},
-        {"pending_refresh", pending ? "true" : "false"},
-        {"requests", std::to_string(requests_.load())},
-        {"refreshes", std::to_string(refreshes_.load())},
-        {"journal", journal_.attached() ? journal_.path() : "(volatile)"},
-        {"recovered", rec_.loaded ? "true" : "false"},
-        {"uptime_ms", std::to_string(uptime_ms)},
-    };
-  }
-
-  static Recovered load_state(const Journal& j, const GG& gg) {
-    Recovered rec;
-    const auto payload = j.load();
-    if (!payload) return rec;
-    ByteReader r(*payload);
-    rec.epoch = r.u64();
-    const Bytes sk2b = r.blob();
-    ByteReader sr(sk2b);
-    rec.sk2 = Core::deser_sk2(gg, sr);
-    if (r.u8()) {
-      Pending p;
-      p.epoch = r.u64();
-      p.digest = r.blob();
-      const Bytes nb = r.blob();
-      ByteReader nr(nb);
-      p.next = Core::deser_sk2(gg, nr);
-      p.reply = r.blob();
-      rec.pending = std::move(p);
-    }
-    rec.loaded = true;
-    telemetry::Registry::global().counter("svc.recoveries").add();
-    telemetry::event(telemetry::EventKind::JournalRecovery,
-                     "side=p2 epoch=" + std::to_string(rec.epoch) +
-                         " pending=" + (rec.pending ? "true" : "false"));
-    return rec;
-  }
-
-  /// Serialize the served share. Takes p2_mu_ shared; callers must hold
-  /// NEITHER p2_mu_ nor pending_mu_.
-  [[nodiscard]] Bytes ser_share() const {
-    ByteWriter w;
-    std::shared_lock lock(p2_mu_);
-    Core::ser_sk2(gg_, w, p2_.share());
-    return w.take();
-  }
-
-  /// Durably record (epoch, share, pending). Callers hold pending_mu_ (which
-  /// serializes journal writes) and pass the share bytes in, so no lock
-  /// nesting with p2_mu_ ever happens.
-  void persist(std::uint64_t epoch, const Bytes& share_ser,
-               const std::optional<Pending>& pending) {
-    if (!journal_.attached()) return;
-    ByteWriter w;
-    w.u64(epoch);
-    w.blob(share_ser);
-    w.u8(pending ? 1 : 0);
-    if (pending) {
-      w.u64(pending->epoch);
-      w.blob(pending->digest);
-      ByteWriter nw;
-      Core::ser_sk2(gg_, nw, pending->next);
-      w.blob(nw.bytes());
-      w.blob(pending->reply);
-    }
-    journal_.save(w.take());
-  }
-
-  void accept_loop() {
-    for (;;) {
-      transport::Socket sock;
-      try {
-        sock = listener_.accept(transport::Millis{200});
-      } catch (const transport::TransportError& e) {
-        if (e.code() == transport::Errc::Timeout) {
-          if (stopping_.load()) return;
-          continue;
-        }
-        return;  // listener closed
-      }
-      auto st = std::make_shared<ConnState>();
-      auto fc = std::make_shared<transport::FramedConn>(std::move(sock), opt_.transport);
-      st->conn = opt_.conn_wrapper
-                     ? opt_.conn_wrapper(std::move(fc))
-                     : std::static_pointer_cast<transport::Conn>(std::move(fc));
-      st->reader = std::thread([this, conn = st->conn] { reader_loop(conn); });
-      std::lock_guard lock(conns_mu_);
-      // Reap connections whose readers already exited, so a chaos workload
-      // that reconnects thousands of times does not grow conns_ unboundedly.
-      std::erase_if(conns_, [](const std::shared_ptr<ConnState>& c) {
-        if (!c->done.load()) return false;
-        if (c->reader.joinable()) c->reader.join();
-        return true;
-      });
-      conns_.push_back(std::move(st));
-    }
-  }
-
-  void reader_loop(const std::shared_ptr<transport::Conn>& conn) {
-    for (;;) {
-      transport::Frame f;
-      try {
-        f = conn->recv_blocking();
-      } catch (const transport::TransportError&) {
-        break;  // closed / corrupt stream: connection is done
-      }
-      if (f.type != transport::FrameType::Data) continue;
-      if (opt_.pipeline && f.label == kLabelDecReq) {
-        // Decode stage runs right here on the reader thread; the job enters
-        // the batch collector already admitted.
-        if (!enqueue_dec(conn, std::move(f))) break;
-        continue;
-      }
-      // Stash the header before the body moves into the job: a Full verdict
-      // must still answer on the request's session with its trace intact.
-      transport::Frame hdr{f.session, f.type,
-                           static_cast<std::uint8_t>(net::DeviceId::P2), f.label, {}};
-      hdr.trace_id = f.trace_id;
-      hdr.parent_span = f.parent_span;
-      const auto sub = pool_.try_submit([this, conn, f = std::move(f)]() mutable {
-        handle(*conn, std::move(f));
-      });
-      if (sub == WorkerPool::Submit::Stopped) break;  // pool stopping
-      if (sub == WorkerPool::Submit::Full) {
-        // Reader never blocks on a saturated pool (DESIGN.md §13): shed with
-        // a retryable Overloaded + drain-time hint instead of stalling every
-        // request behind this one on the connection.
-        const std::size_t depth = pool_.queued() + batcher_.queued();
-        gov_.count_shed_overload();
-        shed_event("cause=pool-full label=" + hdr.label, gov_.shed_overload());
-        try {
-          send_err(*conn, hdr, ServiceErrc::Overloaded, "worker queue full",
-                   gov_.retry_after_ms(depth));
-        } catch (const transport::TransportError&) {
-          break;
-        }
-      }
-    }
-    // Find our ConnState and mark it reapable by the accept loop.
-    std::lock_guard lock(conns_mu_);
-    for (auto& c : conns_)
-      if (c->conn == conn) c->done.store(true);
-  }
-
-  void handle(transport::Conn& conn, transport::Frame f) {
-    try {
-      if (draining_stop_.load()) {
-        send_err(conn, f, ServiceErrc::Shutdown, "server shutting down");
-        return;
-      }
-      if (f.label == kLabelDecReq) {
-        handle_dec(conn, f);
-      } else if (f.label == kLabelRefReq) {
-        handle_ref(conn, f);
-      } else if (f.label == kLabelRefCommit) {
-        handle_ref_commit(conn, f);
-      } else if (f.label == kLabelHello) {
-        handle_hello(conn, f);
-      } else {
-        send_err(conn, f, ServiceErrc::BadRequest, "unknown label '" + f.label + "'");
-      }
-    } catch (const transport::TransportError&) {
-      // Response could not be delivered (client gone): nothing left to do.
-    } catch (const std::exception& e) {
-      try {
-        send_err(conn, f, ServiceErrc::Internal, e.what());
-      } catch (...) {
-      }
-    }
-  }
-
-  /// Decode stage (reader thread): parse, admit against the epoch
-  /// coordinator, hand off to the batch collector. Admission BEFORE enqueue
-  /// makes batches epoch-pure by construction -- begin_decrypt pins the
-  /// epoch until end_decrypt, so a refresh can only drain (or time out)
-  /// behind every queued job, never interleave with one. Returns false when
-  /// the connection or the collector is shutting down.
-  bool enqueue_dec(const std::shared_ptr<transport::Conn>& conn, transport::Frame f) {
-    try {
-      if (draining_stop_.load()) {
-        send_err(*conn, f, ServiceErrc::Shutdown, "server shutting down");
-        return true;
-      }
-      Request req;
-      try {
-        req = decode_request(f.body);
-      } catch (const std::exception& e) {
-        send_err(*conn, f, ServiceErrc::BadRequest, e.what());
-        return true;
-      }
-      switch (coord_.begin_decrypt(req.epoch)) {
-        case EpochCoordinator::Admit::Stale:
-          send_err(*conn, f, ServiceErrc::StaleEpoch,
-                   "request epoch " + std::to_string(req.epoch) + " != " +
-                       std::to_string(coord_.epoch()));
-          return true;
-        case EpochCoordinator::Admit::Draining:
-          send_err(*conn, f, ServiceErrc::Draining, "refresh in progress");
-          return true;
-        default:
-          break;
-      }
-      const auto now = std::chrono::steady_clock::now();
-      DecJob job{conn,          f.session,
-                 f.trace_id,    f.parent_span,
-                 req.epoch,     std::move(req.round1),
-                 now,
-                 req.deadline_ms == 0
-                     ? std::chrono::steady_clock::time_point{}
-                     : now + std::chrono::milliseconds(req.deadline_ms)};
-      switch (batcher_.try_submit(job)) {
-        case BatchCollector<DecJob>::Submit::Ok:
-          return true;
-        case BatchCollector<DecJob>::Submit::Stopped:
-          coord_.end_decrypt();
-          try {
-            send_err(*conn, f, ServiceErrc::Shutdown, "server shutting down");
-          } catch (...) {
-          }
-          return false;
-        case BatchCollector<DecJob>::Submit::Full: {
-          // Reader never blocks on a saturated batch queue (DESIGN.md §13):
-          // release the admission and shed BEFORE any crypto was spent, with
-          // the estimated backlog drain time as the retry floor.
-          coord_.end_decrypt();
-          const std::size_t depth = batcher_.queued();
-          gov_.count_shed_overload();
-          shed_event("cause=batch-full depth=" + std::to_string(depth),
-                     gov_.shed_overload());
-          send_err(*conn, f, ServiceErrc::Overloaded, "decrypt queue full",
-                   gov_.retry_after_ms(depth));
-          return true;
-        }
-      }
-      return true;
-    } catch (const transport::TransportError&) {
-      return false;  // reply undeliverable: connection is done
-    } catch (const std::exception& e) {
-      try {
-        send_err(*conn, f, ServiceErrc::Internal, e.what());
-      } catch (...) {
-        return false;
-      }
-      return true;
-    }
-  }
-
-  void crypto_loop() {
-    for (;;) {
-      std::vector<DecJob> batch = batcher_.collect();
-      if (batch.empty()) return;  // stopped and drained
-      process_batch(batch);
-    }
-  }
-
-  /// Crypto + encode stages for one micro-batch. One shared lock and one
-  /// share-exponent recoding cover the whole batch; each request keeps its
-  /// own adopted trace span and its own failure. Replies are grouped per
-  /// connection and written with a single send_many.
-  void process_batch(std::vector<DecJob>& batch) {
-    const auto now = std::chrono::steady_clock::now();
-    batch_size_hist().observe(static_cast<double>(batch.size()));
-    for (const auto& j : batch)
-      batch_wait_hist().observe(
-          std::chrono::duration<double, std::micro>(now - j.enq).count());
-
-    struct Out {
-      Bytes reply;
-      std::string err;
-      ServiceErrc errc = ServiceErrc::BadRequest;
-      bool failed = false;
-      std::uint64_t stamp_trace = 0;  // svc.dec span ids captured while open
-      std::uint64_t stamp_span = 0;
-    };
-    std::vector<Out> outs(batch.size());
-    const std::uint64_t epoch0 = batch.front().epoch;
-    std::size_t ran = 0;
-    const auto crypto_t0 = std::chrono::steady_clock::now();
-    {
-      std::shared_lock lock(p2_mu_);
-      const auto db = p2_.dec_batch();
-      // The batch itself is the parallelism unit: W crypto workers already
-      // cover the cores, so per-request coordinate fan-out on top would only
-      // thrash. A lone request (idle server) keeps the fan-out.
-      FanoutSuppressGuard fanout_guard(batch.size() > 1);
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const DecJob& j = batch[i];
-        // Deadline check at batch formation: a request that expired while
-        // queued is dropped BEFORE its exponentiation is spent -- the client
-        // gave up on it, so crypto on it is pure waste under overload.
-        if (j.deadline != std::chrono::steady_clock::time_point{} && now >= j.deadline) {
-          gov_.count_shed_deadline();
-          outs[i].failed = true;
-          outs[i].errc = ServiceErrc::DeadlineExceeded;
-          outs[i].err = "deadline expired in queue";
-          continue;
-        }
-        // Admission-at-enqueue makes a mixed batch impossible; the check is
-        // a cheap invariant guard, counted so tests can pin it at zero.
-        if (j.epoch != epoch0) {
-          epoch_mixed_counter().add();
-          outs[i].failed = true;
-          outs[i].errc = ServiceErrc::StaleEpoch;
-          outs[i].err = "batch epoch mismatch";
-          continue;
-        }
-        ++ran;
-        // Per-request span, adopting the wire trace exactly like the
-        // unpipelined path: dec.round2 opens underneath inside run().
-        telemetry::ScopedSpan span("svc.dec",
-                                   telemetry::TraceContext{j.trace_id, j.parent_span});
-        try {
-          outs[i].reply = db.run(j.round1);
-        } catch (const std::exception& e) {
-          outs[i].failed = true;  // malformed round-1 payload: fails alone
-          outs[i].errc = ServiceErrc::BadRequest;
-          outs[i].err = e.what();
-        }
-        const auto ctx = telemetry::Tracer::global().current();
-        if (ctx.active()) {
-          outs[i].stamp_trace = ctx.trace_id;
-          outs[i].stamp_span = ctx.span_id;
-        }
-      }
-    }
-    if (ran > 0 && opt_.inject_crypto_delay.count() > 0)
-      std::this_thread::sleep_for(opt_.inject_crypto_delay);
-    if (ran > 0)
-      gov_.record_batch(ran, std::chrono::duration<double, std::micro>(
-                                 std::chrono::steady_clock::now() - crypto_t0)
-                                 .count());
-    for (std::size_t i = 0; i < batch.size(); ++i) coord_.end_decrypt();
-    requests_.fetch_add(batch.size());
-    requests_counter().add(batch.size());
-    if (opt_.slow_request_ms > 0) {
-      const auto done = std::chrono::steady_clock::now();
-      for (const auto& j : batch) {
-        const double ms = std::chrono::duration<double, std::milli>(done - j.enq).count();
-        if (ms > opt_.slow_request_ms)
-          telemetry::event(telemetry::EventKind::SlowRequest,
-                           "ms=" + std::to_string(ms) +
-                               " threshold=" + std::to_string(opt_.slow_request_ms));
-      }
-    }
-
-    // Encode stage: group reply frames per connection, preserving request
-    // order, then one coalesced write per connection. A dead connection
-    // fails only its own requests.
-    std::vector<std::pair<transport::Conn*, std::vector<transport::Frame>>> groups;
-    const auto encode_now = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const DecJob& j = batch[i];
-      // Second deadline check, before encode: the crypto is sunk cost, but a
-      // typed DeadlineExceeded is still cheaper to ship than a full reply the
-      // client has already stopped waiting for.
-      if (!outs[i].failed && j.deadline != std::chrono::steady_clock::time_point{} &&
-          encode_now >= j.deadline) {
-        gov_.count_shed_deadline();
-        outs[i].failed = true;
-        outs[i].errc = ServiceErrc::DeadlineExceeded;
-        outs[i].err = "deadline expired before encode";
-      }
-      transport::Frame out;
-      if (outs[i].failed) {
-        out = transport::Frame{j.session, transport::FrameType::Error,
-                               static_cast<std::uint8_t>(net::DeviceId::P2), kLabelErr,
-                               encode_error(outs[i].errc, coord_.epoch(), outs[i].err)};
-      } else {
-        out = transport::Frame{j.session, transport::FrameType::Data,
-                               static_cast<std::uint8_t>(net::DeviceId::P2), kLabelDecOk,
-                               std::move(outs[i].reply)};
-      }
-      // Same stamping rule as stamp_reply, with the span ids captured while
-      // the request's svc.dec span was open.
-      if (j.trace_id != 0) {
-        out.trace_id = outs[i].stamp_trace != 0 ? outs[i].stamp_trace : j.trace_id;
-        out.parent_span = outs[i].stamp_trace != 0 ? outs[i].stamp_span : j.parent_span;
-      }
-      auto it = std::find_if(groups.begin(), groups.end(),
-                             [&](const auto& g) { return g.first == j.conn.get(); });
-      if (it == groups.end()) {
-        groups.emplace_back(j.conn.get(), std::vector<transport::Frame>{});
-        it = std::prev(groups.end());
-      }
-      it->second.push_back(std::move(out));
-    }
-    for (auto& [conn, frames] : groups) {
-      try {
-        conn->send_many(frames);
-      } catch (const transport::TransportError&) {
-        // Client gone mid-batch: only its replies are lost.
-      } catch (const std::exception&) {
-      }
-    }
-  }
-
-  static telemetry::Histogram& batch_size_hist() {
-    static telemetry::Histogram& h = telemetry::Registry::global().histogram(
-        "svc.batch.size", {1, 2, 4, 8, 16, 32, 64});
-    return h;
-  }
-
-  static telemetry::Histogram& batch_wait_hist() {
-    static telemetry::Histogram& h = telemetry::Registry::global().histogram(
-        "svc.batch.wait_us", {25, 50, 100, 200, 400, 800, 1600, 5000});
-    return h;
-  }
-
-  static telemetry::Counter& epoch_mixed_counter() {
-    static telemetry::Counter& c =
-        telemetry::Registry::global().counter("svc.batch.epoch_mixed");
-    return c;
-  }
-
-  void handle_dec(transport::Conn& conn, const transport::Frame& f) {
-    // Adopt the client's trace (frame envelope) so the worker-side spans --
-    // including the crypto spans dec_respond opens underneath -- join the
-    // request's tree instead of starting a server-local root.
-    telemetry::ScopedSpan span("svc.dec",
-                               telemetry::TraceContext{f.trace_id, f.parent_span});
-    const std::int64_t t0 = telemetry::trace_now_ns();
-    Request req;
-    try {
-      req = decode_request(f.body);
-    } catch (const std::exception& e) {
-      send_err(conn, f, ServiceErrc::BadRequest, e.what());
-      return;
-    }
-    switch (coord_.begin_decrypt(req.epoch)) {
-      case EpochCoordinator::Admit::Stale:
-        send_err(conn, f, ServiceErrc::StaleEpoch, "request epoch " +
-                     std::to_string(req.epoch) + " != " + std::to_string(coord_.epoch()));
-        return;
-      case EpochCoordinator::Admit::Draining:
-        send_err(conn, f, ServiceErrc::Draining, "refresh in progress");
-        return;
-      default:
-        break;
-    }
-    Bytes reply;
-    bool bad_request = false;
-    std::string err;
-    try {
-      std::shared_lock lock(p2_mu_);
-      reply = p2_.dec_respond(req.round1);
-    } catch (const std::exception& e) {
-      bad_request = true;  // malformed round-1 payload (deser/width errors)
-      err = e.what();
-    }
-    coord_.end_decrypt();
-    requests_.fetch_add(1);
-    requests_counter().add();
-    if (opt_.slow_request_ms > 0) {
-      const double ms =
-          static_cast<double>(telemetry::trace_now_ns() - t0) / 1e6;
-      if (ms > opt_.slow_request_ms)
-        telemetry::event(telemetry::EventKind::SlowRequest,
-                         "ms=" + std::to_string(ms) +
-                             " threshold=" + std::to_string(opt_.slow_request_ms));
-    }
-    if (bad_request) {
-      send_err(conn, f, ServiceErrc::BadRequest, err);
-      return;
-    }
-    reply_data(conn, f, kLabelDecOk, std::move(reply));
-  }
-
-  /// PREPARE: compute + journal the next share; the served share is untouched
-  /// and the epoch does not move until the commit.
-  void handle_ref(transport::Conn& conn, const transport::Frame& f) {
-    telemetry::ScopedSpan span("svc.refresh",
-                               telemetry::TraceContext{f.trace_id, f.parent_span});
-    // Graceful degradation (DESIGN.md §13): past the high-water mark,
-    // background refresh PREPAREs yield their worker time to decrypts --
-    // availability degrades before anything else. Commits are never shed:
-    // they finish an already-paid-for 2PC and release the drain barrier.
-    // (The keystore server adds the leakage-floor exception; the 2-party
-    // server has a single share whose refresh cadence is client-driven.)
-    {
-      const std::size_t depth = batcher_.queued() + pool_.queued();
-      if (gov_.degraded(depth)) {
-        gov_.count_shed_refresh();
-        shed_event("cause=degraded label=svc.ref depth=" + std::to_string(depth),
-                   gov_.shed_refresh());
-        send_err(conn, f, ServiceErrc::Overloaded, "degraded: refresh deprioritized",
-                 gov_.retry_after_ms(depth));
-        return;
-      }
-    }
-    Request req;
-    try {
-      req = decode_request(f.body);
-    } catch (const std::exception& e) {
-      send_err(conn, f, ServiceErrc::BadRequest, e.what());
-      return;
-    }
-    const Bytes digest = crypto::digest_to_bytes(crypto::Sha256::hash(req.round1));
-    {
-      std::lock_guard lock(pending_mu_);
-      if (pending_ && pending_->epoch == req.epoch && pending_->digest == digest) {
-        // Duplicated prepare frame: resend the journaled reply verbatim.
-        // Re-running ref_prepare would resample s' and desynchronize the
-        // share the client is about to commit to.
-        reply_data(conn, f, kLabelRefOk, Bytes(pending_->reply));
-        return;
-      }
-      if (!rolled_back_digest_.empty() && rolled_back_digest_ == digest) {
-        // A lingering duplicate of a refresh that hello already rolled back:
-        // refusing it keeps a later stray commit frame uncommittable.
-        send_err(conn, f, ServiceErrc::StaleEpoch, "refresh was rolled back");
-        return;
-      }
-    }
-    switch (coord_.begin_refresh(req.epoch, opt_.drain_deadline)) {
-      case EpochCoordinator::Admit::Stale:
-        send_err(conn, f, ServiceErrc::StaleEpoch, "refresh epoch " +
-                     std::to_string(req.epoch) + " != " + std::to_string(coord_.epoch()));
-        return;
-      case EpochCoordinator::Admit::DrainTimeout:
-        telemetry::event(telemetry::EventKind::DrainTimeout,
-                         "phase=prepare epoch=" + std::to_string(req.epoch));
-        send_err(conn, f, ServiceErrc::DrainTimeout, "drain deadline expired");
-        return;
-      case EpochCoordinator::Admit::Draining:
-        send_err(conn, f, ServiceErrc::Draining, "refresh in progress");
-        return;
-      default:
-        break;
-    }
-    typename schemes::DlrParty2<GG>::RefPrepared prep;
-    bool ok = false;
-    std::string err;
-    try {
-      std::unique_lock lock(p2_mu_);  // ref_prepare draws from the party rng
-      prep = p2_.ref_prepare(req.round1);
-      ok = true;
-    } catch (const std::exception& e) {
-      err = e.what();
-    }
-    coord_.finish_refresh(false);  // prepare never bumps the epoch
-    if (!ok) {
-      send_err(conn, f, ServiceErrc::BadRequest, err);
-      return;
-    }
-    const Bytes share_ser = ser_share();
-    Bytes reply;
-    {
-      std::lock_guard lock(pending_mu_);
-      if (pending_ && pending_->epoch == req.epoch && pending_->digest == digest) {
-        // A duplicated prepare raced us through the workers: the first writer
-        // is canonical. Discard our fresh sample and resend its reply, or the
-        // client could commit a digest whose installed share does not match
-        // the round 2 it holds.
-        reply = pending_->reply;
-      } else {
-        if (pending_) rollbacks_counter().add();  // superseded earlier prepare
-        reply = prep.reply;
-        pending_ = Pending{req.epoch, digest, std::move(prep.next), std::move(prep.reply)};
-        persist(coord_.epoch(), share_ser, pending_);
-        telemetry::event(telemetry::EventKind::EpochPrepare,
-                         "epoch=" + std::to_string(req.epoch));
-      }
-    }
-    reply_data(conn, f, kLabelRefOk, std::move(reply));
-  }
-
-  /// COMMIT: drain in-flight decryptions, install the pending share, persist,
-  /// bump the epoch, ack. Idempotent for duplicated commit frames.
-  void handle_ref_commit(transport::Conn& conn, const transport::Frame& f) {
-    telemetry::ScopedSpan span("svc.refresh",
-                               telemetry::TraceContext{f.trace_id, f.parent_span});
-    CommitMsg cm;
-    try {
-      cm = decode_commit(f.body);
-    } catch (const std::exception& e) {
-      send_err(conn, f, ServiceErrc::BadRequest, e.what());
-      return;
-    }
-    {
-      std::lock_guard lock(pending_mu_);
-      if (!pending_ || pending_->epoch != cm.epoch || pending_->digest != cm.digest) {
-        if (coord_.epoch() == cm.epoch + 1) {
-          // Duplicate commit of an already-installed refresh.
-          reply_data(conn, f, kLabelRefCommitOk, encode_commit_ok(coord_.epoch()));
-        } else {
-          send_err(conn, f, ServiceErrc::StaleEpoch, "no matching prepared refresh");
-        }
-        return;
-      }
-    }
-    switch (coord_.begin_refresh(cm.epoch, opt_.drain_deadline)) {
-      case EpochCoordinator::Admit::Stale:
-        if (coord_.epoch() == cm.epoch + 1)
-          reply_data(conn, f, kLabelRefCommitOk, encode_commit_ok(coord_.epoch()));
-        else
-          send_err(conn, f, ServiceErrc::StaleEpoch, "commit epoch " +
-                       std::to_string(cm.epoch) + " != " + std::to_string(coord_.epoch()));
-        return;
-      case EpochCoordinator::Admit::DrainTimeout:
-        telemetry::event(telemetry::EventKind::DrainTimeout,
-                         "phase=commit epoch=" + std::to_string(cm.epoch));
-        send_err(conn, f, ServiceErrc::DrainTimeout, "drain deadline expired");
-        return;
-      case EpochCoordinator::Admit::Draining:
-        send_err(conn, f, ServiceErrc::Draining, "refresh in progress");
-        return;
-      default:
-        break;
-    }
-    Pending p;
-    {
-      std::lock_guard lock(pending_mu_);
-      if (!pending_ || pending_->digest != cm.digest) {
-        coord_.finish_refresh(false);
-        send_err(conn, f, ServiceErrc::StaleEpoch, "pending refresh changed");
-        return;
-      }
-      p = std::move(*pending_);
-      pending_.reset();
-    }
-    Bytes share_ser;
-    {
-      std::unique_lock lock(p2_mu_);
-      p2_.ref_install(std::move(p.next));
-      ByteWriter w;
-      Core::ser_sk2(gg_, w, p2_.share());
-      share_ser = w.take();
-    }
-    {
-      std::lock_guard lock(pending_mu_);
-      // Persist BEFORE the ack: once the client sees commit.ok it will
-      // install its own half, so the server must never forget this install.
-      persist(cm.epoch + 1, share_ser, std::nullopt);
-    }
-    coord_.finish_refresh(true);
-    refreshes_.fetch_add(1);
-    telemetry::event(telemetry::EventKind::EpochCommit,
-                     "epoch=" + std::to_string(coord_.epoch()));
-    reply_data(conn, f, kLabelRefCommitOk, encode_commit_ok(coord_.epoch()));
-  }
-
-  /// Reconnect reconciliation: deterministic verdict on the client's
-  /// journaled PendingRefresh, discarding our own pending state when the
-  /// client demonstrably never committed.
-  void handle_hello(transport::Conn& conn, const transport::Frame& f) {
-    HelloMsg h;
-    try {
-      h = decode_hello(f.body);
-      // A pre-observability server would have rejected the trailing version
-      // byte inside decode_hello; legacy_hello reproduces that rejection so
-      // interop tests can prove the client's v1 fallback.
-      if (opt_.legacy_hello && h.version != 0)
-        throw std::invalid_argument("svc.hello: trailing bytes");
-    } catch (const std::exception& e) {
-      send_err(conn, f, ServiceErrc::BadRequest, e.what());
-      return;
-    }
-    const Bytes share_ser = journal_.attached() ? ser_share() : Bytes{};
-    HelloOk ok;
-    // Negotiate down to the highest version both sides speak; the echoed
-    // version arms wire tracing on the client, so a legacy server (version 0)
-    // never receives a trace envelope it would reject.
-    ok.version = opt_.legacy_hello
-                     ? 0
-                     : std::min<std::uint8_t>(h.version, kWireDeadlineVersion);
-    {
-      std::lock_guard lock(pending_mu_);
-      const std::uint64_t se = coord_.epoch();
-      ok.server_epoch = se;
-      if (h.has_pending) {
-        if (se == h.pending_epoch + 1) {
-          // We installed it (our pending slot was cleared at commit time):
-          // the client rolls forward with its journaled round 2.
-          ok.disposition = RefDisposition::Commit;
-          telemetry::event(telemetry::EventKind::Reconcile,
-                           "verdict=commit epoch=" + std::to_string(h.pending_epoch));
-        } else if (se == h.pending_epoch) {
-          // We never installed it: both sides roll back. Remember the digest
-          // so a lingering duplicate prepare cannot resurrect the refresh.
-          if (pending_) {
-            pending_.reset();
-            persist(se, share_ser, std::nullopt);
-            telemetry::event(telemetry::EventKind::EpochRollback,
-                             "epoch=" + std::to_string(se) + " cause=hello");
-          }
-          rolled_back_digest_ = h.pending_digest;
-          rollbacks_counter().add();
-          ok.disposition = RefDisposition::Rollback;
-          telemetry::event(telemetry::EventKind::Reconcile,
-                           "verdict=rollback epoch=" + std::to_string(h.pending_epoch));
-        } else {
-          send_err(conn, f, ServiceErrc::Internal,
-                   "epoch fork: client pending " + std::to_string(h.pending_epoch) +
-                       ", server " + std::to_string(se));
-          return;
-        }
-      } else {
-        if (pending_) {
-          // The client has no record of this prepare (its journal rolled it
-          // back, or it never journaled one): discard ours.
-          pending_.reset();
-          persist(se, share_ser, std::nullopt);
-          rollbacks_counter().add();
-          telemetry::event(telemetry::EventKind::EpochRollback,
-                           "epoch=" + std::to_string(se) + " cause=hello-no-pending");
-        }
-        if (se != h.epoch) {
-          send_err(conn, f, ServiceErrc::Internal,
-                   "epoch fork: client " + std::to_string(h.epoch) + ", server " +
-                       std::to_string(se));
-          return;
-        }
-        ok.disposition = RefDisposition::None;
-      }
-    }
-    reply_data(conn, f, kLabelHelloOk, encode_hello_ok(ok));
-  }
-
-  static telemetry::Counter& rollbacks_counter() {
-    static telemetry::Counter& c = telemetry::Registry::global().counter("svc.rollbacks");
-    return c;
-  }
-
-  static telemetry::Counter& requests_counter() {
-    static telemetry::Counter& c = telemetry::Registry::global().counter("svc.requests");
-    return c;
-  }
-
-  /// Stamp a reply's trace envelope iff the request carried one (a traced
-  /// request proves the peer negotiated wire tracing; an untraced or legacy
-  /// peer must never see the envelope flag). The reply parents under the
-  /// worker's open span when there is one, else under the request's span.
-  static void stamp_reply(transport::Frame& out, const transport::Frame& req) {
-    if (req.trace_id == 0) return;
-    const auto ctx = telemetry::Tracer::global().current();
-    out.trace_id = ctx.active() ? ctx.trace_id : req.trace_id;
-    out.parent_span = ctx.active() ? ctx.span_id : req.parent_span;
-  }
-
-  void reply_data(transport::Conn& conn, const transport::Frame& req, const char* label,
-                  Bytes body) {
-    transport::Frame out{req.session, transport::FrameType::Data,
-                         static_cast<std::uint8_t>(net::DeviceId::P2), label,
-                         std::move(body)};
-    stamp_reply(out, req);
-    conn.send(out);
-  }
-
-  void send_err(transport::Conn& conn, const transport::Frame& req, ServiceErrc code,
-                const std::string& msg, std::uint32_t retry_after_ms = 0) {
-    transport::Frame out{req.session, transport::FrameType::Error,
-                         static_cast<std::uint8_t>(net::DeviceId::P2), kLabelErr,
-                         encode_error(code, coord_.epoch(), msg, retry_after_ms)};
-    stamp_reply(out, req);
-    conn.send(out);
-  }
-
-  /// Rate-limited Shed event: under sustained overload the shed path fires
-  /// tens of thousands of times a second; logging every 256th keeps the
-  /// bounded event ring from evicting the rare events (breaker transitions,
-  /// epoch changes) a post-mortem actually needs.
-  static void shed_event(const std::string& detail, std::uint64_t nth) {
-    if (nth % 256 == 1)
-      telemetry::event(telemetry::EventKind::Shed, detail + " n=" + std::to_string(nth));
-  }
-
-  // Declaration order matters: journal_ and rec_ must initialize before p2_
-  // and coord_, which consume the recovered share/epoch.
-  Options opt_;
-  GG gg_;  // for share serialization (p2_ owns its own copy)
-  Journal journal_;
-  Recovered rec_;
-  schemes::DlrParty2<GG> p2_;
-  mutable std::shared_mutex p2_mu_;
-  EpochCoordinator coord_;
-  WorkerPool pool_;
-  BatchCollector<DecJob> batcher_;
-  OverloadGovernor gov_;
-  std::vector<std::thread> crypto_threads_;
-  mutable std::mutex pending_mu_;  // guards pending_, rolled_back_digest_, journal writes
-  std::optional<Pending> pending_;
-  Bytes rolled_back_digest_;
-  transport::Listener listener_;
-  std::unique_ptr<AdminServer> admin_;
-  std::chrono::steady_clock::time_point started_at_{};
-  std::thread accept_thread_;
-  std::mutex conns_mu_;
-  std::vector<std::shared_ptr<ConnState>> conns_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> draining_stop_{false};
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> refreshes_{0};
-};
+using P2Server = keystore::KsServer<GG>;
 
 }  // namespace dlr::service

@@ -37,8 +37,8 @@
 
 namespace dlr::service {
 
-/// Worker-count heuristic shared with P2Server's pool sizing:
-/// hardware_concurrency clamped to [2, 8], or 4 when unknown.
+/// Fan-out width for DLR_PARALLEL=on/auto: hardware_concurrency clamped to
+/// [2, 8], or 4 when unknown.
 [[nodiscard]] int default_workers();
 
 /// Raw (uncached) parse of the DLR_PARALLEL env var; 0 means "stay serial".

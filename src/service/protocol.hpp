@@ -70,7 +70,8 @@ enum class ServiceErrc : std::uint8_t {
   BadRequest = 3,  // request did not parse
   Internal = 4,    // server-side exception
   Shutdown = 5,    // server is draining for shutdown; retry elsewhere/later
-  DrainTimeout = 6,  // refresh drain deadline expired; retry the refresh
+  DrainTimeout = 6,  // refresh drain deadline expired; retry the refresh.
+                     // No server sends it any more; kept for old peers
   WrongShard = 7,  // (tenant, key) hashes to another shard; refetch the shard
                    // map (ks.map) and re-route -- retryable redirect
   UnknownKey = 8,  // (tenant, key) not provisioned on this shard (and the
@@ -110,10 +111,14 @@ class ServiceError : public std::runtime_error {
       : std::runtime_error(std::string("service: ") + service_errc_name(code) + ": " + msg),
         code_(code),
         server_epoch_(server_epoch),
+        detail_(msg),
         retry_after_ms_(retry_after_ms) {}
 
   [[nodiscard]] ServiceErrc code() const { return code_; }
   [[nodiscard]] std::uint64_t server_epoch() const { return server_epoch_; }
+  /// The message without what()'s "service: <code>: " prefix -- the text an
+  /// svc.err body carries.
+  [[nodiscard]] const std::string& detail() const { return detail_; }
   /// Server-computed backoff floor in ms (Overloaded only; 0 = no hint).
   [[nodiscard]] std::uint32_t retry_after_ms() const { return retry_after_ms_; }
   [[nodiscard]] bool retryable() const {
@@ -125,6 +130,7 @@ class ServiceError : public std::runtime_error {
  private:
   ServiceErrc code_;
   std::uint64_t server_epoch_;
+  std::string detail_;
   std::uint32_t retry_after_ms_;
 };
 

@@ -913,6 +913,38 @@ TEST(KsServiceTest, OldSingleKeyClientSpeaksToAKsServerUnchanged) {
   server.stop();
 }
 
+TEST(KsServiceTest, StaleKsDecIsRejectedAndCountedInSvcStale) {
+  MockGroup gg = make_mock();
+  const auto prm = mock_params();
+  crypto::Rng rng(7550);
+  auto kg = Core::gen(gg, prm, rng);
+  KsServer<MockGroup> server(gg, prm, crypto::Rng(7551), KsServer<MockGroup>::Options{});
+  const KeyId id{"acme", "k"};
+  server.store().put(id, kg.sk2);
+  server.start();
+  schemes::DlrParty1<MockGroup> p1(gg, prm, kg.pk, kg.sk1, schemes::P1Mode::Plain,
+                                   crypto::Rng(7552));
+  p1.prepare_period();
+  const auto c = Core::enc(gg, kg.pk, gg.gt_random(rng), rng);
+
+  auto& stale = telemetry::Registry::global().counter("svc.stale");
+  [[maybe_unused]] const auto stale0 = stale.value();
+  transport::SessionMux mux(std::make_shared<transport::FramedConn>(
+      transport::connect_loopback(server.port()), transport::TransportOptions{}));
+  auto sess = mux.open();
+  sess->send(transport::FrameType::Data, 1, kKsDec,
+             encode_ks_request(id, 5, p1.dec_round1(c, rng)));
+  const auto resp = sess->recv(transport::Millis{5000});
+  ASSERT_EQ(resp.type, transport::FrameType::Error);
+  const service::ServiceError err = service::decode_error(resp.body);
+  EXPECT_EQ(err.code(), service::ServiceErrc::StaleEpoch);
+  EXPECT_EQ(err.server_epoch(), 0u);
+#if DLR_TELEMETRY_ENABLED
+  EXPECT_EQ(stale.value(), stale0 + 1) << "the rejection must count in svc.stale";
+#endif
+  server.stop();
+}
+
 TEST(KsServiceTest, AdminExposesKeystoreTotalsAndShardHealth) {
   typename KsServer<MockGroup>::Options so;
   so.admin = true;

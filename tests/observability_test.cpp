@@ -46,6 +46,14 @@ const bool g_event_dump_registered = [] {
   return true;
 }();
 
+/// The fields of one adm.health section (flat: they hold no nested braces),
+/// empty if the document has no such section.
+std::string health_section(const std::string& health, const std::string& name) {
+  const auto at = health.find("\"" + name + "\":{");
+  if (at == std::string::npos) return {};
+  return health.substr(at, health.find('}', at) - at);
+}
+
 void reset_telemetry() {
   telemetry::Registry::global().reset();
   telemetry::Tracer::global().reset();
@@ -175,10 +183,14 @@ TEST(ObservabilityAdminTest, ScrapeIsValidPrometheusAndRequestCounterMatches) {
 
   const std::string health =
       AdminClient::fetch(svc.server->admin_port(), kAdmHealth);
-  EXPECT_NE(health.find("\"p2\""), std::string::npos) << health;
+  EXPECT_NE(health.find("\"keystore\""), std::string::npos) << health;
   EXPECT_NE(health.find("\"p1\""), std::string::npos) << health;
-  EXPECT_NE(health.find("\"uptime_ms\""), std::string::npos) << health;
-  EXPECT_NE(health.find("\"epoch\":\"0\""), std::string::npos) << health;
+  EXPECT_NE(health_section(health, "keystore").find("\"uptime_ms\""), std::string::npos)
+      << health;
+  EXPECT_NE(health_section(health, "keystore").find("\"epoch\":\"0\""), std::string::npos)
+      << health;
+  EXPECT_NE(health_section(health, "p1").find("\"epoch\":\"0\""), std::string::npos)
+      << health;
 
   // Unknown routes are a typed error, not a hang or crash.
   EXPECT_THROW(AdminClient::fetch(svc.server->admin_port(), "adm.nope"),

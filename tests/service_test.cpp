@@ -1,5 +1,6 @@
-// Service runtime: epoch admission state machine, the end-to-end decryption
-// service over real sockets, refresh/decrypt interleaving under
+// Service runtime: the single-key server's epoch machine (its store's
+// default key), the end-to-end decryption service over real sockets with its
+// svc.* reply bytes pinned, refresh/decrypt interleaving under
 // multi-threaded load (the continual-leakage deployment loop of §1.1/§4.4 run
 // as a server workload), the two-phase epoch commit with its journaled
 // crash/reconnect recovery, and the deterministic fault-injection chaos soak.
@@ -38,82 +39,161 @@ std::string make_state_dir() {
   return tmpl;
 }
 
-// ---- epoch coordinator --------------------------------------------------------
+// ---- the default key's epoch machine ------------------------------------------
+//
+// The single-key server's epoch machine is its store's default_key_id()
+// entry: a DecSession holds the entry's lock shared for a whole batch, and a
+// refresh commit takes it exclusive -- acquiring it is the drain.
+
+using Store = keystore::KeyStore<MockGroup>;
+
+struct DefaultKey {
+  MockGroup gg = make_mock();
+  schemes::DlrParams prm = mock_params();
+  Core::KeyGenResult kg;
+  Store store;
+  const keystore::KeyId& id = keystore::default_key_id();
+
+  explicit DefaultKey(std::uint64_t seed)
+      : kg(keygen(seed)), store(gg, prm, crypto::Rng(seed + 1), Store::Options{}) {
+    store.put(id, kg.sk2);
+  }
+
+  Core::KeyGenResult keygen(std::uint64_t seed) {
+    crypto::Rng rng(seed);
+    return Core::gen(gg, prm, rng);
+  }
+
+  std::unique_ptr<schemes::DlrParty1<MockGroup>> party(std::uint64_t seed) {
+    auto p = std::make_unique<schemes::DlrParty1<MockGroup>>(gg, prm, kg.pk, kg.sk1,
+                                                             schemes::P1Mode::Plain,
+                                                             crypto::Rng(seed));
+    p->prepare_period();
+    return p;
+  }
+
+  /// PREPARE then COMMIT at epoch `e` with a fresh round 1 from `p`; `p`
+  /// installs its half only once the commit went through.
+  std::uint64_t refresh(schemes::DlrParty1<MockGroup>& p, std::uint64_t e) {
+    const Bytes r1 = p.ref_round1();
+    const Bytes r2 = store.ref_prepare(id, e, r1);
+    const std::uint64_t next =
+        store.ref_commit(id, e, crypto::digest_to_bytes(crypto::Sha256::hash(r1)));
+    p.ref_finish(r2);
+    p.prepare_period();
+    return next;
+  }
+};
+
+/// The ServiceErrc `f` throws; a call that throws none fails the test.
+template <class F>
+ServiceErrc errc_of(F&& f) {
+  try {
+    f();
+  } catch (const ServiceError& e) {
+    return e.code();
+  }
+  ADD_FAILURE() << "expected a ServiceError";
+  return ServiceErrc::Internal;
+}
 
 TEST(EpochCoordinatorTest, StaleEpochRejectedBeforeTouchingTheShare) {
-  EpochCoordinator c(3);
-  EXPECT_EQ(c.begin_decrypt(2), EpochCoordinator::Admit::Stale);
-  EXPECT_EQ(c.begin_decrypt(4), EpochCoordinator::Admit::Stale);
-  EXPECT_EQ(c.inflight(), 0u);
-  EXPECT_EQ(c.begin_decrypt(3), EpochCoordinator::Admit::Accepted);
-  EXPECT_EQ(c.inflight(), 1u);
-  c.end_decrypt();
-  EXPECT_EQ(c.inflight(), 0u);
+  DefaultKey k(7050);
+  auto p = k.party(7051);
+  for (std::uint64_t e = 0; e < 3; ++e) ASSERT_EQ(k.refresh(*p, e), e + 1);
+  crypto::Rng rng(7052);
+  const auto m = k.gg.gt_random(rng);
+  const Bytes round1 = p->dec_round1(Core::enc(k.gg, k.kg.pk, m, rng), rng);
+  // The epoch check comes first: even a payload the share would reject as
+  // malformed is answered StaleEpoch, and no leakage budget is charged.
+  for (const std::uint64_t stale : {2u, 4u}) {
+    EXPECT_EQ(errc_of([&] { (void)k.store.dec(k.id, stale, round1); }), ServiceErrc::StaleEpoch);
+    EXPECT_EQ(errc_of([&] { (void)k.store.dec(k.id, stale, Bytes{1, 2, 3}); }),
+              ServiceErrc::StaleEpoch);
+  }
+  EXPECT_EQ(k.store.spent_frac(k.id), 0.0);
+  EXPECT_TRUE(k.gg.gt_eq(p->dec_finish(k.store.dec(k.id, 3, round1).reply), m));
+  EXPECT_GT(k.store.spent_frac(k.id), 0.0);
 }
 
 TEST(EpochCoordinatorTest, RefreshDrainsInflightAndRejectsNewDecrypts) {
-  EpochCoordinator c;
-  ASSERT_EQ(c.begin_decrypt(0), EpochCoordinator::Admit::Accepted);
+  DefaultKey k(7060);
+  auto p = k.party(7061);
+  crypto::Rng rng(7062);
+  const auto m = k.gg.gt_random(rng);
+  const Bytes round1 = p->dec_round1(Core::enc(k.gg, k.kg.pk, m, rng), rng);
+  const Bytes r1 = p->ref_round1();
+  (void)k.store.ref_prepare(k.id, 0, r1);
 
-  std::atomic<bool> refreshed{false};
-  std::thread refresher([&] {
-    ASSERT_EQ(c.begin_refresh(0), EpochCoordinator::Admit::Accepted);
-    refreshed.store(true);
-    c.finish_refresh(true);
+  std::optional<Store::DecSession> session(k.store.dec_session(k.id));
+  std::atomic<bool> committed{false};
+  std::thread committer([&] {
+    EXPECT_EQ(k.store.ref_commit(k.id, 0, crypto::digest_to_bytes(crypto::Sha256::hash(r1))),
+              1u);
+    committed.store(true);
   });
-
-  // Wait until the refresher is draining: new decryptions bounce as Draining.
-  // (Polls that land before draining_ is set are Accepted and must be paired
-  // with end_decrypt, or the drain we are waiting for would never finish.)
-  for (;;) {
-    const auto admit = c.begin_decrypt(0);
-    if (admit == EpochCoordinator::Admit::Draining) break;
-    ASSERT_EQ(admit, EpochCoordinator::Admit::Accepted);
-    c.end_decrypt();
-    std::this_thread::yield();
-  }
-  EXPECT_FALSE(refreshed.load()) << "refresh ran while a decryption was in flight";
-
-  c.end_decrypt();  // drain completes; refresher proceeds
-  refresher.join();
-  EXPECT_TRUE(refreshed.load());
-  EXPECT_EQ(c.epoch(), 1u);
-  EXPECT_EQ(c.begin_decrypt(1), EpochCoordinator::Admit::Accepted);
-  c.end_decrypt();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(committed.load()) << "commit installed while a decryption session was open";
+  // The open session still serves its epoch with the old share.
+  EXPECT_EQ(session->epoch(), 0u);
+  EXPECT_TRUE(k.gg.gt_eq(p->dec_finish(session->run(0, round1).reply), m));
+  session.reset();  // drain completes; the commit proceeds
+  committer.join();
+  EXPECT_TRUE(committed.load());
+  EXPECT_EQ(k.store.epoch_of(k.id), 1u);
+  EXPECT_EQ(errc_of([&] { (void)k.store.dec(k.id, 0, round1); }), ServiceErrc::StaleEpoch);
+  EXPECT_EQ(errc_of([&] { (void)k.store.dec_session(k.id).run(0, round1); }),
+            ServiceErrc::StaleEpoch);
 }
 
 TEST(EpochCoordinatorTest, FailedRefreshKeepsTheEpoch) {
-  EpochCoordinator c;
-  ASSERT_EQ(c.begin_refresh(0), EpochCoordinator::Admit::Accepted);
-  c.finish_refresh(false);
-  EXPECT_EQ(c.epoch(), 0u);
-  ASSERT_EQ(c.begin_refresh(0), EpochCoordinator::Admit::Accepted);
-  c.finish_refresh(true);
-  EXPECT_EQ(c.epoch(), 1u);
+  DefaultKey k(7070);
+  auto p = k.party(7071);
+  EXPECT_EQ(errc_of([&] { (void)k.store.ref_prepare(k.id, 0, Bytes{1, 2, 3}); }),
+            ServiceErrc::BadRequest);
+  EXPECT_EQ(k.store.epoch_of(k.id), 0u);
+  EXPECT_FALSE(k.store.has_pending(k.id));
+  // A failed prepare also leaves an earlier prepared refresh in place.
+  const Bytes r1 = p->ref_round1();
+  (void)k.store.ref_prepare(k.id, 0, r1);
+  EXPECT_EQ(errc_of([&] { (void)k.store.ref_prepare(k.id, 0, Bytes{4, 5, 6}); }),
+            ServiceErrc::BadRequest);
+  EXPECT_EQ(k.store.epoch_of(k.id), 0u);
+  EXPECT_TRUE(k.store.has_pending(k.id));
+  EXPECT_EQ(k.store.ref_commit(k.id, 0, crypto::digest_to_bytes(crypto::Sha256::hash(r1))), 1u);
+  EXPECT_EQ(k.store.epoch_of(k.id), 1u);
 }
 
 TEST(EpochCoordinatorTest, ConcurrentRefreshesSerialize) {
-  EpochCoordinator c;
+  // N refreshers race PREPARE/COMMIT pairs on one key until it reaches
+  // epoch N. The exclusive entry lock serializes the installs: each bumps
+  // the epoch by exactly one (ks.refreshes counts installs), and a prepare
+  // that another refresher superseded, or whose epoch moved, answers
+  // StaleEpoch.
+  DefaultKey k(7080);
   constexpr int kRefreshers = 4;
+  auto& installs = telemetry::Registry::global().counter("ks.refreshes");
+  [[maybe_unused]] const auto installs0 = installs.value();
+  std::vector<std::unique_ptr<schemes::DlrParty1<MockGroup>>> parties;
+  for (int i = 0; i < kRefreshers; ++i) parties.push_back(k.party(7081 + i));
   std::vector<std::thread> ts;
-  std::atomic<int> accepted{0};
   for (int i = 0; i < kRefreshers; ++i)
-    ts.emplace_back([&] {
-      // Each claims whatever the current epoch is; losers see Stale.
+    ts.emplace_back([&, i] {
       for (;;) {
-        const auto e = c.epoch();
-        const auto admit = c.begin_refresh(e);
-        if (admit == EpochCoordinator::Admit::Accepted) {
-          accepted.fetch_add(1);
-          c.finish_refresh(true);
-          return;
+        const std::uint64_t e = k.store.epoch_of(k.id);
+        if (e >= kRefreshers) return;
+        try {
+          (void)k.refresh(*parties[static_cast<std::size_t>(i)], e);
+        } catch (const ServiceError& err) {
+          ASSERT_EQ(err.code(), ServiceErrc::StaleEpoch);
         }
-        // Stale: epoch moved between read and admission; retry once more.
       }
     });
   for (auto& t : ts) t.join();
-  EXPECT_EQ(accepted.load(), kRefreshers);
-  EXPECT_EQ(c.epoch(), static_cast<std::uint64_t>(kRefreshers));
+  EXPECT_EQ(k.store.epoch_of(k.id), static_cast<std::uint64_t>(kRefreshers));
+#if DLR_TELEMETRY_ENABLED
+  EXPECT_EQ(installs.value() - installs0, static_cast<std::uint64_t>(kRefreshers));
+#endif
 }
 
 // ---- end-to-end service -------------------------------------------------------
@@ -126,6 +206,7 @@ struct Service {
   std::shared_ptr<P1Runtime<MockGroup>> p1;
   std::uint64_t seed;
   std::string server_dir;  // empty = volatile server
+  typename P2Server<MockGroup>::Options opt;
 
   explicit Service(int workers = 4, std::uint64_t seed_ = 7000,
                    std::string server_dir_ = {}, std::string p1_dir = {},
@@ -133,9 +214,8 @@ struct Service {
       : seed(seed_), server_dir(std::move(server_dir_)) {
     crypto::Rng rng(seed);
     kg = Core::gen(gg, prm, rng);
-    typename P2Server<MockGroup>::Options opt;
     opt.workers = workers;
-    opt.state_dir = server_dir;
+    opt.store.state_dir = server_dir;
     opt.pipeline = pipeline;
     server = std::make_unique<P2Server<MockGroup>>(gg, prm, kg.sk2, crypto::Rng(seed + 1),
                                                    opt);
@@ -152,12 +232,22 @@ struct Service {
   void restart_server(typename Core::Sk2 decoy_sk2, int workers = 4) {
     server->stop();
     server.reset();
-    typename P2Server<MockGroup>::Options opt;
     opt.workers = workers;
-    opt.state_dir = server_dir;
     server = std::make_unique<P2Server<MockGroup>>(gg, prm, std::move(decoy_sk2),
                                                    crypto::Rng(seed + 3), opt);
     server->start();
+  }
+
+  /// The server's epoch, share and leakage ledger: its store's default key.
+  std::uint64_t epoch() { return server->store().epoch_of(keystore::default_key_id()); }
+  Core::Sk2 sk2() { return server->store().share_for_test(keystore::default_key_id()); }
+  double spent_frac() { return server->store().spent_frac(keystore::default_key_id()); }
+
+  /// The budget fraction `n` served decryptions charge. Every decryption the
+  /// server answers is charged, with telemetry on or off, so this counts
+  /// what it served in both builds.
+  double charged_frac(int n) const {
+    return n * opt.store.leak_per_dec_bits / opt.store.budget_bits;
   }
 
   DecryptionClient<MockGroup> client(typename DecryptionClient<MockGroup>::Options opt = {}) {
@@ -165,8 +255,14 @@ struct Service {
   }
 };
 
+/// Decryptions served so far (svc.requests; 0 with telemetry compiled out).
+std::uint64_t requests_served() {
+  return telemetry::Registry::global().counter("svc.requests").value();
+}
+
 TEST(ServiceTest, DecryptOverRealSocketsIsCorrect) {
   Service svc;
+  [[maybe_unused]] const auto served0 = requests_served();
   auto client = svc.client();
   crypto::Rng rng(1);
   for (int i = 0; i < 5; ++i) {
@@ -174,8 +270,11 @@ TEST(ServiceTest, DecryptOverRealSocketsIsCorrect) {
     const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
     EXPECT_TRUE(svc.gg.gt_eq(client.decrypt_once(c), m));
   }
-  EXPECT_EQ(svc.server->requests_served(), 5u);
-  EXPECT_EQ(svc.server->epoch(), 0u);
+#if DLR_TELEMETRY_ENABLED
+  EXPECT_EQ(requests_served() - served0, 5u);
+#endif
+  EXPECT_DOUBLE_EQ(svc.spent_frac(), svc.charged_frac(5));
+  EXPECT_EQ(svc.epoch(), 0u);
 }
 
 TEST(ServiceTest, RefreshAdvancesBothEpochsAndDecryptionStillWorks) {
@@ -188,11 +287,11 @@ TEST(ServiceTest, RefreshAdvancesBothEpochsAndDecryptionStillWorks) {
     EXPECT_TRUE(svc.gg.gt_eq(client.decrypt_once(c), m));
     client.refresh();
     EXPECT_EQ(client.epoch(), static_cast<std::uint64_t>(round + 1));
-    EXPECT_EQ(svc.server->epoch(), static_cast<std::uint64_t>(round + 1));
+    EXPECT_EQ(svc.epoch(), static_cast<std::uint64_t>(round + 1));
   }
   // The sharing rotated three times; the shared secret did not move.
   const auto sk1 = svc.p1->share_for_test();
-  const auto sk2 = svc.server->share_for_test();
+  const auto sk2 = svc.sk2();
   EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, sk1, sk2), svc.kg.msk));
 }
 
@@ -204,6 +303,8 @@ TEST(ServiceTest, StaleEpochIsDeterministicallyRejectedAndRetryable) {
   const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
 
   // Hand-roll a request claiming a future epoch over a raw mux connection.
+  auto& stale = telemetry::Registry::global().counter("svc.stale");
+  [[maybe_unused]] const auto stale0 = stale.value();
   transport::SessionMux mux(std::make_shared<transport::FramedConn>(
       transport::connect_loopback(svc.server->port()), transport::TransportOptions{}));
   auto sess = mux.open();
@@ -215,6 +316,9 @@ TEST(ServiceTest, StaleEpochIsDeterministicallyRejectedAndRetryable) {
   EXPECT_EQ(err.code(), ServiceErrc::StaleEpoch);
   EXPECT_TRUE(err.retryable());
   EXPECT_EQ(err.server_epoch(), 0u);
+#if DLR_TELEMETRY_ENABLED
+  EXPECT_EQ(stale.value(), stale0 + 1) << "the rejection must count in svc.stale";
+#endif
 }
 
 TEST(ServiceTest, MalformedRequestsGetBadRequestNotACrash) {
@@ -285,10 +389,10 @@ TEST(ServiceInterleaveTest, HammerWithAutoRefreshEveryKDecryptsCorrectly) {
   for (auto& t : ts) t.join();
 
   EXPECT_EQ(wrong.load(), 0);
-  EXPECT_GE(svc.server->epoch(), 1u) << "auto-refresh never fired";
-  EXPECT_EQ(svc.server->epoch(), client.epoch());
+  EXPECT_GE(svc.epoch(), 1u) << "auto-refresh never fired";
+  EXPECT_EQ(svc.epoch(), client.epoch());
   const auto sk1 = svc.p1->share_for_test();
-  const auto sk2 = svc.server->share_for_test();
+  const auto sk2 = svc.sk2();
   EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, sk1, sk2), svc.kg.msk))
       << "refresh under load changed the shared msk";
 }
@@ -337,11 +441,96 @@ TEST(ServiceInterleaveTest, RawDecryptsRacingRefreshesAreCorrectOrRetryable) {
   EXPECT_EQ(wrong.load(), 0) << "a raced decryption returned a wrong plaintext";
   EXPECT_EQ(nonretryable.load(), 0) << "a raced decryption failed non-retryably";
   EXPECT_GT(ok.load(), 0);
-  EXPECT_GE(svc.server->epoch(), 1u);
+  EXPECT_GE(svc.epoch(), 1u);
 
   const auto sk1 = svc.p1->share_for_test();
-  const auto sk2 = svc.server->share_for_test();
+  const auto sk2 = svc.sk2();
   EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, sk1, sk2), svc.kg.msk));
+}
+
+// ---- svc.* wire bytes ---------------------------------------------------------
+
+/// SHA-256 (hex) over a reply's (type, label, body): everything a single-key
+/// peer reads of it except the session id and the trace envelope.
+std::string reply_digest(const transport::Frame& f) {
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(f.type));
+  w.str(f.label);
+  w.blob(f.body);
+  return to_hex(crypto::Sha256::hash(w.bytes()));
+}
+
+TEST(ServiceWireTest, SvcRepliesArePinnedByteForByte) {
+  // One fixed script of raw svc.* frames: a v2 hello, four decryptions, the
+  // error cases, one PREPARE/COMMIT, and the error cases again one epoch
+  // later. Every reply is pinned by its digest, except the PREPARE reply:
+  // its round 2 depends on how the server derives P2's coins, so only its
+  // label and length are checked.
+  MockGroup gg = make_mock();
+  const auto prm = mock_params();
+  crypto::Rng rng(7800);
+  const auto kg = Core::gen(gg, prm, rng);
+  P2Server<MockGroup> server(gg, prm, kg.sk2, crypto::Rng(7801),
+                             typename P2Server<MockGroup>::Options{});
+  server.start();
+  schemes::DlrParty1<MockGroup> party(gg, prm, kg.pk, kg.sk1, schemes::P1Mode::Plain,
+                                      crypto::Rng(7802));
+  party.prepare_period();
+
+  transport::SessionMux mux(std::make_shared<transport::FramedConn>(
+      transport::connect_loopback(server.port()), transport::TransportOptions{}));
+  const auto roundtrip = [&](const char* label, const Bytes& body) {
+    auto sess = mux.open();
+    sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1), label,
+               body);
+    return sess->recv(transport::Millis{5000});
+  };
+  std::vector<std::string> got;
+  const auto pin = [&](const transport::Frame& f) { got.push_back(reply_digest(f)); };
+
+  HelloMsg hello;
+  hello.version = kWireDeadlineVersion;
+  pin(roundtrip(kLabelHello, encode_hello(hello)));
+  for (int i = 0; i < 4; ++i) {
+    const auto c = Core::enc(gg, kg.pk, gg.gt_random(rng), rng);
+    pin(roundtrip(kLabelDecReq, encode_request(0, party.dec_round1(c, rng))));
+  }
+  const auto c = Core::enc(gg, kg.pk, gg.gt_random(rng), rng);
+  const Bytes round1 = party.dec_round1(c, rng);
+  const auto error_cases = [&](std::uint64_t epoch) {
+    pin(roundtrip(kLabelDecReq, encode_request(999, round1)));                // stale epoch
+    pin(roundtrip(kLabelDecReq, Bytes{0xFF, 0x01}));                          // bad envelope
+    pin(roundtrip(kLabelDecReq, encode_request(epoch, Bytes{1, 2, 3, 4, 5})));  // bad round 1
+    pin(roundtrip("svc.bogus", Bytes{}));                                     // unknown label
+  };
+  error_cases(0);
+
+  const Bytes r1 = party.ref_round1();
+  const auto prepared = roundtrip(kLabelRefReq, encode_request(0, r1));
+  EXPECT_EQ(prepared.type, transport::FrameType::Data);
+  EXPECT_EQ(prepared.label, kLabelRefOk);
+  EXPECT_EQ(prepared.body.size(), 40u);
+  pin(roundtrip(kLabelRefCommit,
+                encode_commit(CommitMsg{0, crypto::digest_to_bytes(crypto::Sha256::hash(r1))})));
+  error_cases(1);
+
+  const std::vector<std::string> want = {
+      "4a8f8680ef5a545eed65c75d3db4746195bfe8de00bc0e2c79805f85ac0f0fe1",  // hello.ok
+      "715a0e97435098d5ea5c1e3e1fb3f942d9cef23d8293a75d6a7a566bb379577a",  // dec.ok x4
+      "a050c159d6324cc8ec00926adb7293ce794be356d0272a48d6ac89004a861173",
+      "33eb436dd61a1fe941d5284156648fc68b4a0c898400cdb7aae4fd1f897ea627",
+      "4c08f4131ac3daa74d2a223c34738c1d2a885bdab890906b61bae078551c2909",
+      "7caf86f17c8bf322d12e130ef288a4947c635defefcb7f7523bad4c758045444",  // epoch 0 errors
+      "ea94a24be15fa9c0fa39d885d49c45872f80f276fff1920156457c27b8ef1b76",
+      "ea94a24be15fa9c0fa39d885d49c45872f80f276fff1920156457c27b8ef1b76",
+      "4f37b9b6d999854d223e5cde1ed89b551f65e1859afaa3055f703b5a1d662eaf",
+      "77af171f40ec4acd654a6ce3ccd029751cd32c1a51294a3ac38fc08f8aeb8dc4",  // commit.ok
+      "61f2fb0991440ceb2ed2d732b59b51999ba1782de80929b942b6a5fa4d6a8c3c",  // epoch 1 errors
+      "ab99e46c089bbd78ac3123292ade9c3cefc9c6510864d87689cc774ab7ceba5c",
+      "ab99e46c089bbd78ac3123292ade9c3cefc9c6510864d87689cc774ab7ceba5c",
+      "379556b3b455285b8aa851cf5f40174271752a7b5cfb46b8bb9cb18a913ae177",
+  };
+  EXPECT_EQ(got, want);
 }
 
 TEST(ServiceTest, StopIsOrderlyAndIdempotent) {
@@ -364,6 +553,7 @@ TEST(ServicePipelineTest, PipelineOffIsStillCorrect) {
   // The unbatched PR 2 path stays alive as the control; it must keep working
   // when the pipeline is disabled explicitly.
   Service svc(/*workers=*/4, /*seed=*/7600, {}, {}, /*pipeline=*/false);
+  [[maybe_unused]] const auto served0 = requests_served();
   auto client = svc.client();
   crypto::Rng rng(7601);
   for (int i = 0; i < 3; ++i) {
@@ -371,14 +561,17 @@ TEST(ServicePipelineTest, PipelineOffIsStillCorrect) {
     const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
     EXPECT_TRUE(svc.gg.gt_eq(client.decrypt_once(c), m));
   }
-  EXPECT_EQ(svc.server->requests_served(), 3u);
+#if DLR_TELEMETRY_ENABLED
+  EXPECT_EQ(requests_served() - served0, 3u);
+#endif
+  EXPECT_DOUBLE_EQ(svc.spent_frac(), svc.charged_frac(3));
 }
 
 TEST(ServicePipelineTest, BatchesFormAndEpochsNeverMix) {
   // Fan-in load with refreshes firing: batches must form (the histogram
-  // records every batch) and no batch may ever span two epochs -- admission
-  // at enqueue time makes a mixed batch structurally impossible; the
-  // defensive counter must therefore stay at zero.
+  // records every batch) and no batch may ever span two epochs -- each runs
+  // under one DecSession, whose shared entry lock a commit must wait out, so
+  // every plaintext comes back right.
 #if DLR_TELEMETRY_ENABLED
   auto& reg = telemetry::Registry::global();
   const auto batches_before = reg.histogram("svc.batch.size").count();
@@ -405,12 +598,10 @@ TEST(ServicePipelineTest, BatchesFormAndEpochsNeverMix) {
     });
   for (auto& t : ts) t.join();
   EXPECT_EQ(wrong.load(), 0);
-  EXPECT_GE(svc.server->epoch(), 1u);
+  EXPECT_GE(svc.epoch(), 1u);
 #if DLR_TELEMETRY_ENABLED
   EXPECT_GT(reg.histogram("svc.batch.size").count(), batches_before)
       << "pipelined requests never went through the batch collector";
-  EXPECT_EQ(reg.counter("svc.batch.epoch_mixed").value(), 0u)
-      << "a batch mixed two epochs";
 #endif
 }
 
@@ -445,21 +636,19 @@ TEST(ServicePipelineTest, SeveredConnectionMidBatchFailsOnlyThatRequest) {
 }
 
 TEST(EpochCoordinatorTest, DrainDeadlineFailsTheRefreshCleanly) {
-  EpochCoordinator c;
-  // A decryption that never ends (dead worker) must not wedge refresh forever.
-  ASSERT_EQ(c.begin_decrypt(0), EpochCoordinator::Admit::Accepted);
-  EXPECT_EQ(c.begin_refresh(0, std::chrono::milliseconds{50}),
-            EpochCoordinator::Admit::DrainTimeout);
-  EXPECT_EQ(c.epoch(), 0u);
-  // The machine is back in Serving: new decryptions are admitted.
-  ASSERT_EQ(c.begin_decrypt(0), EpochCoordinator::Admit::Accepted);
-  c.end_decrypt();
-  // Once the wedged decryption ends, the retried refresh succeeds.
-  c.end_decrypt();
-  ASSERT_EQ(c.begin_refresh(0, std::chrono::milliseconds{50}),
-            EpochCoordinator::Admit::Accepted);
-  c.finish_refresh(true);
-  EXPECT_EQ(c.epoch(), 1u);
+  // A decryption that fails mid-batch must not wedge refresh: the session
+  // releases the entry however run() exits, so the next commit completes.
+  // The drain needs no deadline of its own.
+  DefaultKey k(7090);
+  auto p = k.party(7091);
+  {
+    auto session = k.store.dec_session(k.id);
+    EXPECT_EQ(errc_of([&] { (void)session.run(0, Bytes{1, 2, 3}); }), ServiceErrc::BadRequest);
+  }
+  EXPECT_EQ(errc_of([&] { (void)k.store.dec_session(k.id).run(0, Bytes{4}); }),
+            ServiceErrc::BadRequest);
+  EXPECT_EQ(k.refresh(*p, 0), 1u);
+  EXPECT_EQ(k.store.epoch_of(k.id), 1u);
 }
 
 // ---- journal ------------------------------------------------------------------
@@ -537,8 +726,8 @@ TEST(ServiceTwoPhaseTest, DuplicatePrepareAndCommitAreIdempotent) {
   const Bytes r2a = expect_ok(roundtrip(kLabelRefReq, req), kLabelRefOk);
   const Bytes r2b = expect_ok(roundtrip(kLabelRefReq, req), kLabelRefOk);
   EXPECT_EQ(r2a, r2b);
-  EXPECT_EQ(svc.server->epoch(), 0u) << "prepare must not advance the epoch";
-  EXPECT_TRUE(svc.server->has_pending_for_test());
+  EXPECT_EQ(svc.epoch(), 0u) << "prepare must not advance the epoch";
+  EXPECT_TRUE(svc.server->store().has_pending(keystore::default_key_id()));
 
   // COMMIT twice: first installs (epoch 1), second acks idempotently.
   const Bytes digest = crypto::digest_to_bytes(crypto::Sha256::hash(r1));
@@ -547,13 +736,13 @@ TEST(ServiceTwoPhaseTest, DuplicatePrepareAndCommitAreIdempotent) {
             1u);
   EXPECT_EQ(decode_commit_ok(expect_ok(roundtrip(kLabelRefCommit, cbody), kLabelRefCommitOk)),
             1u);
-  EXPECT_EQ(svc.server->epoch(), 1u);
-  EXPECT_FALSE(svc.server->has_pending_for_test());
+  EXPECT_EQ(svc.epoch(), 1u);
+  EXPECT_FALSE(svc.server->store().has_pending(keystore::default_key_id()));
 
   // Both halves installed exactly once: the msk is intact.
   party.ref_finish(r2a);
   EXPECT_TRUE(svc.gg.g_eq(
-      Core::reconstruct_msk(svc.gg, party.recover_share_for_test(), svc.server->share_for_test()),
+      Core::reconstruct_msk(svc.gg, party.recover_share_for_test(), svc.sk2()),
       svc.kg.msk));
 
   // A commit for a digest nobody prepared is rejected, not applied.
@@ -614,11 +803,11 @@ TEST(ServiceTwoPhaseTest, RefreshInterruptedAtEveryFrameConvergesWithoutForking)
     client.refresh();  // must converge despite the injected fault
 
     EXPECT_EQ(client.epoch(), 1u);
-    EXPECT_EQ(svc.server->epoch(), 1u) << "client and server epochs diverged";
+    EXPECT_EQ(svc.epoch(), 1u) << "client and server epochs diverged";
     ASSERT_NE(injector, nullptr);
     EXPECT_GE(injector->injected(), 1u) << "the fault never fired";
     const auto sk1 = svc.p1->share_for_test();
-    const auto sk2 = svc.server->share_for_test();
+    const auto sk2 = svc.sk2();
     EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, sk1, sk2), svc.kg.msk))
         << "interrupted refresh forked the key material";
     crypto::Rng rng(100 + i);
@@ -635,23 +824,31 @@ TEST(ServiceRecoveryTest, ServerRestartResumesShareAndEpochFromJournal) {
   auto client = svc.client();
   crypto::Rng rng(41);
   client.refresh();
-  ASSERT_EQ(svc.server->epoch(), 1u);
+  ASSERT_EQ(svc.epoch(), 1u);
 
   // "Crash" the server; bring a new one up from the journal, seeded with a
   // decoy share from an unrelated keygen to prove the journal wins.
   crypto::Rng decoy_rng(999);
   auto decoy = Core::gen(svc.gg, svc.prm, decoy_rng);
+  auto& recoveries = telemetry::Registry::global().counter("ks.recoveries");
+  [[maybe_unused]] const auto recoveries0 = recoveries.value();
+  const Bytes state_before = svc.server->store().digest_all();
   svc.restart_server(std::move(decoy.sk2));
 
-  EXPECT_TRUE(svc.server->recovered_from_journal());
-  EXPECT_EQ(svc.server->epoch(), 1u) << "epoch not restored from the journal";
+  // The restarted store holds the journaled (epoch, share), not the decoy.
+  EXPECT_EQ(svc.server->store().digest_all(), state_before)
+      << "the share did not come from the journal";
+#if DLR_TELEMETRY_ENABLED
+  EXPECT_EQ(recoveries.value(), recoveries0 + 1) << "the share did not come from the journal";
+#endif
+  EXPECT_EQ(svc.epoch(), 1u) << "epoch not restored from the journal";
   auto client2 = svc.client();  // fresh connection + hello reconciliation
-  EXPECT_EQ(client2.epoch(), svc.server->epoch());
+  EXPECT_EQ(client2.epoch(), svc.epoch());
   const auto m = svc.gg.gt_random(rng);
   const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
   EXPECT_TRUE(svc.gg.gt_eq(client2.decrypt(c), m));
   const auto sk1 = svc.p1->share_for_test();
-  const auto sk2 = svc.server->share_for_test();
+  const auto sk2 = svc.sk2();
   EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, sk1, sk2), svc.kg.msk));
 }
 
@@ -688,13 +885,13 @@ TEST(ServiceRecoveryTest, ClientCrashAfterPrepareRollsBackOnRestart) {
   auto client = svc.client();  // ctor hello applies the Rollback verdict
   EXPECT_FALSE(svc.p1->pending_info().active);
   EXPECT_EQ(client.epoch(), 0u);
-  EXPECT_EQ(svc.server->epoch(), 0u);
+  EXPECT_EQ(svc.epoch(), 0u);
   crypto::Rng rng(44);
   const auto m = svc.gg.gt_random(rng);
   const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
   EXPECT_TRUE(svc.gg.gt_eq(client.decrypt(c), m));
   const auto sk1 = svc.p1->share_for_test();
-  const auto sk2 = svc.server->share_for_test();
+  const auto sk2 = svc.sk2();
   EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, sk1, sk2), svc.kg.msk));
 }
 
@@ -723,7 +920,7 @@ TEST(ServiceRecoveryTest, ClientCrashAfterServerCommitRollsForwardOnRestart) {
       auto client = svc.client(opt);
       EXPECT_THROW(client.refresh(), transport::TransportError);
     }
-    ASSERT_EQ(svc.server->epoch(), 1u) << "server should have installed the refresh";
+    ASSERT_EQ(svc.epoch(), 1u) << "server should have installed the refresh";
     // Process restart from the journal.
     svc.p1 = std::make_shared<P1Runtime<MockGroup>>(svc.gg, svc.prm, svc.kg.pk, svc.kg.sk1,
                                                     mode, crypto::Rng(46), p1_dir);
@@ -732,13 +929,13 @@ TEST(ServiceRecoveryTest, ClientCrashAfterServerCommitRollsForwardOnRestart) {
     auto client = svc.client();  // ctor hello applies the Commit verdict
     EXPECT_FALSE(svc.p1->pending_info().active);
     EXPECT_EQ(client.epoch(), 1u);
-    EXPECT_EQ(svc.server->epoch(), 1u);
+    EXPECT_EQ(svc.epoch(), 1u);
     crypto::Rng rng(47);
     const auto m = svc.gg.gt_random(rng);
     const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
     EXPECT_TRUE(svc.gg.gt_eq(client.decrypt(c), m));
     const auto sk1 = svc.p1->share_for_test();
-    const auto sk2 = svc.server->share_for_test();
+    const auto sk2 = svc.sk2();
     EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, sk1, sk2), svc.kg.msk))
         << "roll-forward recovery forked the key material";
   }
@@ -824,14 +1021,14 @@ TEST(ServiceChaosTest, SeededChaosSoakNeverReturnsAWrongPlaintext) {
   // One clean connection reconciles whatever the chaos left half-done...
   auto clean = svc.client();
   EXPECT_FALSE(svc.p1->pending_info().active);
-  EXPECT_EQ(clean.epoch(), svc.server->epoch()) << "epochs failed to reconcile";
+  EXPECT_EQ(clean.epoch(), svc.epoch()) << "epochs failed to reconcile";
   // ...and the invariants hold: correct decryption, unchanged msk.
   crypto::Rng rng(9999);
   const auto m = svc.gg.gt_random(rng);
   const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
   EXPECT_TRUE(svc.gg.gt_eq(clean.decrypt(c), m));
   const auto sk1 = svc.p1->share_for_test();
-  const auto sk2 = svc.server->share_for_test();
+  const auto sk2 = svc.sk2();
   EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, sk1, sk2), svc.kg.msk))
       << "chaos soak changed the shared msk";
 }

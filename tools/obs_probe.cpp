@@ -37,6 +37,14 @@ void check(bool ok, const std::string& what) {
   if (!ok) ++g_failures;
 }
 
+/// The fields of one adm.health section (flat: they hold no nested braces),
+/// empty if the document has no such section.
+std::string section(const std::string& health, const std::string& name) {
+  const auto at = health.find("\"" + name + "\":{");
+  if (at == std::string::npos) return {};
+  return health.substr(at, health.find('}', at) - at);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -94,10 +102,12 @@ int main(int argc, char** argv) {
 
   const std::string health = service::AdminClient::fetch(port, service::kAdmHealth);
   if (dump) std::printf("%s\n", health.c_str());
-  check(health.find("\"p2\"") != std::string::npos, "health has a p2 section");
+  check(health.find("\"keystore\"") != std::string::npos, "health has a keystore section");
   check(health.find("\"p1\"") != std::string::npos, "health has a p1 section");
-  check(health.find("\"epoch\":\"1\"") != std::string::npos,
-        "health shows the post-refresh epoch");
+  check(section(health, "keystore").find("\"epoch\":\"1\"") != std::string::npos,
+        "health shows P2's post-refresh epoch");
+  check(section(health, "p1").find("\"epoch\":\"1\"") != std::string::npos,
+        "health shows P1's post-refresh epoch");
 
   const std::string events = service::AdminClient::fetch(port, service::kAdmEvents);
   if (dump) std::fputs(events.c_str(), stdout);
