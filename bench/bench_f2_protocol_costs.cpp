@@ -8,8 +8,11 @@
 // and multiplications (no pairings, no group sampling, no hashing).
 //
 // Every step runs exactly once, so the counts are those of one decryption
-// and one refresh (and the times are single samples). The bench exits 1 if
-// any row's P1 pairings differ from (l+1)(kappa+1) or P2's from 0.
+// and one refresh (and the times are single samples). A refresh's count
+// includes the next period's share encryptions, whose coins it samples. The
+// bench exits 1 if any row's P1 pairings differ from (l+1)(kappa+1) or P2's
+// from 0, or if P1 samples other than l(kappa+1) + (l+1)kappa raw points per
+// refresh or P2 samples any.
 #include <chrono>
 
 #include "bench_util.hpp"
@@ -32,7 +35,7 @@ double once_ms(F&& fn) {
       .count();
 }
 
-/// One row; returns false if the pairing split is not the paper's.
+/// One row; returns false if the pairing or sampling split is not the paper's.
 template <class GG>
 bool run_one(const std::string& label, GG base, std::size_t lambda, Table& t) {
   using CG = group::CountingGroup<GG>;
@@ -64,22 +67,32 @@ bool run_one(const std::string& label, GG base, std::size_t lambda, Table& t) {
   const double ref_p1_ms = once_ms([&] { msg3 = p1.ref_round1(); });
   const double ref_p2_ms = once_ms([&] { msg4 = p2.ref_respond(msg3); });
   const double ref_fin_ms = once_ms([&] { p1.ref_finish(msg4); });
+  p1.prepare_period();  // the next period's share encryptions close the cycle
+  const auto ref_ops1 = gg1.snapshot();
   const auto ref_ops2 = gg2.snapshot();
 
   t.row({label, std::to_string(lambda), std::to_string(prm.ell), std::to_string(prm.kappa),
          fmt(dec_p1_ms + fin), fmt(dec_p2_ms), fmt(ref_p1_ms + ref_fin_ms), fmt(ref_p2_ms),
          fmt_bytes(msg1.size() + msg2.size()), fmt_bytes(msg3.size() + msg4.size()),
          std::to_string(dec_ops1.pairings),
-         std::to_string(dec_ops2.pairings + ref_ops2.pairings),
+         std::to_string(dec_ops2.pairings + ref_ops2.pairings), std::to_string(ref_ops1.g_random),
          std::to_string(dec_ops2.exps() + ref_ops2.exps() + dec_ops2.multi_pow_terms +
                         ref_ops2.multi_pow_terms)});
   const std::size_t want = (prm.ell + 1) * (prm.kappa + 1);
   const std::size_t p2_pairings = dec_ops2.pairings + ref_ops2.pairings;
-  const bool ok = dec_ops1.pairings == want && p2_pairings == 0;
-  if (!ok)
+  const bool pairs_ok = dec_ops1.pairings == want && p2_pairings == 0;
+  if (!pairs_ok)
     std::fprintf(stderr, "F2 %s lambda=%zu: P1 paired %zu times (want %zu), P2 %zu (want 0)\n",
                  label.c_str(), lambda, dec_ops1.pairings, want, p2_pairings);
-  return ok;
+  const std::size_t want_points = prm.ell * (prm.kappa + 1) + (prm.ell + 1) * prm.kappa;
+  const std::size_t p2_points = dec_ops2.g_random + ref_ops2.g_random;
+  const bool points_ok = ref_ops1.g_random == want_points && p2_points == 0;
+  if (!points_ok)
+    std::fprintf(stderr,
+                 "F2 %s lambda=%zu: P1 sampled %zu points per refresh (want %zu), P2 %zu "
+                 "(want 0)\n",
+                 label.c_str(), lambda, ref_ops1.g_random, want_points, p2_points);
+  return pairs_ok && points_ok;
 }
 
 }  // namespace
@@ -92,7 +105,8 @@ int main(int argc, char** argv) {
          "paper Section 1.1 (P2 simplicity) + Construction 5.3");
 
   Table t({"curve", "lambda", "l", "kappa", "dec P1 ms", "dec P2 ms", "ref P1 ms",
-           "ref P2 ms", "dec comm", "ref comm", "P1 pairings", "P2 pairings", "P2 exps"});
+           "ref P2 ms", "dec comm", "ref comm", "P1 pairings", "P2 pairings", "P1 ref points",
+           "P2 exps"});
 
   bool ok = true;
   const auto ss256 = group::make_tate_ss256();

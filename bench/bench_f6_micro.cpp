@@ -69,6 +69,14 @@ template <class F>
 void bench_g_random(benchmark::State& state, F& f) {
   for (auto _ : state) benchmark::DoNotOptimize(f.gg.g_random(f.rng));
 }
+// One refresh's worth of next-period coins per iteration ((l+1) kappa = 88
+// at SS256, lambda = 64), reported per point.
+template <class F>
+void bench_g_random_many(benchmark::State& state, F& f) {
+  constexpr std::size_t kPoints = 88;
+  for (auto _ : state) benchmark::DoNotOptimize(f.gg.g_random_many(f.rng, kPoints));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kPoints));
+}
 template <class F>
 void bench_gt_random(benchmark::State& state, F& f) {
   for (auto _ : state) benchmark::DoNotOptimize(f.gg.gt_random(f.rng));
@@ -144,6 +152,7 @@ void register_group_benches() {
   benchmark::RegisterBenchmark("ss512/g_mul", [](benchmark::State& s) { bench_g_mul(s, f512()); });
   benchmark::RegisterBenchmark("ss256/g_random", [](benchmark::State& s) { bench_g_random(s, f256()); });
   benchmark::RegisterBenchmark("ss512/g_random", [](benchmark::State& s) { bench_g_random(s, f512()); });
+  benchmark::RegisterBenchmark("ss256/g_random_many", [](benchmark::State& s) { bench_g_random_many(s, f256()); });
   benchmark::RegisterBenchmark("ss256/gt_random", [](benchmark::State& s) { bench_gt_random(s, f256()); });
   benchmark::RegisterBenchmark("ss256/hash_to_g", [](benchmark::State& s) { bench_hash_to_g(s, f256()); });
 }

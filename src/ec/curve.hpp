@@ -39,8 +39,7 @@ class CurveCtx {
   using A = AffinePoint<L>;
   using J = JacPoint<L>;
 
-  explicit CurveCtx(const Fp& fp)
-      : fp_(fp), three_(fp_.from_uint(UInt<L>::from_u64(3))) {}
+  explicit CurveCtx(const Fp& fp) : fp_(fp) {}
 
   [[nodiscard]] const Fp& fp() const { return fp_; }
 
@@ -71,7 +70,8 @@ class CurveCtx {
     const auto y2 = fp_.sqr(p.Y);
     const auto s = fp_.dbl(fp_.dbl(fp_.mul(p.X, y2)));            // 4XY^2
     const auto z2 = fp_.sqr(p.Z);
-    const auto m = fp_.add(fp_.mul(three_, fp_.sqr(p.X)),  // 3X^2 + Z^4 (a = 1)
+    const auto x2 = fp_.sqr(p.X);
+    const auto m = fp_.add(fp_.add(fp_.dbl(x2), x2),  // 3X^2 + Z^4 (a = 1), 3X^2 by adds
                            fp_.sqr(z2));
     const auto x3 = fp_.sub(fp_.sqr(m), fp_.dbl(s));
     const auto y4 = fp_.sqr(y2);
@@ -275,6 +275,20 @@ class CurveCtx {
     return A{x, yy, false};
   }
 
+  /// The point over x, or over -x when x^3 + x is a non-square, for one
+  /// square root. f(-x) = -f(x) and -1 is a non-square mod q == 3 (mod 4),
+  /// so exactly one of x, -x lifts (x = 0 lifts to (0, 0)), and
+  /// f(x)^((q+1)/4) is a root of whichever of f(x), f(-x) is the square.
+  /// The sign rule is lift_x's, so the result equals lift_x(x, y_sign) when
+  /// that succeeds and lift_x(-x, y_sign) otherwise.
+  [[nodiscard]] A lift_x_or_neg(const UInt<L>& x, bool y_sign) const {
+    const auto rhs = fp_.add(fp_.mul(fp_.sqr(x), x), x);
+    auto y = fp_.sqrt_or_neg(rhs);
+    const bool lifts = fp_.eq(fp_.sqr(y), rhs);
+    if (fp_.to_uint(y).is_odd() != y_sign) y = fp_.neg(y);
+    return A{lifts ? x : fp_.neg(x), y, false};
+  }
+
   [[nodiscard]] J neg_jac(const J& p) const { return J{p.X, fp_.neg(p.Y), p.Z}; }
 
   /// Non-adjacent form with window w (lives in mpint::wnaf_digits now; alias
@@ -286,7 +300,6 @@ class CurveCtx {
 
  private:
   Fp fp_;
-  UInt<L> three_;
 };
 
 }  // namespace dlr::ec

@@ -144,12 +144,20 @@ class FpCtx {
   /// non-residue. Zero maps to zero.
   [[nodiscard]] std::optional<E> sqrt(const E& a) const {
     if (a.is_zero()) return a;
+    const E r = sqrt_or_neg(a);
+    if (!eq(sqr(r), a)) return std::nullopt;
+    return r;
+  }
+
+  /// a^((p+1)/4) for p == 3 (mod 4): a square root of a when a is a square,
+  /// and of -a otherwise (-1 is a non-square, so exactly one of a, -a is a
+  /// square). One exponentiation; the caller tells the cases apart by
+  /// squaring the result.
+  [[nodiscard]] E sqrt_or_neg(const E& a) const {
     if ((mod_.limb[0] & 3) != 3)
       throw std::logic_error("FpCtx::sqrt: only implemented for p == 3 mod 4");
     const UInt<L> e = mpint::shr(mod_ + UInt<L>::from_u64(1), 2);  // (p+1)/4
-    const E r = pow(a, e);
-    if (!eq(sqr(r), a)) return std::nullopt;
-    return r;
+    return pow(a, e);
   }
 
   /// Uniform element of [0, p), already in Montgomery form.

@@ -99,4 +99,13 @@ concept NativeGtBatchCodec = requires(const GG& gg, ByteWriter& w, ByteReader& r
   { gg.gt_deser_many(r, n) } -> std::same_as<std::vector<typename GG::GT>>;
 };
 
+/// Optional batch sampler: g_random_many(rng, n) returns n elements drawn as
+/// n calls of g_random would draw them, at a lower cost per element on
+/// backends that share work across the batch. Detected with `requires`;
+/// concept-only backends loop g_random (schemes::SpaceG::random_many).
+template <class GG>
+concept NativeGRandomMany = requires(const GG& gg, crypto::Rng& rng, std::size_t n) {
+  { gg.g_random_many(rng, n) } -> std::same_as<std::vector<typename GG::G>>;
+};
+
 }  // namespace dlr::group

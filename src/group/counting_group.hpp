@@ -118,6 +118,14 @@ class CountingGroup {
     tm_random_->add();
     return inner_.g_random(rng);
   }
+  /// Batch sampler forward: n elements count as n g_random calls.
+  [[nodiscard]] std::vector<G> g_random_many(crypto::Rng& rng, std::size_t n) const
+    requires NativeGRandomMany<GG>
+  {
+    counts_->g_random += n;
+    tm_random_->add(n);
+    return inner_.g_random_many(rng, n);
+  }
   [[nodiscard]] G g_mul(const G& a, const G& b) const {
     ++counts_->g_mul;
     tm_mul_->add();

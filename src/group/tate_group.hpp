@@ -231,6 +231,15 @@ class TateGroup {
     return pairing::PreparedPairing<LQ, LR>(ctx_, a);
   }
 
+  /// n uniform elements of G in one call: the same draws from `rng` as n
+  /// g_random calls, with one square root per point and the cofactor
+  /// cleared for the whole batch (PairingCtx::random_points), so a
+  /// refresh's coins pay one batch inversion for their tables and one for
+  /// the results.
+  [[nodiscard]] std::vector<G> g_random_many(crypto::Rng& rng, std::size_t n) const {
+    return ctx_->random_points(rng, n);
+  }
+
   /// prod of group elements via Jacobian mixed-add accumulation: n cheap
   /// mixed adds + ONE inversion, vs n affine adds each paying a Fermat
   /// inversion. Makes comb-table lookups on G finally profitable.

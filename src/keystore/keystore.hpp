@@ -4,14 +4,18 @@
 //
 // Each key runs the two-phase epoch commit (DESIGN.md §9) INDEPENDENTLY:
 // prepare / commit / hello reconciliation with dedup (duplicate prepares
-// resend the journaled reply verbatim; duplicate commits ack idempotently
-// by epoch+digest; a rolled-back digest is remembered so a stray prepare
-// cannot resurrect it). The single-key server is the one-key case of the
-// same store (its key is default_key_id()). A keystore entry has ONE
-// shared_mutex: decryptions hold it shared (dec_respond is const),
-// prepare/commit/hello hold it exclusive -- acquiring the exclusive lock IS
-// the drain barrier, since it waits out every in-flight reader of that key
-// and only that key.
+// resend the journaled reply verbatim; a duplicate commit acks only when its
+// digest is the one installed; a rolled-back digest is remembered so a stray
+// prepare cannot resurrect it). The single-key server is the one-key case of
+// the same store (its key is default_key_id()). A keystore entry has ONE
+// shared_mutex: decryptions hold it shared (dec_respond is const), and so
+// does PREPARE's crypto (DlrParty2::ref_prepare is const given a caller rng);
+// PREPARE then takes it exclusive only to recheck and record its result, and
+// commit/hello hold it exclusive -- acquiring the exclusive lock IS the
+// drain barrier, since it waits out every in-flight reader of that key and
+// only that key. Share mutations take the entry's gate before the exclusive
+// lock, and new decryption sessions pass through it, so they wait out a
+// waiting writer instead of keeping the reader-preferring lock busy.
 //
 // Persistence is one SegmentJournal for the whole store: every durable
 // transition (put, prepare, commit, rollback) appends that key's full record
@@ -19,19 +23,25 @@
 //   u64 epoch | blob sk2 | u8 has_pending [| u64 pepoch | blob digest
 //                                          | blob next_sk2 | blob reply]
 //             | blob rolled_back_digest
+//             | u8 mig_state [| u64 map_version | u32 dest | u64 mig_spent]
+//             | u64 installed_epoch | blob installed_digest
 //
-// and recovery is the journal's latest-seq-wins scan. Lock order is
-// entry.mu -> journal-internal, never the reverse; the registry map lock
-// (map_mu_) nests outside entry locks and is never held across crypto.
+// and recovery is the journal's latest-seq-wins scan; records written before
+// a trailing field existed still load (the field reads as absent). Lock
+// order is entry.gate -> entry.mu -> journal-internal, never the reverse;
+// the registry map lock (map_mu_) nests outside entry locks and is never
+// held across crypto.
 //
 // Leakage accounting (Definition 3.2, service form): every decryption
 // charges leak_per_dec_bits against the key's per-period budget_bits; a
-// committed refresh starts a fresh period (spent resets to the carry, here
-// 0 since the service leaks nothing during refresh itself). spent/budget
-// ride on every ks.dec.ok so the client-side scheduler needs no extra
-// round trips. Spent counts are deliberately NOT journaled -- a restart
-// conservatively begins a fresh period; the share itself never leaks via
-// the journal, which stores exactly what the device already stores.
+// committed refresh starts a fresh period whose spent starts at the carry:
+// the charge of every decryption served while that refresh was being
+// prepared or sat prepared (P2's memory held the candidate share then), so
+// those decryptions count in both periods. spent/budget ride on every
+// ks.dec.ok so the client-side scheduler needs no extra round trips. Spent
+// counts are deliberately NOT journaled -- a restart conservatively begins a
+// fresh period; the share itself never leaks via the journal, which stores
+// exactly what the device already stores.
 //
 // Telemetry: ks.keys (gauge), ks.recoveries, ks.dec / ks.refreshes /
 // ks.rollbacks counters, leak.ks.max_spent_frac + leak.ks.over_threshold
@@ -191,7 +201,7 @@ class KeyStore {
   /// other keys' refreshes and this key's other decryptions.
   [[nodiscard]] DecOut dec(const KeyId& id, std::uint64_t epoch, const Bytes& round1) {
     auto e = find(id);
-    std::shared_lock lk(e->mu);
+    const auto lk = reader_lock(*e);
     check_not_removed(id, *e);
     check_mig_decryptable(id, *e);
     if (epoch != e->epoch)
@@ -242,7 +252,7 @@ class KeyStore {
    private:
     friend class KeyStore;
     DecSession(const KeyStore* ks, KeyId id, std::shared_ptr<Entry> e)
-        : ks_(ks), id_(std::move(id)), e_(std::move(e)), lk_(e_->mu),
+        : ks_(ks), id_(std::move(id)), e_(std::move(e)), lk_(reader_lock(*e_)),
           batch_(e_->p2.dec_batch()) {
       ks_->check_not_removed(id_, *e_);
       ks_->check_mig_decryptable(id_, *e_);
@@ -262,27 +272,30 @@ class KeyStore {
   }
 
   /// PREPARE: compute + journal the next share; serving state untouched.
+  /// The crypto runs under the shared entry lock, beside this key's
+  /// decryptions; the exclusive lock only rechecks the admission rules and
+  /// records the result. Of two identical PREPAREs racing, the first to
+  /// record wins and the other resends its reply.
   [[nodiscard]] Bytes ref_prepare(const KeyId& id, std::uint64_t epoch,
                                   const Bytes& round1) {
     auto e = find(id);
     const Bytes digest = crypto::digest_to_bytes(crypto::Sha256::hash(round1));
-    std::unique_lock lk(e->mu);
-    check_not_removed(id, *e);
-    check_mig_mutable(id, *e);
-    if (e->pending && e->pending->epoch == epoch && e->pending->digest == digest)
-      return e->pending->reply;  // duplicate prepare: resend verbatim
-    if (!e->rolled_back_digest.empty() && e->rolled_back_digest == digest)
-      throw ServiceError(ServiceErrc::StaleEpoch, e->epoch, "refresh was rolled back");
-    if (epoch != e->epoch)
-      throw ServiceError(ServiceErrc::StaleEpoch, e->epoch,
-                         "refresh epoch " + std::to_string(epoch) + " != " +
-                             std::to_string(e->epoch));
     typename schemes::DlrParty2<GG>::RefPrepared prep;
-    try {
-      prep = e->p2.ref_prepare(round1);
-    } catch (const std::exception& ex) {
-      throw ServiceError(ServiceErrc::BadRequest, e->epoch, ex.what());
+    {
+      const auto lk = reader_lock(*e);
+      if (auto dup = admit_prepare_locked(id, *e, epoch, digest)) return *dup;
+      crypto::Rng rng = fork_rng();
+      e->preparing.fetch_add(1);
+      try {
+        prep = e->p2.ref_prepare(round1, rng);
+      } catch (const std::exception& ex) {
+        e->preparing.fetch_sub(1);
+        throw ServiceError(ServiceErrc::BadRequest, e->epoch, ex.what());
+      }
+      e->preparing.fetch_sub(1);
     }
+    ExclusiveLock lk(*e);
+    if (auto dup = admit_prepare_locked(id, *e, epoch, digest)) return *dup;
     const Bytes reply = prep.reply;
     e->pending.emplace();
     e->pending->epoch = epoch;
@@ -295,22 +308,30 @@ class KeyStore {
     return reply;
   }
 
-  /// COMMIT: install the pending share, persist, bump the epoch, reset the
-  /// leakage period. The exclusive lock drains this key's in-flight
-  /// decryptions. Duplicate commits ack idempotently.
+  /// COMMIT: install the pending share, persist, bump the epoch, start the
+  /// next leakage period at the carry. The exclusive lock drains this key's
+  /// in-flight decryptions; the gate holds new ones back meanwhile. A
+  /// duplicate commit acks only if its digest is the installed one: a
+  /// refresher whose PREPARE another one superseded gets StaleEpoch, never
+  /// an ack for a share that was not installed.
   std::uint64_t ref_commit(const KeyId& id, std::uint64_t epoch, const Bytes& digest) {
     auto e = find(id);
-    std::unique_lock lk(e->mu);
+    ExclusiveLock lk(*e);
     check_not_removed(id, *e);
     check_mig_mutable(id, *e);
     if (!e->pending || e->pending->epoch != epoch || e->pending->digest != digest) {
-      if (e->epoch == epoch + 1) return e->epoch;  // duplicate of installed commit
+      if (e->epoch == epoch + 1 && installed_matches(*e, epoch, digest))
+        return e->epoch;  // duplicate of the installed commit
       throw ServiceError(ServiceErrc::StaleEpoch, e->epoch, "no matching prepared refresh");
     }
     e->p2.ref_install(std::move(e->pending->next));
     e->pending.reset();
+    e->installed_epoch = epoch;
+    e->installed_digest = digest;
     ++e->epoch;
-    e->spent_millibits.store(0);  // fresh period, budget restored
+    // Fresh period: the decryptions served while this refresh was prepared
+    // are charged to it as well.
+    e->spent_millibits.store(e->carry_millibits.exchange(0));
     // Persist BEFORE returning the ack: once the client sees commit.ok it
     // installs its own half, so this install must never be forgotten.
     persist_locked(id, *e);
@@ -325,17 +346,23 @@ class KeyStore {
   /// never did, fork errors otherwise.
   [[nodiscard]] service::HelloOk hello(const KeyId& id, const service::HelloMsg& h) {
     auto e = find(id);
-    std::unique_lock lk(e->mu);
+    ExclusiveLock lk(*e);
     check_not_removed(id, *e);
     check_mig_mutable(id, *e);
     service::HelloOk ok;
     ok.server_epoch = e->epoch;
     if (h.has_pending) {
       if (e->epoch == h.pending_epoch + 1) {
+        if (!installed_matches(*e, h.pending_epoch, h.pending_digest))
+          throw ServiceError(ServiceErrc::Internal, e->epoch,
+                             "epoch fork: client pending digest for epoch " +
+                                 std::to_string(h.pending_epoch) +
+                                 " is not the installed refresh");
         ok.disposition = service::RefDisposition::Commit;
       } else if (e->epoch == h.pending_epoch) {
         const bool had_pending = e->pending.has_value();
         e->pending.reset();
+        e->carry_millibits.store(0);
         e->rolled_back_digest = h.pending_digest;
         // Persist AFTER recording the digest (and even when we held no
         // pending): the no-resurrect guarantee must survive a crash, since a
@@ -354,6 +381,7 @@ class KeyStore {
     } else {
       if (e->pending) {
         e->pending.reset();
+        e->carry_millibits.store(0);
         persist_locked(id, *e);
         rollbacks_counter().add();
       }
@@ -595,7 +623,7 @@ class KeyStore {
   /// resends the commit with the exact budget position. Idempotent.
   std::uint64_t release_migrating(const KeyId& id) {
     auto e = find(id);
-    std::unique_lock lk(e->mu);
+    ExclusiveLock lk(*e);
     check_not_removed(id, *e);
     const auto m = static_cast<MigState>(e->mig.load());
     if (m == MigState::Released) return e->mig_spent;
@@ -736,6 +764,15 @@ class KeyStore {
     std::atomic<std::uint64_t> epoch{0};  // written under exclusive mu
     std::optional<Pending> pending;
     Bytes rolled_back_digest;
+    // The refresh installed into `epoch` (under mu): commit epoch and digest.
+    // An empty digest is unknown (provisioned, migrated in, or an old record).
+    std::uint64_t installed_epoch = 0;
+    Bytes installed_digest;
+    // Share mutations hold `gate` while they wait for and hold `mu`
+    // exclusively; decryption sessions pass through it to take `mu` shared.
+    std::mutex gate;
+    std::atomic<int> preparing{0};  // PREPARE crypto in progress (shared mu)
+    std::atomic<std::uint64_t> carry_millibits{0};  // charged while a refresh was prepared
     // Written under exclusive mu; atomic so route_state() can classify a key
     // without touching the entry lock on the reader thread.
     std::atomic<bool> removed{false};
@@ -797,6 +834,51 @@ class KeyStore {
                          "key " + id.display() + " is migrating");
   }
 
+  /// PREPARE's admission rules, checked before its crypto (shared lock) and
+  /// again before it records (exclusive). Returns the recorded reply for a
+  /// duplicate; throws for a removed, migrating, rolled-back or stale one.
+  [[nodiscard]] std::optional<Bytes> admit_prepare_locked(const KeyId& id, const Entry& e,
+                                                          std::uint64_t epoch,
+                                                          const Bytes& digest) const {
+    check_not_removed(id, e);
+    check_mig_mutable(id, e);
+    if (e.pending && e.pending->epoch == epoch && e.pending->digest == digest)
+      return e.pending->reply;  // duplicate prepare: resend verbatim
+    if (!e.rolled_back_digest.empty() && e.rolled_back_digest == digest)
+      throw ServiceError(ServiceErrc::StaleEpoch, e.epoch, "refresh was rolled back");
+    if (epoch != e.epoch)
+      throw ServiceError(ServiceErrc::StaleEpoch, e.epoch,
+                         "refresh epoch " + std::to_string(epoch) + " != " +
+                             std::to_string(e.epoch));
+    return std::nullopt;
+  }
+
+  /// Whether the refresh (epoch, digest) is the one installed into the
+  /// key's current epoch; an unknown installed digest accepts any (the
+  /// acknowledgement rule before the digest was recorded). Caller holds e.mu.
+  [[nodiscard]] static bool installed_matches(const Entry& e, std::uint64_t epoch,
+                                              const Bytes& digest) {
+    return e.installed_digest.empty() ||
+           (e.installed_epoch == epoch && e.installed_digest == digest);
+  }
+
+  /// The exclusive entry lock of a share mutation, taken behind the entry's
+  /// gate: while a writer waits, new readers queue at the gate instead of
+  /// joining the readers already inside, so those drain and the
+  /// reader-preferring shared_mutex cannot keep the writer waiting.
+  struct ExclusiveLock {
+    explicit ExclusiveLock(Entry& e) : gate(e.gate), lk(e.mu) {}
+    std::lock_guard<std::mutex> gate;
+    std::unique_lock<std::shared_mutex> lk;
+  };
+
+  /// A decryption's (or PREPARE's crypto's) shared entry lock, taken
+  /// through the gate (see ExclusiveLock).
+  [[nodiscard]] static std::shared_lock<std::shared_mutex> reader_lock(Entry& e) {
+    std::lock_guard gate(e.gate);
+    return std::shared_lock<std::shared_mutex>(e.mu);
+  }
+
   [[nodiscard]] std::uint64_t leak_per_dec_millibits() const {
     return static_cast<std::uint64_t>(opt_.leak_per_dec_bits * 1000.0);
   }
@@ -809,6 +891,7 @@ class KeyStore {
   std::uint64_t charge_locked(const KeyId& id, Entry& e) const {
     const std::uint64_t spent =
         e.spent_millibits.fetch_add(leak_per_dec_millibits()) + leak_per_dec_millibits();
+    if (e.pending || e.preparing.load() > 0) e.carry_millibits.fetch_add(leak_per_dec_millibits());
     dec_counter().add();
     if (opt_.per_key_metrics)
       telemetry::Registry::global()
@@ -855,6 +938,8 @@ class KeyStore {
       w.u32(e.mig_dest);
       w.u64(e.mig_spent);
     }
+    w.u64(e.installed_epoch);
+    w.blob(e.installed_digest);
     journal_->append(id, w.take());
   }
 
@@ -896,6 +981,10 @@ class KeyStore {
         entry->spent_millibits.store(entry->mig_spent);
       }
     }
+    if (r.remaining()) {
+      entry->installed_epoch = r.u64();
+      entry->installed_digest = r.blob();
+    }
     std::unique_lock mlk(map_mu_);
     keys_[id] = std::move(entry);
   }
@@ -913,6 +1002,12 @@ class KeyStore {
   [[nodiscard]] crypto::Rng next_rng() {
     std::lock_guard lk(rng_mu_);
     return crypto::Rng(rng_.u64());
+  }
+
+  /// A fresh generator for one PREPARE (the candidate share's coins).
+  [[nodiscard]] crypto::Rng fork_rng() {
+    std::lock_guard lk(rng_mu_);
+    return rng_.fork("ks.ref_prepare");
   }
 
   void publish_keys_gauge() const {

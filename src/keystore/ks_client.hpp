@@ -2,14 +2,17 @@
 // processor" (P1) holding the P1 half of MANY keys, routing every request to
 // the owning shard, and running the leakage-budget refresh scheduler.
 //
-// Per key, the fleet keeps a miniature P1Runtime: the DlrParty1 state behind
-// a shared_mutex, the local epoch, and the in-memory half of the two-phase
-// refresh (client-side state is volatile by design -- the durable side of
-// the 2PC is the server's segmented journal; a fleet process that dies
-// mid-refresh reconciles per key over ks.hello on its next contact, exactly
-// the PR 4 verdict table). Decryption snapshots (epoch, round 1, period key)
-// under the shared lock, so an in-flight request survives a concurrent
-// refresh of its key, and refreshes of DIFFERENT keys never contend.
+// Per key, the fleet keeps a volatile service::P1Runtime: the DlrParty1
+// state behind its share lock, the local epoch, and the in-memory half of
+// the two-phase refresh (client-side state is volatile by design -- the
+// durable side of the 2PC is the server's segmented journal; a fleet process
+// that dies mid-refresh reconciles per key over ks.hello on its next
+// contact, exactly the PR 4 verdict table). The runtime's locking is the
+// single-key client's (service/client.hpp): decryption snapshots (epoch,
+// round 1, period key) under the shared lock, a refresh holds the key's
+// refresh mutex throughout and its share lock exclusively only for COMMIT
+// and the install, so decryptions of the key being refreshed keep running,
+// and refreshes of DIFFERENT keys never contend.
 //
 // Routing: the fleet caches a versioned ShardMap and maintains a small pool
 // of SessionMux connections per shard (Options::conns_per_shard lanes, each
@@ -37,7 +40,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -45,11 +47,11 @@
 #include <vector>
 
 #include "crypto/rng.hpp"
-#include "crypto/sha256.hpp"
 #include "keystore/ks_protocol.hpp"
 #include "keystore/scheduler.hpp"
 #include "keystore/shard_map.hpp"
 #include "schemes/dlr.hpp"
+#include "service/client.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/metrics.hpp"
 #include "transport/breaker.hpp"
@@ -110,9 +112,8 @@ class KsFleet {
   /// install the P2 half on the owning shard.
   void add_key(const KeyId& id, typename Core::PublicKey pk, typename Core::Sk1 sk1,
                schemes::P1Mode mode) {
-    auto st = std::make_shared<KeyState>();
-    st->p1.emplace(gg_, prm_, std::move(pk), std::move(sk1), mode, next_rng());
-    st->p1->prepare_period();
+    auto st = std::make_shared<KeyState>(gg_, prm_, std::move(pk), std::move(sk1), mode,
+                                         next_rng());
     std::unique_lock lk(keys_mu_);
     keys_[id] = std::move(st);
   }
@@ -137,14 +138,8 @@ class KsFleet {
     auto st = state(id);
     thread_local crypto::Rng rng = crypto::Rng::from_os_entropy();
     return with_retries(id, [&](transport::SessionMux& m, std::uint32_t remaining_ms) {
-      maybe_reconcile(m, id, st);
-      Snapshot snap;
-      {
-        std::shared_lock lk(st->mu);
-        snap.round1 = st->p1->dec_round1(c, rng);
-        snap.sigma = st->p1->period_sigma_gt();
-        snap.epoch = st->epoch.load();
-      }
+      maybe_reconcile(m, id, *st);
+      const auto snap = st->p1.begin_decrypt(c, rng);
       auto sess = m.open();
       sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
                  kKsDec, encode_ks_request(id, snap.epoch, snap.round1, remaining_ms));
@@ -152,46 +147,38 @@ class KsFleet {
           decode_ks_dec_ok(service::expect_ok(sess->recv(opt_.request_timeout), kKsDecOk));
       st->spent_millibits.store(ok.spent_millibits);
       st->budget_millibits.store(ok.budget_millibits);
-      std::shared_lock lk(st->mu);
-      return st->p1->dec_finish_with(snap.sigma, ok.reply);
-    });
+      return st->p1.finish_decrypt(snap, ok.reply);
+    }, st.get());
   }
 
   /// Run the two-phase refresh for one key, advancing its epoch by one.
   /// Also the scheduler's RefreshFn. An interrupted attempt leaves pending
-  /// state that the next contact's ks.hello reconciles.
+  /// state that the next contact's ks.hello reconciles; a refresh of the
+  /// key already in flight on another thread answers Draining, retried here
+  /// until that refresh has moved the epoch.
   void refresh_key(const KeyId& id) {
     auto st = state(id);
-    const std::uint64_t start = st->epoch.load();
+    const std::uint64_t start = st->p1.epoch();
     with_retries(id, [&](transport::SessionMux& m, std::uint32_t) {
-      maybe_reconcile(m, id, st);
-      if (st->epoch.load() > start) return 0;  // reconciliation rolled forward
-      std::unique_lock lk(st->mu);
-      if (st->pending)
-        throw ServiceError(ServiceErrc::Draining, st->epoch.load(),
-                           "pending refresh awaiting reconciliation");
-      const std::uint64_t e = st->epoch.load();
-      const Bytes r1 = st->p1->ref_round1();
-      st->pending.emplace();
-      st->pending->epoch = e;
-      st->pending->digest = crypto::digest_to_bytes(crypto::Sha256::hash(r1));
-      // The flag is what maybe_reconcile() gates on: without it a refresh
-      // interrupted between ref.ok and commit.ok would never reconcile.
-      st->pending_flag.store(true);
-      {
-        auto sess = m.open();
-        sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
-                   kKsRef, encode_ks_request(id, e, r1));
-        st->pending->r2 = service::expect_ok(sess->recv(opt_.request_timeout), kKsRefOk);
-      }
-      {
-        auto sess = m.open();
-        sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
-                   kKsRefCommit, encode_ks_request(id, e, st->pending->digest));
-        (void)service::decode_commit_ok(
-            service::expect_ok(sess->recv(opt_.request_timeout), kKsRefCommitOk));
-      }
-      commit_locked(*st);
+      maybe_reconcile(m, id, *st);
+      if (st->p1.epoch() > start) return 0;  // reconciliation (or another refresh) moved it
+      st->p1.refresh(
+          [&](std::uint64_t e, const Bytes& r1) {
+            auto sess = m.open();
+            sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
+                       kKsRef, encode_ks_request(id, e, r1));
+            return [this, sess = std::move(sess)] {
+              return service::expect_ok(sess->recv(opt_.request_timeout), kKsRefOk);
+            };
+          },
+          [&](std::uint64_t e, const Bytes& digest) {
+            auto sess = m.open();
+            sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
+                       kKsRefCommit, encode_ks_request(id, e, digest));
+            return service::decode_commit_ok(
+                service::expect_ok(sess->recv(opt_.request_timeout), kKsRefCommitOk));
+          });
+      st->spent_millibits.store(0);  // fresh period; the next ks.dec.ok corrects the mirror
       return 0;
     });
   }
@@ -221,7 +208,7 @@ class KsFleet {
   }
 
   [[nodiscard]] std::uint64_t epoch_of(const KeyId& id) const {
-    return state(id)->epoch.load();
+    return state(id)->p1.epoch();
   }
 
   /// Keys whose mirrored budget is at/above the scheduler threshold.
@@ -291,29 +278,16 @@ class KsFleet {
   }
 
  private:
-  struct Pending {
-    std::uint64_t epoch = 0;
-    Bytes digest;
-    std::optional<Bytes> r2;
-  };
-
   struct KeyState {
-    mutable std::shared_mutex mu;
-    std::optional<schemes::DlrParty1<GG>> p1;
-    std::atomic<std::uint64_t> epoch{0};  // written under exclusive mu
-    std::optional<Pending> pending;       // guarded by mu
-    std::atomic<bool> pending_flag{false};
+    KeyState(const GG& gg, const schemes::DlrParams& prm, typename Core::PublicKey pk,
+             typename Core::Sk1 sk1, schemes::P1Mode mode, crypto::Rng rng)
+        : p1(gg, prm, std::move(pk), std::move(sk1), mode, std::move(rng)) {}
+    service::P1Runtime<GG> p1;  // volatile: no state_dir
     std::atomic<std::uint64_t> spent_millibits{0};
     std::atomic<std::uint64_t> budget_millibits{0};  // 0 = unknown yet
     /// The key is gone on every shard (UnknownKey on refresh): keep the P1
     /// state for post-mortems but never requalify it for the scheduler.
     std::atomic<bool> dead{false};
-  };
-
-  struct Snapshot {
-    std::uint64_t epoch = 0;
-    Bytes round1;
-    typename schemes::HpskeGT<GG>::SecretKey sigma;
   };
 
   [[nodiscard]] std::shared_ptr<KeyState> state(const KeyId& id) const {
@@ -329,17 +303,6 @@ class KsFleet {
     return crypto::Rng(rng_.u64());
   }
 
-  /// ref_finish + fresh period + epoch bump. Caller holds st.mu exclusively
-  /// with pending->r2 set.
-  void commit_locked(KeyState& st) {
-    st.p1->ref_finish(*st.pending->r2);
-    st.p1->prepare_period();
-    st.pending.reset();
-    st.pending_flag.store(false);
-    st.epoch.fetch_add(1);
-    st.spent_millibits.store(0);
-  }
-
   /// Mark a key the servers no longer know as dead so candidates() stops
   /// requalifying it (satellite of the resharding work: a remove()d or
   /// lost key must not wedge the refresh backlog forever).
@@ -352,47 +315,27 @@ class KsFleet {
                      "step=client_drop_dead key=" + id.display());
   }
 
-  /// Per-key hello reconciliation, run before any op on a key with pending
-  /// 2PC state (never as a blanket post-reconnect sweep).
-  void maybe_reconcile(transport::SessionMux& m, const KeyId& id,
-                       const std::shared_ptr<KeyState>& st) {
-    if (!st->pending_flag.load()) return;
-    service::HelloMsg h;
-    Bytes digest;
-    {
-      std::shared_lock lk(st->mu);
-      if (!st->pending) return;
-      h.epoch = st->epoch.load();
-      h.has_pending = true;
-      h.pending_epoch = st->pending->epoch;
-      h.pending_digest = st->pending->digest;
-      digest = st->pending->digest;
-    }
-    auto sess = m.open();
-    sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
-               kKsHello, encode_ks_hello(id, h));
-    const auto ok = service::decode_hello_ok(
-        service::expect_ok(sess->recv(opt_.request_timeout), kKsHelloOk));
-    std::unique_lock lk(st->mu);
-    if (!st->pending || st->pending->digest != digest) return;  // raced
-    switch (ok.disposition) {
-      case service::RefDisposition::Commit:
-        if (!st->pending->r2)
-          throw ServiceError(ServiceErrc::Internal, ok.server_epoch,
-                             "server committed a refresh the client never "
-                             "reached the commit phase of");
-        commit_locked(*st);
-        break;
-      case service::RefDisposition::Rollback:
-        st->p1->end_period();
-        st->p1->prepare_period();
-        st->pending.reset();
-        st->pending_flag.store(false);
-        telemetry::Registry::global().counter("ks.client.rollbacks").add();
-        break;
-      case service::RefDisposition::None:
-        break;
-    }
+  /// Per-key hello reconciliation, run before any op on a key whose refresh
+  /// is stuck pending (never as a blanket post-reconnect sweep, and never
+  /// for a refresh another thread is still driving).
+  void maybe_reconcile(transport::SessionMux& m, const KeyId& id, KeyState& st) {
+    const auto ok = st.p1.reconcile_if_stuck(
+        [&](const typename service::P1Runtime<GG>::PendingInfo& info) {
+          service::HelloMsg h;
+          h.epoch = st.p1.epoch();
+          h.has_pending = info.active;
+          h.pending_epoch = info.epoch;
+          h.pending_digest = info.digest;
+          auto sess = m.open();
+          sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
+                     kKsHello, encode_ks_hello(id, h));
+          return service::decode_hello_ok(
+              service::expect_ok(sess->recv(opt_.request_timeout), kKsHelloOk));
+        });
+    if (!ok) return;
+    if (ok->disposition == service::RefDisposition::Commit) st.spent_millibits.store(0);
+    if (ok->disposition == service::RefDisposition::Rollback)
+      telemetry::Registry::global().counter("ks.client.rollbacks").add();
   }
 
   // ---- routing ----
@@ -523,8 +466,12 @@ class KsFleet {
   /// The routed retry loop shared by every op: route -> run -> on WrongShard
   /// refetch the map from the answering shard, on other retryable errors
   /// back off, on transport failure drop that shard's mux and reconnect.
+  /// With the key's state `st`, a StaleEpoch backs off only until the key's
+  /// P1 half moves its epoch: decryptions overlap the key's refresh, and one
+  /// whose round 1 reached P2 after the COMMIT retries as soon as P1 has
+  /// installed its half (DecryptionClient::decrypt waits the same way).
   template <class Op>
-  auto with_retries(const KeyId& id, Op&& op) -> decltype(op(
+  auto with_retries(const KeyId& id, Op&& op, KeyState* st = nullptr) -> decltype(op(
       std::declval<transport::SessionMux&>(), std::uint32_t{})) {
     thread_local crypto::Rng backoff_rng = crypto::Rng::from_os_entropy();
     transport::RetryPolicy policy = opt_.retry;
@@ -534,6 +481,7 @@ class KsFleet {
                                  ? std::chrono::steady_clock::now() + opt_.deadline
                                  : std::chrono::steady_clock::time_point{};
     for (;;) {
+      const std::uint64_t seen = st ? st->p1.epoch() : 0;
       std::uint32_t shard = 0;
       std::shared_ptr<transport::SessionMux> m;
       transport::CircuitBreaker* br = nullptr;
@@ -575,6 +523,10 @@ class KsFleet {
           if (refetch_map_single_flight(shard, *m))
             continue;  // re-route immediately; no backoff needed
           // Fetch failed: fall through to the backoff path.
+        }
+        if (st && e.code() == ServiceErrc::StaleEpoch) {
+          st->p1.wait_epoch_change(seen, clamp_to_budget(*delay, op_deadline));
+          continue;
         }
         std::this_thread::sleep_for(clamp_to_budget(*delay, op_deadline));
       } catch (const transport::TransportError&) {

@@ -351,6 +351,15 @@ class KsServer {
     crypto_threads_.clear();
     for (auto& c : conns)
       if (c->reader.joinable()) c->reader.join();
+    // Close the sockets now, not when the server is destroyed: a peer blocked
+    // sending into a full receive buffer only wakes when the fd closes (a
+    // shutdown() leaves the window shut until its send_timeout). With the
+    // readers, workers and batcher done, these are the last references.
+    conns.clear();
+    {
+      std::lock_guard lock(conns_mu_);
+      conns_.clear();
+    }
     if (admin_) admin_->stop();
   }
 

@@ -44,7 +44,13 @@ class PairingCtx {
   using GT = field::Fp2E<LQ>;      // target-group element (norm-1, order r)
 
   PairingCtx(const UInt<LQ>& q, const UInt<LR>& r, const Cofactor& h, std::string name)
-      : fq_(q), fq2_(fq_), curve_(fq_), r_(r), h_(h), name_(std::move(name)) {
+      : fq_(q),
+        fq2_(fq_),
+        curve_(fq_),
+        r_(r),
+        h_(h),
+        h_naf_(mpint::wnaf_digits(h, 4)),
+        name_(std::move(name)) {
     validate();
     gen_ = find_generator();
     gt_gen_ = pair(gen_, gen_);
@@ -69,20 +75,69 @@ class PairingCtx {
   }
 
   /// Map a curve point of any order into the order-r subgroup.
-  [[nodiscard]] G clear_cofactor(const G& p) const { return curve_.mul(p, h_); }
+  [[nodiscard]] G clear_cofactor(const G& p) const {
+    return clear_cofactor_many(std::span<const G>(&p, 1)).front();
+  }
+
+  /// [h]P for a batch of curve points. h's wNAF-4 digits are recoded once,
+  /// at construction. Each point's odd multiples 3P, 5P, 7P go to affine
+  /// together with ONE batch inversion, so every step of the chains is a
+  /// mixed add, and the results share ONE more batch inversion.
+  [[nodiscard]] std::vector<G> clear_cofactor_many(std::span<const G> ps) const {
+    const auto& cv = curve_;
+    std::vector<ec::JacPoint<LQ>> odd;  // 3P, 5P, 7P per point
+    odd.reserve(3 * ps.size());
+    for (const auto& p : ps) {
+      const auto p2 = cv.dbl(cv.to_jac(p));
+      odd.push_back(cv.add_mixed(p2, p));
+      odd.push_back(cv.add(odd.back(), p2));
+      odd.push_back(cv.add(odd.back(), p2));
+    }
+    const auto tbl = cv.batch_to_affine(odd);
+    std::vector<ec::JacPoint<LQ>> acc(ps.size(), cv.to_jac(G{}));
+    for (std::size_t j = 0; j < ps.size(); ++j) {
+      for (std::size_t i = h_naf_.size(); i-- > 0;) {
+        acc[j] = cv.dbl(acc[j]);
+        const int d = h_naf_[i];
+        if (d == 0) continue;
+        const int k = d > 0 ? d : -d;
+        const G& t = k == 1 ? ps[j] : tbl[3 * j + static_cast<std::size_t>(k - 3) / 2];
+        acc[j] = cv.add_mixed(acc[j], d > 0 ? t : cv.neg(t));
+      }
+    }
+    return cv.batch_to_affine(acc);
+  }
 
   /// Uniform element of G sampled *without a known discrete log* (the paper's
   /// Section 5 remark requires the a_i and HPSKE coins to be sampled as raw
   /// group elements so their dlogs never enter secret memory).
-  [[nodiscard]] G random_point(crypto::Rng& rng) const {
-    for (;;) {
-      const auto x = fq_.random(rng);
-      const bool sign = rng.coin();
-      const auto p = curve_.lift_x(x, sign);
-      if (!p) continue;
-      const auto g = clear_cofactor(*p);
-      if (!g.inf) return g;
+  [[nodiscard]] G random_point(crypto::Rng& rng) const { return random_points(rng, 1).front(); }
+
+  /// `n` independent uniform elements of G, drawing from `rng` exactly as n
+  /// calls of random_point would (an x and a sign bit per point). Each x
+  /// costs one square root: exactly one of x, -x lifts (CurveCtx::
+  /// lift_x_or_neg), and both map to that one, so every liftable x' is hit
+  /// with probability 2/q and the sign bit picks either root. That is the
+  /// distribution of the two-attempt "retry until x lifts" loop: uniform over
+  /// the curve points with y != 0, each then mapped into G by [h], which
+  /// hits every element of G equally often. (0, 0) and the rare point of
+  /// order dividing h clear to O and are redrawn. The cofactor is cleared for
+  /// the whole batch at once (clear_cofactor_many).
+  [[nodiscard]] std::vector<G> random_points(crypto::Rng& rng, std::size_t n) const {
+    std::vector<G> out;
+    out.reserve(n);
+    std::vector<G> lifted;
+    while (out.size() < n) {
+      lifted.clear();
+      for (std::size_t i = out.size(); i < n; ++i) {
+        const auto x = fq_.random(rng);
+        const bool sign = rng.coin();
+        lifted.push_back(curve_.lift_x_or_neg(x, sign));
+      }
+      for (const auto& g : clear_cofactor_many(lifted))
+        if (!g.inf) out.push_back(g);
     }
+    return out;
   }
 
   /// Deterministic hash-to-group (used for the IBE's public matrix U).
@@ -297,6 +352,7 @@ class PairingCtx {
   Curve curve_;
   UInt<LR> r_;
   Cofactor h_;
+  std::vector<int> h_naf_;  // wNAF-4 digits of h, least significant first
   std::string name_;
   G gen_{};
   GT gt_gen_{};

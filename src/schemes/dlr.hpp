@@ -381,24 +381,37 @@ class DlrParty1 {
 
   /// Round 1: send ((f_i, f'_i) for i in [l], fPhi). The f_i (and fPhi) are
   /// the period's share encryptions, reused from the decryption protocol.
+  /// With the period prepared, this reads the period state only as
+  /// dec_round1 does and writes only the refresh state (a'_i, f'_i) and the
+  /// party's rng, so the service runtime builds it under its shared lock
+  /// while decryptions continue (one refresher at a time).
   [[nodiscard]] Bytes ref_round1() {
     telemetry::ScopedSpan span("ref.round1");
     ensure_period_setup();
     // Sample the next-share randomness a'_1..a'_l and encrypt it. In compact
     // mode each a'_i is held raw only transiently (one coordinate at a time).
+    const std::size_t k = prm_.kappa;
     next_a_.clear();
     fprime_.clear();
     fprime_.reserve(prm_.ell);
     if (mode_ == P1Mode::Plain) {
+      // One sampler call for every a'_i and its kappa coins: point i*(k+1)
+      // is a'_i, the next k encrypt it (the order of one-by-one sampling).
+      auto pts = SpaceG<GG>::random_many(gg_, rng_, prm_.ell * (k + 1));
       next_a_.reserve(prm_.ell);
       for (std::size_t i = 0; i < prm_.ell; ++i) {
-        next_a_.push_back(gg_.g_random(rng_));
-        fprime_.push_back(hg_.enc(*sigma_, next_a_.back(), rng_));
+        const auto at = pts.begin() + static_cast<std::ptrdiff_t>(i * (k + 1));
+        next_a_.push_back(*at);
+        fprime_.push_back(hg_.enc_with_coins(
+            *sigma_, next_a_.back(),
+            std::vector<G>(at + 1, at + 1 + static_cast<std::ptrdiff_t>(k))));
       }
     } else {
+      // The public coins come in one call; each a'_i is drawn alone.
+      auto coins = hg_.draw_coins(rng_, prm_.ell);
       for (std::size_t i = 0; i < prm_.ell; ++i) {
         const G ap = gg_.g_random(rng_);  // scratch: the only raw coordinate
-        fprime_.push_back(hg_.enc(*sigma_, ap, rng_));
+        fprime_.push_back(hg_.enc_with_coins(*sigma_, ap, std::move(coins[i])));
       }
     }
     ByteWriter w;
@@ -427,19 +440,29 @@ class DlrParty1 {
       // Rotate sk_comm: re-encrypt the new share coordinate-by-coordinate
       // under a fresh key; at most one raw coordinate in memory at a time.
       const auto sigma_next = hg_.gen(rng_);
+      auto coins = take_period_coins();
       std::vector<CtG> enc_a_next;
       enc_a_next.reserve(prm_.ell);
-      for (const auto& fp : fprime_) {
-        const G scratch = hg_.dec(*sigma_, fp);
-        enc_a_next.push_back(hg_.enc(sigma_next, scratch, rng_));
+      for (std::size_t i = 0; i < prm_.ell; ++i) {
+        const G scratch = hg_.dec(*sigma_, fprime_[i]);
+        enc_a_next.push_back(hg_.enc_with_coins(sigma_next, scratch, std::move(coins[i])));
       }
       const G scratch_phi = new_phi;
-      enc_phi_ = hg_.enc(sigma_next, scratch_phi, rng_);
+      enc_phi_ = hg_.enc_with_coins(sigma_next, scratch_phi, std::move(coins[prm_.ell]));
       enc_a_ = std::move(enc_a_next);
       sigma_ = sigma_next;
     }
     end_period();
   }
+
+  /// Draw the next period's (l+1) kappa HPSKE coins now; the next period's
+  /// share encryptions (prepare_period, or ref_finish in compact mode) use
+  /// them instead of sampling. The coins are public ciphertext parts and
+  /// the next sk_comm is still sampled at install time, so drawing them
+  /// early puts nothing new in secret memory. Touches only the coin buffer
+  /// and the party's rng, which no decryption reads: the service runtime
+  /// runs it with no share lock while PREPARE is in flight.
+  void draw_next_coins() { next_coins_ = hg_.draw_coins(rng_, prm_.ell + 1); }
 
   // ---- secret memory (Section 3.2) ----------------------------------------------
 
@@ -565,14 +588,26 @@ class DlrParty1 {
     return typename HpskeGT<GG>::SecretKey{sigma_->s};
   }
 
+  /// The coins for one period's l+1 share encryptions: draw_next_coins()'s
+  /// if it left a full set, else drawn now (after sk_comm, in row order, the
+  /// draws of l+1 enc() calls).
+  [[nodiscard]] std::vector<std::vector<G>> take_period_coins() {
+    auto coins = std::move(next_coins_);
+    next_coins_.clear();
+    if (coins.size() != prm_.ell + 1) coins = hg_.draw_coins(rng_, prm_.ell + 1);
+    return coins;
+  }
+
   void ensure_period_setup() {
     if (fphi_) return;
     if (mode_ == P1Mode::Plain) {
       sigma_ = hg_.gen(rng_);  // fresh sk_comm each period
+      auto coins = take_period_coins();
       fs_.clear();
       fs_.reserve(prm_.ell);
-      for (const auto& ai : sk1_->a) fs_.push_back(hg_.enc(*sigma_, ai, rng_));
-      fphi_ = hg_.enc(*sigma_, sk1_->phi, rng_);
+      for (std::size_t i = 0; i < prm_.ell; ++i)
+        fs_.push_back(hg_.enc_with_coins(*sigma_, sk1_->a[i], std::move(coins[i])));
+      fphi_ = hg_.enc_with_coins(*sigma_, sk1_->phi, std::move(coins[prm_.ell]));
     } else {
       // Compact mode: the stored public encrypted share *is* (f_i, fPhi).
       fs_ = enc_a_;
@@ -620,6 +655,7 @@ class DlrParty1 {
   std::optional<CtG> fphi_;
   std::vector<CtG> fprime_;
   std::vector<G> next_a_;
+  std::vector<std::vector<G>> next_coins_;  // draw_next_coins(); public, not journaled
   net::SecretSnapshot refresh_snap_;
 };
 
@@ -717,12 +753,12 @@ class DlrParty2 {
     Bytes reply;
   };
 
-  /// Refresh round 2, PREPARE phase: given ((f_i, f'_i), fPhi), sample s',
-  /// compute prod_i f'_i^{s'_i} / f_i^{s_i} * fPhi -- but do NOT install s'.
-  /// Const apart from the rng: the current share is only read, so the caller
-  /// decides when (and whether) the candidate becomes the share via
-  /// ref_install().
-  [[nodiscard]] RefPrepared ref_prepare(const Bytes& msg) {
+  /// Refresh round 2, PREPARE phase: given ((f_i, f'_i), fPhi), sample s'
+  /// from `rng`, compute prod_i f'_i^{s'_i} / f_i^{s_i} * fPhi -- but do NOT
+  /// install s'. Const: the current share is only read, so the keystore runs
+  /// it under the key's shared lock beside decryptions and decides when (and
+  /// whether) the candidate becomes the share via ref_install().
+  [[nodiscard]] RefPrepared ref_prepare(const Bytes& msg, crypto::Rng& rng) const {
     telemetry::ScopedSpan span("ref.round2");
     ByteReader r(msg);
     std::vector<CtG> f, fp;
@@ -737,7 +773,7 @@ class DlrParty2 {
 
     RefPrepared out;
     out.next.s.reserve(prm_.ell);
-    for (std::size_t i = 0; i < prm_.ell; ++i) out.next.s.push_back(gg_.sc_random(rng_));
+    for (std::size_t i = 0; i < prm_.ell; ++i) out.next.s.push_back(gg_.sc_random(rng));
 
     CtG acc = hg_.ct_mul(fphi, hg_.ct_multi_pow(fp, out.next.s));
     acc = hg_.ct_mul(acc, hg_.ct_inv(hg_.ct_multi_pow(f, sk2_.s)));
@@ -760,7 +796,7 @@ class DlrParty2 {
   /// Refresh round 2, one-shot: prepare and immediately install (the
   /// in-process driver's reliable-channel path).
   [[nodiscard]] Bytes ref_respond(const Bytes& msg) {
-    RefPrepared prep = ref_prepare(msg);
+    RefPrepared prep = ref_prepare(msg, rng_);
     ref_install(std::move(prep.next));
     return std::move(prep.reply);
   }

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "schemes/spaces.hpp"
@@ -55,10 +56,23 @@ class MaskedEnc {
 
   /// Encrypt with fresh uniform coins.
   [[nodiscard]] Ciphertext enc(const SecretKey& sk, const Elem& m, crypto::Rng& rng) const {
-    std::vector<Elem> coins;
-    coins.reserve(width_);
-    for (std::size_t i = 0; i < width_; ++i) coins.push_back(Sp::random(gg_, rng));
-    return enc_with_coins(sk, m, coins);
+    return enc_with_coins(sk, m, std::move(draw_coins(rng, 1).front()));
+  }
+
+  /// Fresh coins for `count` encryptions in one sampler call
+  /// (Sp::random_many): row i holds the i-th encryption's coins, the same
+  /// draws `count` enc() calls would make. The coins are public ciphertext
+  /// parts, so they can be drawn ahead of the key they will be used with.
+  [[nodiscard]] std::vector<std::vector<Elem>> draw_coins(crypto::Rng& rng,
+                                                          std::size_t count) const {
+    auto flat = Sp::random_many(gg_, rng, count * width_);
+    std::vector<std::vector<Elem>> rows(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto first = flat.begin() + static_cast<std::ptrdiff_t>(i * width_);
+      rows[i].assign(std::make_move_iterator(first),
+                     std::make_move_iterator(first + static_cast<std::ptrdiff_t>(width_)));
+    }
+    return rows;
   }
 
   /// Encrypt with caller-supplied coins (used by tests and the fi/di reuse).

@@ -13,6 +13,18 @@ template <group::BilinearGroup GG>
 struct SpaceG {
   using Elem = typename GG::G;
   static Elem random(const GG& gg, crypto::Rng& rng) { return gg.g_random(rng); }
+  /// `n` fresh elements: the backend's batch sampler when it has one, else
+  /// n random() calls (the same draws either way).
+  static std::vector<Elem> random_many(const GG& gg, crypto::Rng& rng, std::size_t n) {
+    if constexpr (group::NativeGRandomMany<GG>) {
+      return gg.g_random_many(rng, n);
+    } else {
+      std::vector<Elem> out;
+      out.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) out.push_back(gg.g_random(rng));
+      return out;
+    }
+  }
   static Elem mul(const GG& gg, const Elem& a, const Elem& b) { return gg.g_mul(a, b); }
   static Elem inv(const GG& gg, const Elem& a) { return gg.g_inv(a); }
   static Elem pow(const GG& gg, const Elem& a, const typename GG::Scalar& s) {
@@ -46,6 +58,12 @@ template <group::BilinearGroup GG>
 struct SpaceGT {
   using Elem = typename GG::GT;
   static Elem random(const GG& gg, crypto::Rng& rng) { return gg.gt_random(rng); }
+  static std::vector<Elem> random_many(const GG& gg, crypto::Rng& rng, std::size_t n) {
+    std::vector<Elem> out;
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) out.push_back(gg.gt_random(rng));
+    return out;
+  }
   static Elem mul(const GG& gg, const Elem& a, const Elem& b) { return gg.gt_mul(a, b); }
   static Elem inv(const GG& gg, const Elem& a) { return gg.gt_inv(a); }
   static Elem pow(const GG& gg, const Elem& a, const typename GG::Scalar& s) {

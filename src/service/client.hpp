@@ -1,27 +1,34 @@
 // Client side of the DLR decryption service: the main processor P1 serving
 // many local user threads, speaking to the remote auxiliary device P2Server.
 //
-// P1Runtime holds the singular P1 share behind a shared_mutex. Decryption
-// round-1 construction runs under the shared lock (dec_round1 is const given
-// a prepared period and a caller rng); the refresh protocol runs under the
-// exclusive lock for its full duration and bumps the local epoch when it
-// completes. A decryption's period key (sigma) is captured at round-1 time,
-// so an in-flight request finishes correctly even when a refresh rotates the
+// P1Runtime holds the singular P1 share behind a shared_mutex (the share
+// lock). Decryption round-1 construction runs under the shared lock
+// (dec_round1 is const given a prepared period and a caller rng). A
+// decryption's period key (sigma) is captured at round-1 time, so an
+// in-flight request finishes correctly even when a refresh rotates the
 // period during the network round trip.
 //
-// Refresh is a two-phase epoch commit (DESIGN.md §9):
+// Refresh is a two-phase epoch commit (DESIGN.md §9). A separate refresh
+// mutex serializes refreshers (a second one gets the retryable Draining) and
+// hello reconciliation; the share lock is taken exclusively only for the
+// install, so decryptions keep running through the rest:
 //
-//   1. journal PendingRefresh{epoch, digest}          (before any frame leaves)
-//   2. PREPARE round trip -> round 2
-//   3. journal the round-2 reply                      (before the commit frame)
-//   4. COMMIT round trip -> server installs first
-//   5. ref_finish + epoch bump + journal              (client installs second)
+//   1. ref_round1                                  shared share lock
+//   2. journal PendingRefresh{epoch, digest}       (before any frame leaves)
+//   3. PREPARE sent; while it is in flight, draw   no share lock
+//      the next period's public HPSKE coins
+//   4. journal the round-2 reply                   (before the commit frame)
+//   5. COMMIT round trip -> server installs first  exclusive share lock
+//   6. ref_finish + sigma' + masks + epoch bump    exclusive share lock
+//   7. journal the new state
 //
-// Step 3 before step 4 is the crux: once the commit frame may have been sent,
+// Step 4 before step 5 is the crux: once the commit frame may have been sent,
 // the journal provably holds everything needed to roll forward, so the
 // reconciliation rule "commit iff the server committed, roll back otherwise"
 // is always executable -- a crash or lost frame at ANY point leaves a state
-// that resolve_pending() can repair, never a fork.
+// that reconcile() can repair, never a fork. Reconciliation holds the
+// refresh mutex, so it never reports or resolves a refresh that another
+// thread is still driving.
 //
 // DecryptionClient is one connection's view: it multiplexes every request
 // (one mux session each) over a single connection, auto-refreshes every K
@@ -113,7 +120,7 @@ class P1Runtime {
                   std::move(rng));
     }
     p1_->prepare_period();
-    if (journal_.attached() && !payload) persist_locked();
+    if (journal_.attached() && !payload) persist();
   }
 
   /// Build round 1 + capture (epoch, period key) consistently under the
@@ -135,78 +142,75 @@ class P1Runtime {
     return p1_->dec_finish_with(snap.sigma, reply);
   }
 
-  /// Run the two-phase refresh under the exclusive lock. `prepare` is called
-  /// with (epoch, ref round 1) and must return ref round 2; `commit` is
-  /// called with (epoch, digest) and must complete the server-side install
-  /// (its return value is ignored). Either callback throwing leaves the
-  /// journaled PendingRefresh in place -- the caller reconciles it via
-  /// resolve_pending() (a reconnect hello) before retrying.
+  /// Run the two-phase refresh, holding the refresh mutex throughout and the
+  /// share lock exclusively only for COMMIT and the install (the steps in
+  /// the header comment). `prepare(e, r1)` sends PREPARE and returns a
+  /// callable that waits for round 2 and returns it; `commit(e, digest)`
+  /// must complete the server-side install (its return value is ignored).
+  /// A refresh already in flight, or a journaled PendingRefresh still
+  /// awaiting reconciliation, fails it with the retryable Draining. Either
+  /// callback throwing leaves the PendingRefresh in place -- the caller
+  /// reconciles it via reconcile() (a reconnect hello) before retrying.
   template <class Prepare, class Commit>
   void refresh(Prepare&& prepare, Commit&& commit) {
-    std::unique_lock lock(mu_);
+    std::unique_lock rlock(refresh_mu_, std::try_to_lock);
+    if (!rlock.owns_lock())
+      throw ServiceError(ServiceErrc::Draining, epoch(), "another refresh is in progress");
     if (pending_)
       throw ServiceError(ServiceErrc::Draining, epoch(),
                          "pending refresh awaiting reconciliation");
     const std::uint64_t e = epoch();
-    const Bytes r1 = p1_->ref_round1();
-    Pending p;
-    p.epoch = e;
-    p.digest = crypto::digest_to_bytes(crypto::Sha256::hash(r1));
-    pending_ = std::move(p);
+    Bytes r1;
+    {
+      std::shared_lock lock(mu_);
+      r1 = p1_->ref_round1();
+    }
+    pending_.emplace(Pending{e, crypto::digest_to_bytes(crypto::Sha256::hash(r1)), {}});
     pending_flag_.store(true);
-    persist_locked();  // journal the intent before any frame leaves
-    pending_->r2 = prepare(e, r1);
-    persist_locked();  // journal round 2 BEFORE the commit frame: from here
-                       // on, "server committed" is always roll-forwardable
-    (void)commit(e, pending_->digest);
-    commit_locked();
-  }
-
-  /// Apply a reconciliation verdict for the pending refresh identified by
-  /// `digest` (what the hello reported). A verdict for a different digest --
-  /// a stale answer raced by another thread's reconciliation -- is a no-op.
-  void resolve_pending(RefDisposition disp, std::uint64_t server_epoch,
-                       const Bytes& digest) {
-    std::unique_lock lock(mu_);
-    if (!pending_ || pending_->digest != digest) return;
-    switch (disp) {
-      case RefDisposition::Commit:
-        if (!pending_->r2)
-          throw ServiceError(ServiceErrc::Internal, server_epoch,
-                             "server committed a refresh the client never "
-                             "reached the commit phase of");
-        commit_locked();
-        telemetry::Registry::global().counter("svc.recoveries").add();
-        telemetry::event(telemetry::EventKind::Reconcile,
-                         "side=p1 verdict=commit epoch=" + std::to_string(server_epoch));
-        break;
-      case RefDisposition::Rollback:
-        // Discard the sampled-but-never-installed refresh state and start a
-        // fresh period; the share and epoch are unchanged.
-        p1_->end_period();
-        p1_->prepare_period();
-        pending_.reset();
-        pending_flag_.store(false);
-        persist_locked();
-        telemetry::Registry::global().counter("svc.rollbacks").add();
-        telemetry::event(telemetry::EventKind::Reconcile,
-                         "side=p1 verdict=rollback epoch=" + std::to_string(server_epoch));
-        break;
-      case RefDisposition::None:
-        break;  // another thread resolved it concurrently
+    persist();  // journal the intent before any frame leaves
+    auto await_r2 = prepare(e, r1);
+    p1_->draw_next_coins();
+    pending_->r2 = await_r2();
+    persist();  // journal round 2 BEFORE the commit frame: from here on,
+                // "server committed" is always roll-forwardable
+    {
+      std::unique_lock lock(mu_);
+      (void)commit(e, pending_->digest);
+      install_locked();
     }
+    persist();
+    epoch_cv_.notify_all();
   }
 
+  /// Hello reconciliation: `exchange(info)` sends a hello reporting the
+  /// pending refresh `info` (and epoch()) and returns the peer's HelloOk,
+  /// whose verdict is then applied: Commit installs the journaled round 2,
+  /// Rollback discards the sampled refresh state and starts a fresh period
+  /// (share and epoch unchanged). Holds the refresh mutex throughout, so it
+  /// waits out a refresh another thread is driving instead of reporting it.
+  /// Returns the peer's answer.
+  template <class Exchange>
+  HelloOk reconcile(Exchange&& exchange) {
+    std::lock_guard rlock(refresh_mu_);
+    return reconcile_locked(exchange);
+  }
+
+  /// reconcile() for a refresh stuck pending only: nullopt without an
+  /// exchange when nothing is pending, or when a refresh is in flight on
+  /// another thread -- that thread moves the epoch itself. Retry paths use
+  /// this, so they neither wait for nor act on a live refresh.
+  template <class Exchange>
+  std::optional<HelloOk> reconcile_if_stuck(Exchange&& exchange) {
+    if (!pending_flag_.load()) return std::nullopt;
+    std::unique_lock rlock(refresh_mu_, std::try_to_lock);
+    if (!rlock.owns_lock() || !pending_) return std::nullopt;
+    return reconcile_locked(exchange);
+  }
+
+  /// The pending refresh, if any. Waits out a refresh in flight.
   [[nodiscard]] PendingInfo pending_info() const {
-    std::shared_lock lock(mu_);
-    PendingInfo info;
-    if (pending_) {
-      info.active = true;
-      info.epoch = pending_->epoch;
-      info.digest = pending_->digest;
-      info.has_r2 = pending_->r2.has_value();
-    }
-    return info;
+    std::lock_guard rlock(refresh_mu_);
+    return pending_info_locked();
   }
 
   [[nodiscard]] std::uint64_t epoch() const {
@@ -214,8 +218,9 @@ class P1Runtime {
     return epoch_;
   }
 
-  /// Wait (bounded) for the epoch to move past `seen` -- used by decrypt()
-  /// retries so they re-issue only after the in-progress refresh lands.
+  /// Wait (bounded) for the epoch to move past `seen` -- used by decryption
+  /// retries (DecryptionClient, KsFleet) so they re-issue only after the
+  /// in-progress refresh lands.
   void wait_epoch_change(std::uint64_t seen, transport::Millis timeout) {
     std::unique_lock lock(epoch_mu_);
     epoch_cv_.wait_for(lock, timeout, [&] { return epoch_ != seen; });
@@ -247,30 +252,71 @@ class P1Runtime {
     std::optional<Bytes> r2;  // set once PREPARE round-tripped
   };
 
-  /// ref_finish + new period + epoch bump + journal. Caller holds mu_
-  /// exclusively with pending_->r2 set.
-  void commit_locked() {
+  [[nodiscard]] PendingInfo pending_info_locked() const {
+    PendingInfo info;
+    if (pending_) {
+      info.active = true;
+      info.epoch = pending_->epoch;
+      info.digest = pending_->digest;
+      info.has_r2 = pending_->r2.has_value();
+    }
+    return info;
+  }
+
+  /// Caller holds refresh_mu_, so the pending refresh cannot change while
+  /// the hello is on the wire.
+  template <class Exchange>
+  HelloOk reconcile_locked(Exchange& exchange) {
+    const HelloOk ok = exchange(pending_info_locked());
+    if (!pending_) return ok;
+    switch (ok.disposition) {
+      case RefDisposition::Commit:
+        if (!pending_->r2)
+          throw ServiceError(ServiceErrc::Internal, ok.server_epoch,
+                             "server committed a refresh the client never "
+                             "reached the commit phase of");
+        {
+          std::unique_lock lock(mu_);
+          install_locked();
+        }
+        persist();
+        epoch_cv_.notify_all();
+        break;
+      case RefDisposition::Rollback:
+        {
+          std::unique_lock lock(mu_);
+          p1_->end_period();
+          p1_->prepare_period();
+        }
+        pending_.reset();
+        pending_flag_.store(false);
+        persist();
+        break;
+      case RefDisposition::None:
+        break;
+    }
+    return ok;
+  }
+
+  /// ref_finish + next period (sigma' and the masks over the coins drawn
+  /// during PREPARE) + epoch bump. Caller holds refresh_mu_ and mu_
+  /// exclusively, with pending_->r2 set.
+  void install_locked() {
     p1_->ref_finish(*pending_->r2);
     p1_->prepare_period();
     pending_.reset();
     pending_flag_.store(false);
-    {
-      std::lock_guard elock(epoch_mu_);
-      ++epoch_;
-    }
-    persist_locked();
-    epoch_cv_.notify_all();
+    std::lock_guard elock(epoch_mu_);
+    ++epoch_;
   }
 
-  /// Journal (epoch, pending, party state). Caller holds mu_ exclusively
-  /// (or is the constructor).
-  void persist_locked() {
+  /// Journal (epoch, pending, party state). Caller holds refresh_mu_ (or is
+  /// the constructor): every mutation of pending_ and of the party state
+  /// happens under it, so the state is stable while decryptions read it.
+  void persist() {
     if (!journal_.attached()) return;
     ByteWriter w;
-    {
-      std::lock_guard elock(epoch_mu_);
-      w.u64(epoch_);
-    }
+    w.u64(epoch());
     w.u8(pending_ ? 1 : 0);
     if (pending_) {
       w.u64(pending_->epoch);
@@ -286,10 +332,11 @@ class P1Runtime {
 
   Journal journal_;
   std::optional<schemes::DlrParty1<GG>> p1_;  // optional: two construction paths
-  mutable std::shared_mutex mu_;     // guards p1_ mutation vs. round-1 reads
-  std::optional<Pending> pending_;   // guarded by mu_
-  std::atomic<bool> pending_flag_{false};  // mirrors pending_ for lock-free health reads
-  mutable std::mutex epoch_mu_;      // guards epoch_ (cv companion)
+  mutable std::shared_mutex mu_;        // share lock: p1_ period state vs. round-1 reads
+  mutable std::mutex refresh_mu_;       // one refresher or reconciler at a time
+  std::optional<Pending> pending_;      // guarded by refresh_mu_
+  std::atomic<bool> pending_flag_{false};  // mirrors pending_ for lock-free reads
+  mutable std::mutex epoch_mu_;         // guards epoch_ (cv companion)
   std::condition_variable epoch_cv_;
   std::uint64_t epoch_ = 0;
 };
@@ -299,6 +346,7 @@ class DecryptionClient {
  public:
   using Core = schemes::DlrCore<GG>;
   using GT = typename GG::GT;
+  using PendingInfo = typename P1Runtime<GG>::PendingInfo;
 
   struct Options {
     transport::TransportOptions transport{};
@@ -394,11 +442,12 @@ class DecryptionClient {
         telemetry::Registry::global().counter("svc.client.retries").add();
         telemetry::event(telemetry::EventKind::Retry,
                          std::string("op=dec cause=") + service_errc_name(e.code()));
-        // StaleEpoch with a pending refresh means reconciliation (not mere
-        // waiting) is what advances our epoch.
-        if (p1_->pending_info().active && m) {
+        // StaleEpoch with a refresh stuck pending means reconciliation (not
+        // mere waiting) is what advances our epoch; a refresh in flight on
+        // another thread advances it by itself.
+        if (m) {
           try {
-            hello(*m);
+            hello_if_stuck(*m);
           } catch (const transport::TransportError&) {
           } catch (const ServiceError&) {
           }
@@ -440,8 +489,9 @@ class DecryptionClient {
         admitted = true;
         m = mux();
         if (!m) m = reconnect(nullptr);
-        if (p1_->pending_info().active) hello(*m);  // resolve leftovers first
-        if (p1_->epoch() > start) {  // reconciliation rolled us forward
+        hello_if_stuck(*m);  // resolve leftovers first
+        // Reconciliation, or another client's refresh of this runtime, moved us.
+        if (p1_->epoch() > start) {
           breaker_success();
           return;
         }
@@ -451,7 +501,9 @@ class DecryptionClient {
               sess->send(transport::FrameType::Data,
                          static_cast<std::uint8_t>(net::DeviceId::P1), kLabelRefReq,
                          encode_request(e, r1), send_ctx());
-              return expect_ok(sess->recv(opt_.request_timeout), kLabelRefOk);
+              return [this, sess = std::move(sess)] {
+                return expect_ok(sess->recv(opt_.request_timeout), kLabelRefOk);
+              };
             },
             [&](std::uint64_t e, const Bytes& digest) {
               auto sess = m->open();
@@ -540,13 +592,25 @@ class DecryptionClient {
     return mux_;
   }
 
-  /// Hello exchange + pending-refresh reconciliation on `m`. The client first
-  /// offers wire-trace version kWireTraceVersion as a trailing hello byte; a
-  /// legacy server rejects the unknown byte with BadRequest, in which case we
-  /// re-hello bare and remember the peer as legacy (trace envelopes stay off
-  /// for this client -- old peers keep decrypting, just untraced).
+  /// Hello exchange + pending-refresh reconciliation on `m`
+  /// (P1Runtime::reconcile: waits out a refresh another thread is driving).
   void hello(transport::SessionMux& m) {
-    const auto info = p1_->pending_info();
+    count_verdict(p1_->reconcile([&](const PendingInfo& info) { return hello_exchange(m, info); }));
+  }
+
+  /// hello() only for a refresh stuck pending (P1Runtime::reconcile_if_stuck).
+  void hello_if_stuck(transport::SessionMux& m) {
+    const auto ok =
+        p1_->reconcile_if_stuck([&](const PendingInfo& info) { return hello_exchange(m, info); });
+    if (ok) count_verdict(*ok);
+  }
+
+  /// One hello reporting `info`. The client first offers wire-trace version
+  /// kWireTraceVersion as a trailing hello byte; a legacy server rejects the
+  /// unknown byte with BadRequest, in which case we re-hello bare and
+  /// remember the peer as legacy (trace envelopes stay off for this client --
+  /// old peers keep decrypting, just untraced).
+  [[nodiscard]] HelloOk hello_exchange(transport::SessionMux& m, const PendingInfo& info) {
     HelloMsg h;
     h.epoch = p1_->epoch();
     h.has_pending = info.active;
@@ -563,7 +627,20 @@ class DecryptionClient {
       ok = hello_once(m, h);
     }
     wire_version_.store(ok.version);
-    p1_->resolve_pending(ok.disposition, ok.server_epoch, info.digest);
+    return ok;
+  }
+
+  /// Telemetry for an applied reconciliation verdict.
+  static void count_verdict(const HelloOk& ok) {
+    if (ok.disposition == RefDisposition::Commit) {
+      telemetry::Registry::global().counter("svc.recoveries").add();
+      telemetry::event(telemetry::EventKind::Reconcile,
+                       "side=p1 verdict=commit epoch=" + std::to_string(ok.server_epoch));
+    } else if (ok.disposition == RefDisposition::Rollback) {
+      telemetry::Registry::global().counter("svc.rollbacks").add();
+      telemetry::event(telemetry::EventKind::Reconcile,
+                       "side=p1 verdict=rollback epoch=" + std::to_string(ok.server_epoch));
+    }
   }
 
   [[nodiscard]] HelloOk hello_once(transport::SessionMux& m, const HelloMsg& h) {

@@ -292,8 +292,12 @@ TEST(DlrOpsTest, EncryptionCostMatchesFootnote3) {
 // lambda = 64 on SS256 (l = 21, kappa = 4): P1's round 1 pairs every
 // coordinate of the l+1 transported ciphertexts, (l+1)(kappa+1) pairings (dB
 // is encrypted, not paired); P2 never pairs; a refresh pairs nothing. Round 1
-// carries l+2 GT-HPSKE ciphertexts and P2's reply carries one. Fan-out is
-// forced off: CountingGroup's counters are not synchronized.
+// carries l+2 GT-HPSKE ciphertexts and P2's reply carries one. A refresh
+// cycle (round 1, finish, the next period's share encryptions) samples
+// l(kappa+1) + (l+1)kappa = 193 raw points on P1, whether the next period's
+// coins are drawn during PREPARE (the service runtime) or at set-up, and
+// none on P2. Fan-out is forced off: CountingGroup's counters are not
+// synchronized.
 TEST(DlrOpsTest, TatePairingCountsAndMessageSizesMatchFormulas) {
   using CG = group::CountingGroup<Tate>;
   const auto tate = make_tate_ss256();
@@ -324,11 +328,21 @@ TEST(DlrOpsTest, TatePairingCountsAndMessageSizesMatchFormulas) {
   EXPECT_EQ(msg1.size(), (prm.ell + 2) * (prm.kappa + 1) * g1.gt_bytes());
   EXPECT_EQ(reply.size(), (prm.kappa + 1) * g1.gt_bytes());
 
-  g1.reset_counts();
-  g2.reset_counts();
-  p1.ref_finish(p2.ref_respond(p1.ref_round1()));
-  EXPECT_EQ(g1.counts().pairings, 0u);
-  EXPECT_EQ(g2.counts().pairings, 0u);
+  const std::size_t points = prm.ell * (prm.kappa + 1) + (prm.ell + 1) * prm.kappa;
+  EXPECT_EQ(points, 193u);
+  for (const bool early_coins : {false, true}) {
+    SCOPED_TRACE(early_coins ? "coins drawn during PREPARE" : "coins drawn at set-up");
+    g1.reset_counts();
+    g2.reset_counts();
+    const auto ref1 = p1.ref_round1();
+    if (early_coins) p1.draw_next_coins();
+    p1.ref_finish(p2.ref_respond(ref1));
+    p1.prepare_period();
+    EXPECT_EQ(g1.counts().pairings, 0u);
+    EXPECT_EQ(g2.counts().pairings, 0u);
+    EXPECT_EQ(g1.counts().g_random, points);
+    EXPECT_EQ(g2.counts().g_random, 0u);
+  }
   service::set_parallel_threads_for_test(-1);
 
   const auto c2 = DlrCore<CG>::enc(g1, kg.pk, m, rng);

@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <set>
 #include <thread>
 #include <vector>
@@ -487,6 +488,100 @@ TEST(KeyStoreTest, BudgetAccountingFeedsCandidatesAndResetsOnCommit) {
   EXPECT_TRUE(rig.store->candidates().empty());
 }
 
+TEST(KeyStoreTest, DecryptionsServedWhilePreparedCarryIntoTheNextPeriod) {
+  // P2's memory holds the candidate share from PREPARE to COMMIT, so a
+  // decryption served in that window is charged to the current period and
+  // carried into the next one; a rollback drops the carry (the candidate is
+  // gone), and a commit with nothing carried starts from zero.
+  typename KeyStore<MockGroup>::Options opt;
+  opt.budget_bits = 8;
+  opt.leak_per_dec_bits = 1;
+  StoreRig rig(310, opt);
+  const KeyId id{"acme", "mail"};
+  rig.add(id);
+  auto& p1 = *rig.p1s.at(id);
+  crypto::Rng rng(5);
+  EXPECT_TRUE(rig.roundtrip(id, 0, rng));
+
+  const Bytes r1 = p1.ref_round1();
+  const Bytes reply = rig.store->ref_prepare(id, 0, r1);
+  EXPECT_TRUE(rig.roundtrip(id, 0, rng));
+  EXPECT_TRUE(rig.roundtrip(id, 0, rng));
+  EXPECT_DOUBLE_EQ(rig.store->spent_frac(id), 3.0 / 8) << "the overlap counts in this period";
+  rig.store->ref_commit(id, 0, crypto::digest_to_bytes(crypto::Sha256::hash(r1)));
+  p1.ref_finish(reply);
+  p1.prepare_period();
+  EXPECT_DOUBLE_EQ(rig.store->spent_frac(id), 2.0 / 8) << "and is carried into the next";
+
+  const Bytes r1b = p1.ref_round1();
+  (void)rig.store->ref_prepare(id, 1, r1b);
+  EXPECT_TRUE(rig.roundtrip(id, 1, rng));
+  service::HelloMsg h;
+  h.epoch = 1;
+  h.has_pending = true;
+  h.pending_epoch = 1;
+  h.pending_digest = crypto::digest_to_bytes(crypto::Sha256::hash(r1b));
+  EXPECT_EQ(rig.store->hello(id, h).disposition, service::RefDisposition::Rollback);
+  p1.end_period();
+  p1.prepare_period();
+  EXPECT_DOUBLE_EQ(rig.store->spent_frac(id), 3.0 / 8);
+  rig.refresh(id, 1);
+  EXPECT_DOUBLE_EQ(rig.store->spent_frac(id), 0.0) << "a rolled-back refresh carries nothing";
+}
+
+TEST(KeyStoreTest, RecordsWithoutTheInstalledDigestStillLoad) {
+  // A key record journaled before the installed (epoch, digest) trailer
+  // existed still loads; with the digest unknown, a duplicate COMMIT or a
+  // pending hello for the previous epoch is answered as before (by epoch).
+  // The next install records its digest, which then survives a restart.
+  const auto dir = make_state_dir();
+  MockGroup gg = make_mock();
+  const auto prm = mock_params();
+  crypto::Rng rng(320);
+  const auto kg = Core::gen(gg, prm, rng);
+  const KeyId id{"acme", "old"};
+  {
+    SegmentJournal j(dir);
+    ByteWriter w;
+    w.u64(3);  // epoch
+    ByteWriter sw;
+    Core::ser_sk2(gg, sw, kg.sk2);
+    w.blob(sw.bytes());
+    w.u8(0);        // no pending refresh
+    w.blob(Bytes{});  // no rolled-back digest
+    w.u8(0);        // MigState::None
+    j.append(id, w.take());
+  }
+  typename KeyStore<MockGroup>::Options opt;
+  opt.state_dir = dir;
+  const Bytes any(32, 0x17);
+  {
+    KeyStore<MockGroup> store(gg, prm, crypto::Rng(321), opt);
+    EXPECT_EQ(store.epoch_of(id), 3u);
+    EXPECT_EQ(store.ref_commit(id, 2, any), 3u);
+    service::HelloMsg h;
+    h.epoch = 2;
+    h.has_pending = true;
+    h.pending_epoch = 2;
+    h.pending_digest = any;
+    EXPECT_EQ(store.hello(id, h).disposition, service::RefDisposition::Commit);
+
+    schemes::DlrParty1<MockGroup> p1(gg, prm, kg.pk, kg.sk1, schemes::P1Mode::Plain,
+                                     crypto::Rng(322));
+    const Bytes r1 = p1.ref_round1();
+    (void)store.ref_prepare(id, 3, r1);
+    EXPECT_EQ(store.ref_commit(id, 3, crypto::digest_to_bytes(crypto::Sha256::hash(r1))), 4u);
+  }
+  KeyStore<MockGroup> reopened(gg, prm, crypto::Rng(323), opt);
+  EXPECT_EQ(reopened.epoch_of(id), 4u);
+  try {
+    (void)reopened.ref_commit(id, 3, any);
+    FAIL() << "a commit for a digest that was never installed was acked after restart";
+  } catch (const service::ServiceError& e) {
+    EXPECT_EQ(e.code(), service::ServiceErrc::StaleEpoch);
+  }
+}
+
 TEST(KeyStoreTest, CrashRecoveryRestoresEveryKeyEpochAndPending) {
   const auto dir = make_state_dir();
   constexpr int kKeys = 12;
@@ -764,6 +859,76 @@ class SeverAtLabel final : public transport::Conn {
   bool forward_;
   std::shared_ptr<std::atomic<bool>> fired_;
 };
+
+/// Server-side connection wrapper that holds every outbound frame carrying
+/// `label` for `hold` before sending it. It runs on the replying worker's
+/// thread and takes no lock while it waits, so other replies on the same
+/// connection (a client lane shared with another thread) pass meanwhile.
+class HoldLabel final : public transport::Conn {
+ public:
+  HoldLabel(std::shared_ptr<transport::Conn> under, std::string label, transport::Millis hold)
+      : under_(std::move(under)), label_(std::move(label)), hold_(hold) {}
+
+  void send(const transport::Frame& f) override {
+    if (f.label == label_) std::this_thread::sleep_for(hold_);
+    under_->send(f);
+  }
+  transport::Frame recv(std::optional<transport::Millis> timeout) override {
+    return under_->recv(timeout);
+  }
+  using transport::Conn::recv;
+  [[nodiscard]] const transport::TransportOptions& options() const override {
+    return under_->options();
+  }
+  void shutdown() noexcept override { under_->shutdown(); }
+
+ private:
+  std::shared_ptr<transport::Conn> under_;
+  std::string label_;
+  transport::Millis hold_;
+};
+
+TEST(KsServiceTest, DecryptOfAKeyBeingRefreshedCompletesWhileItsPrepareReplyIsHeld) {
+  // The shards hold every ks.ref.ok reply. While one thread's refresh of a
+  // key waits for it, a second thread's decryption of the SAME key must
+  // finish: the fleet's per-key P1Runtime takes its share lock exclusively
+  // only for COMMIT and the install.
+  typename KsServer<MockGroup>::Options so;
+  so.conn_wrapper = [](std::shared_ptr<transport::FramedConn> fc)
+      -> std::shared_ptr<transport::Conn> {
+    return std::make_shared<HoldLabel>(std::move(fc), kKsRefOk, transport::Millis{800});
+  };
+  TwoShards svc(8100, so, so);
+  const auto keys = test_keys(1);
+  svc.add(keys[0]);
+  auto& owner = svc.s0->store().contains(keys[0]) ? svc.s0->store() : svc.s1->store();
+  std::atomic<bool> refreshed{false};
+  std::string refresh_error;  // read after join()
+  std::thread refresher([&] {
+    try {
+      svc.fleet->refresh_key(keys[0]);
+    } catch (const std::exception& e) {
+      refresh_error = e.what();
+    }
+    refreshed.store(true);
+  });
+  bool prepared = false;
+  for (int i = 0; i < 5000 && !prepared; ++i) {
+    prepared = owner.has_pending(keys[0]);
+    if (!prepared) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(prepared);
+  crypto::Rng rng(8101);
+  if (prepared) {
+    EXPECT_TRUE(svc.roundtrip(keys[0], rng));
+    EXPECT_FALSE(refreshed.load()) << "the decryption waited for the whole refresh";
+  }
+  refresher.join();
+  EXPECT_EQ(refresh_error, "");
+  EXPECT_EQ(svc.fleet->epoch_of(keys[0]), 1u);
+  EXPECT_EQ(owner.epoch_of(keys[0]), 1u);
+  EXPECT_TRUE(svc.roundtrip(keys[0], rng));
+}
 
 /// The REVIEW.md regression: a refresh interrupted between ks.ref.ok and
 /// ks.ref.commit.ok must reconcile over ks.hello on the next contact --
@@ -1253,11 +1418,15 @@ TEST(KsOverloadTest, StopWhileFloodedJoinsWithoutDeadlock) {
     });
 
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto t0 = std::chrono::steady_clock::now();
   server->stop();  // must not deadlock against shedding readers
   go.store(false);
   for (auto& t : flooders) t.join();
+  // A flooder blocked sending into the server's full receive buffer wakes
+  // when stop() closes the socket, not after its 10 s send_timeout.
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(3))
+      << "stop() left a flooder to wait out its send timeout";
   server.reset();
-  SUCCEED();
 }
 
 TEST(KsOverloadTest, SoakUnderOverloadKeepsEveryKeyInsideItsLeakageBudget) {

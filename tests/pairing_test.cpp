@@ -152,6 +152,67 @@ TEST(CurveTest, LiftXRejectsNonResidue) {
   EXPECT_GT(misses, 10);
 }
 
+// ---- the one-root sampler ------------------------------------------------------------
+
+/// Differential check of the sampler on one preset. On one x stream the
+/// one-root lift must equal the two-attempt reference (lift_x) wherever
+/// x^3 + x is a square, and lift_x(-x) elsewhere; the batched cofactor
+/// clearing must equal the reference scalar multiplication by h; and every
+/// point from single calls and from the native batch hook must be on the
+/// curve, not O and killed by r, with the batch drawing exactly what the
+/// single calls draw.
+template <class GG>
+void check_one_root_sampler(const GG& gg, std::uint64_t seed, int lifts, int points) {
+  const auto& ctx = gg.ctx();
+  const auto& fq = ctx.fq();
+  const auto& cv = ctx.curve();
+  Rng xs(seed);
+  int squares = 0;
+  std::vector<typename GG::G> lifted;
+  for (int i = 0; i < lifts; ++i) {
+    const auto x = fq.random(xs);
+    const bool sign = xs.coin();
+    const auto got = cv.lift_x_or_neg(x, sign);
+    if (const auto p = cv.lift_x(x, sign)) {
+      ++squares;
+      EXPECT_EQ(got, *p) << "x lifts, but not to lift_x's point";
+    } else {
+      const auto q = cv.lift_x(fq.neg(x), sign);
+      ASSERT_TRUE(q) << "neither x nor -x lifts";
+      EXPECT_EQ(got, *q) << "-x lifts, but not to lift_x's point";
+    }
+    EXPECT_TRUE(cv.is_on_curve(got));
+    if (lifted.size() < static_cast<std::size_t>(points)) lifted.push_back(got);
+  }
+  EXPECT_GT(squares, 0);
+  EXPECT_LT(squares, lifts) << "the stream never exercised the -x branch";
+
+  const auto cleared = ctx.clear_cofactor_many(lifted);
+  ASSERT_EQ(cleared.size(), lifted.size());
+  for (std::size_t i = 0; i < lifted.size(); ++i)
+    EXPECT_EQ(cleared[i], cv.mul_binary(lifted[i], ctx.cofactor()));
+
+  Rng one(seed + 1);
+  Rng many(seed + 1);
+  const auto batch = gg.g_random_many(many, static_cast<std::size_t>(points));
+  ASSERT_EQ(batch.size(), static_cast<std::size_t>(points));
+  for (const auto& p : batch) {
+    const auto single = gg.g_random(one);
+    EXPECT_EQ(p, single) << "the batch drew differently from single calls";
+    for (const auto& q : {p, single}) {
+      EXPECT_FALSE(q.inf);
+      EXPECT_TRUE(cv.is_on_curve(q));
+      EXPECT_TRUE(cv.mul(q, ctx.order()).inf) << "[r]P != O";
+    }
+  }
+}
+
+TEST(SamplerTest, OneRootLiftMatchesTheTwoAttemptReferenceOnEveryPreset) {
+  check_one_root_sampler(group::make_tate_ss256(), 320, 64, 12);
+  check_one_root_sampler(group::make_tate_ss512(), 321, 48, 6);
+  check_one_root_sampler(group::make_tate_ss1024(), 322, 24, 3);
+}
+
 // ---- the pairing itself -----------------------------------------------------------
 
 template <std::size_t LQ, std::size_t LR>

@@ -237,15 +237,27 @@ TEST(ReshardTest, TwoToThreeRebalanceMovesKeysAndConservesState) {
 
   // Client traffic rides THROUGH the rebalance: every decryption must land,
   // via Draining retries and WrongShard reroutes, never an error surfaced.
+  // An exception is caught in the thread (one escaping a std::thread would
+  // abort the whole binary) and reported by the EXPECT below.
   std::atomic<bool> fail{false};
+  std::string fail_why;  // written before `fail` is set, read after join()
   std::thread traffic([&] {
     crypto::Rng trng(12);
-    for (int i = 0; i < 60 && !fail.load(); ++i)
-      if (!rig.roundtrip(keys[i % keys.size()], trng)) fail.store(true);
+    for (int i = 0; i < 60 && !fail.load(); ++i) {
+      try {
+        if (!rig.roundtrip(keys[i % keys.size()], trng)) {
+          fail_why = "wrong plaintext";
+          fail.store(true);
+        }
+      } catch (const std::exception& e) {
+        fail_why = e.what();
+        fail.store(true);
+      }
+    }
   });
   rig.propose_three(2);
   traffic.join();
-  EXPECT_FALSE(fail.load()) << "a decryption failed mid-rebalance";
+  EXPECT_FALSE(fail.load()) << "a decryption failed mid-rebalance: " << fail_why;
   ASSERT_TRUE(rig.wait_settled());
 
   expect_conserved(rig, keys, newm, "rebalance");

@@ -8,12 +8,15 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <deque>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "crypto/sha256.hpp"
 #include "group/mock_group.hpp"
+#include "group/tate_group.hpp"
 #include "service/client.hpp"
 #include "service/journal.hpp"
 #include "service/p2_server.hpp"
@@ -169,13 +172,14 @@ TEST(EpochCoordinatorTest, ConcurrentRefreshesSerialize) {
   // epoch N. The exclusive entry lock serializes the installs: each bumps
   // the epoch by exactly one (ks.refreshes counts installs), and a prepare
   // that another refresher superseded, or whose epoch moved, answers
-  // StaleEpoch.
+  // StaleEpoch -- at its COMMIT too, so every commit ack is an install.
   DefaultKey k(7080);
   constexpr int kRefreshers = 4;
   auto& installs = telemetry::Registry::global().counter("ks.refreshes");
   [[maybe_unused]] const auto installs0 = installs.value();
   std::vector<std::unique_ptr<schemes::DlrParty1<MockGroup>>> parties;
   for (int i = 0; i < kRefreshers; ++i) parties.push_back(k.party(7081 + i));
+  std::atomic<int> acks{0};
   std::vector<std::thread> ts;
   for (int i = 0; i < kRefreshers; ++i)
     ts.emplace_back([&, i] {
@@ -184,6 +188,7 @@ TEST(EpochCoordinatorTest, ConcurrentRefreshesSerialize) {
         if (e >= kRefreshers) return;
         try {
           (void)k.refresh(*parties[static_cast<std::size_t>(i)], e);
+          acks.fetch_add(1);
         } catch (const ServiceError& err) {
           ASSERT_EQ(err.code(), ServiceErrc::StaleEpoch);
         }
@@ -191,9 +196,44 @@ TEST(EpochCoordinatorTest, ConcurrentRefreshesSerialize) {
     });
   for (auto& t : ts) t.join();
   EXPECT_EQ(k.store.epoch_of(k.id), static_cast<std::uint64_t>(kRefreshers));
+  EXPECT_EQ(acks.load(), kRefreshers) << "a commit was acked without being installed";
 #if DLR_TELEMETRY_ENABLED
   EXPECT_EQ(installs.value() - installs0, static_cast<std::uint64_t>(kRefreshers));
 #endif
+}
+
+TEST(EpochCoordinatorTest, SupersededPrepareGetsStaleEpochAtCommit) {
+  // Two parties PREPARE epoch 0 on one key; the second supersedes the first
+  // and commits. The first's COMMIT must not be acked: the key sits at
+  // epoch 1, but with the second party's share, so an ack would make the
+  // first party install a half that matches nothing (a forked key).
+  DefaultKey k(7090);
+  auto first = k.party(7091);
+  auto second = k.party(7092);
+  const auto digest = [](const Bytes& r1) {
+    return crypto::digest_to_bytes(crypto::Sha256::hash(r1));
+  };
+  const Bytes r1a = first->ref_round1();
+  (void)k.store.ref_prepare(k.id, 0, r1a);
+  const Bytes r1b = second->ref_round1();
+  const Bytes r2b = k.store.ref_prepare(k.id, 0, r1b);
+  EXPECT_EQ(k.store.ref_commit(k.id, 0, digest(r1b)), 1u);
+  EXPECT_EQ(errc_of([&] { (void)k.store.ref_commit(k.id, 0, digest(r1a)); }),
+            ServiceErrc::StaleEpoch);
+  EXPECT_EQ(k.store.ref_commit(k.id, 0, digest(r1b)), 1u) << "duplicate of the install";
+  // Reconciliation draws the same line: Commit for the installed digest,
+  // an epoch fork for the superseded one.
+  HelloMsg h;
+  h.has_pending = true;
+  h.pending_epoch = 0;
+  h.pending_digest = digest(r1a);
+  EXPECT_EQ(errc_of([&] { (void)k.store.hello(k.id, h); }), ServiceErrc::Internal);
+  h.pending_digest = digest(r1b);
+  EXPECT_EQ(k.store.hello(k.id, h).disposition, RefDisposition::Commit);
+  second->ref_finish(r2b);
+  EXPECT_TRUE(k.gg.g_eq(
+      Core::reconstruct_msk(k.gg, second->recover_share_for_test(), k.store.share_for_test(k.id)),
+      k.kg.msk));
 }
 
 // ---- end-to-end service -------------------------------------------------------
@@ -446,6 +486,183 @@ TEST(ServiceInterleaveTest, RawDecryptsRacingRefreshesAreCorrectOrRetryable) {
   const auto sk1 = svc.p1->share_for_test();
   const auto sk2 = svc.sk2();
   EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, sk1, sk2), svc.kg.msk));
+}
+
+// ---- decryptions overlapping a refresh -----------------------------------------
+
+/// Poll `cond` every millisecond for up to 5 s.
+template <class Cond>
+bool wait_until(Cond&& cond) {
+  for (int i = 0; i < 5000; ++i) {
+    if (cond()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return cond();
+}
+
+/// A client connection whose `index`-th inbound frame is held back `ms`
+/// (inbound frame 1 is the PREPARE reply of a refresh right after hello).
+std::function<std::shared_ptr<transport::Conn>(std::shared_ptr<transport::FramedConn>)>
+hold_inbound(std::uint64_t index, std::uint32_t ms) {
+  return [index, ms](std::shared_ptr<transport::FramedConn> fc)
+             -> std::shared_ptr<transport::Conn> {
+    transport::FaultPlan plan;
+    plan.in_at(index, {transport::FaultKind::Delay, ms});
+    return std::make_shared<transport::FaultInjector>(std::move(fc), plan);
+  };
+}
+
+TEST(ServiceRefreshOverlapTest, DecryptCompletesWhileAnotherClientsPrepareReplyIsHeld) {
+  // Client A's PREPARE reply is held on its connection. A decryption through
+  // client B on the same P1Runtime must finish meanwhile: P1 holds its share
+  // lock exclusively only for COMMIT and the install, not across PREPARE.
+  Service svc(/*workers=*/2, 7950);
+  typename DecryptionClient<MockGroup>::Options opt;
+  opt.conn_wrapper = hold_inbound(1, 800);
+  auto a = svc.client(opt);
+  auto b = svc.client();
+  std::atomic<bool> refreshed{false};
+  std::string refresh_error;  // read after join()
+  std::thread refresher([&] {
+    try {
+      a.refresh();
+    } catch (const std::exception& e) {
+      refresh_error = e.what();
+    }
+    refreshed.store(true);
+  });
+  const bool prepared =
+      wait_until([&] { return svc.server->store().has_pending(keystore::default_key_id()); });
+  EXPECT_TRUE(prepared);
+  crypto::Rng rng(7951);
+  const auto m = svc.gg.gt_random(rng);
+  const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
+  if (prepared) {
+    EXPECT_TRUE(svc.gg.gt_eq(b.decrypt(c), m));
+    EXPECT_FALSE(refreshed.load()) << "the decryption waited for the whole refresh";
+  }
+  refresher.join();
+  EXPECT_EQ(refresh_error, "");
+  EXPECT_EQ(a.epoch(), 1u);
+  EXPECT_EQ(svc.epoch(), 1u);
+  EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, svc.p1->share_for_test(), svc.sk2()),
+                          svc.kg.msk));
+}
+
+TEST(ServiceRefreshOverlapTest, ConnectionSeveredMidRefreshKeepsEpochsAgreedAndMskIntact) {
+  // Client B's connection dies while client A's refresh sits between
+  // PREPARE and COMMIT. B's reconnect hello must neither report nor resolve
+  // A's in-flight refresh (it would roll A's PREPARE back at the server);
+  // afterwards both parties agree on the epoch and msk has not moved.
+  Service svc(/*workers=*/2, 7960);
+  typename DecryptionClient<MockGroup>::Options opt_a;
+  opt_a.conn_wrapper = hold_inbound(1, 800);
+  std::shared_ptr<transport::FaultInjector> b_conn;
+  std::atomic<int> b_conns{0};
+  typename DecryptionClient<MockGroup>::Options opt_b;
+  opt_b.retry.base = transport::Millis{2};
+  opt_b.retry.cap = transport::Millis{20};
+  opt_b.conn_wrapper = [&](std::shared_ptr<transport::FramedConn> fc)
+      -> std::shared_ptr<transport::Conn> {
+    if (b_conns.fetch_add(1) != 0) return fc;
+    b_conn = std::make_shared<transport::FaultInjector>(std::move(fc), transport::FaultPlan{});
+    return b_conn;
+  };
+  auto a = svc.client(opt_a);
+  auto b = svc.client(opt_b);
+  std::string refresh_error;  // read after join()
+  std::thread refresher([&] {
+    try {
+      a.refresh();
+    } catch (const std::exception& e) {
+      refresh_error = e.what();
+    }
+  });
+  EXPECT_TRUE(
+      wait_until([&] { return svc.server->store().has_pending(keystore::default_key_id()); }));
+  if (b_conn) b_conn->shutdown();  // sever B mid-refresh
+  crypto::Rng rng(7961);
+  const auto m = svc.gg.gt_random(rng);
+  const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
+  EXPECT_TRUE(svc.gg.gt_eq(b.decrypt(c), m));
+  refresher.join();
+  EXPECT_EQ(refresh_error, "");
+  EXPECT_GE(b.reconnects(), 1u);
+  EXPECT_EQ(a.epoch(), 1u);
+  EXPECT_EQ(svc.epoch(), 1u) << "client and server epochs diverged";
+  EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, svc.p1->share_for_test(), svc.sk2()),
+                          svc.kg.msk))
+      << "the overlapping reconnect forked the key material";
+  const auto m2 = svc.gg.gt_random(rng);
+  const auto c2 = Core::enc(svc.gg, svc.kg.pk, m2, rng);
+  EXPECT_TRUE(svc.gg.gt_eq(a.decrypt(c2), m2));
+  EXPECT_TRUE(svc.gg.gt_eq(b.decrypt(c2), m2));
+}
+
+TEST(ServiceRefreshOverlapTest, CommitUnderADecryptFloodCompletesWithinABound) {
+  // Raw svc.dec floods from several connections keep every crypto worker
+  // inside a decryption session of the key (real SS256 shares, so sessions
+  // last milliseconds and overlap). The COMMIT must still get the exclusive
+  // entry lock promptly: new sessions wait at the entry's gate while the
+  // open ones drain, so the reader-preferring lock cannot starve it. The
+  // flood stops on its own after 5 s, so a starved commit fails the bound
+  // instead of hanging the test.
+  using Tate = group::TateSS256;
+  using TCore = schemes::DlrCore<Tate>;
+  const Tate gg = group::make_tate_ss256();
+  const auto prm = schemes::DlrParams::derive(gg.scalar_bits(), 64);
+  crypto::Rng rng(7970);
+  const auto kg = TCore::gen(gg, prm, rng);
+  typename P2Server<Tate>::Options so;
+  so.workers = 4;
+  so.adaptive_parallel = false;
+  P2Server<Tate> server(gg, prm, kg.sk2, crypto::Rng(7971), so);
+  server.start();
+  schemes::DlrParty1<Tate> party(gg, prm, kg.pk, kg.sk1, schemes::P1Mode::Plain,
+                                 crypto::Rng(7972));
+  party.prepare_period();
+  const Bytes round1 = party.dec_round1(TCore::enc(gg, kg.pk, gg.gt_random(rng), rng), rng);
+  const Bytes r1 = party.ref_round1();
+  const auto& id = keystore::default_key_id();
+  (void)server.store().ref_prepare(id, 0, r1);
+
+  const auto flood_end = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::atomic<bool> go{true};
+  std::atomic<int> served{0};
+  std::atomic<int> flood_errors{0};
+  std::vector<std::thread> flooders;
+  for (int t = 0; t < 4; ++t)
+    flooders.emplace_back([&] {
+      try {
+        transport::SessionMux mux(std::make_shared<transport::FramedConn>(
+            transport::connect_loopback(server.port()), transport::TransportOptions{}));
+        std::deque<std::unique_ptr<transport::SessionMux::Session>> inflight;
+        while (go.load() && std::chrono::steady_clock::now() < flood_end) {
+          auto sess = mux.open();
+          sess->send(transport::FrameType::Data, 1, kLabelDecReq, encode_request(0, round1));
+          inflight.push_back(std::move(sess));
+          if (inflight.size() < 8) continue;
+          if (inflight.front()->recv(transport::Millis{10000}).type == transport::FrameType::Data)
+            served.fetch_add(1);
+          inflight.pop_front();
+        }
+      } catch (const std::exception&) {
+        flood_errors.fetch_add(1);
+      }
+    });
+  EXPECT_TRUE(wait_until([&] { return served.load() >= 32; })) << "the flood never got going";
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(server.store().ref_commit(id, 0, crypto::digest_to_bytes(crypto::Sha256::hash(r1))),
+            1u);
+  const auto took = std::chrono::steady_clock::now() - t0;
+  go.store(false);
+  for (auto& t : flooders) t.join();
+  EXPECT_EQ(flood_errors.load(), 0);
+  EXPECT_LT(took, std::chrono::seconds(2))
+      << "COMMIT waited "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(took).count()
+      << " ms behind the decryption flood";
+  server.stop();
 }
 
 // ---- svc.* wire bytes ---------------------------------------------------------
@@ -1286,11 +1503,15 @@ TEST(ServiceOverloadTest, StopWhileFloodedJoinsWithoutDeadlock) {
     });
 
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto t0 = std::chrono::steady_clock::now();
   svc->server->stop();  // must not deadlock against shedding readers
   go.store(false);
   for (auto& t : flooders) t.join();
+  // A flooder blocked sending into the server's full receive buffer wakes
+  // when stop() closes the socket, not after its 10 s send_timeout.
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(3))
+      << "stop() left a flooder to wait out its send timeout";
   svc.reset();
-  SUCCEED();
 }
 
 }  // namespace
