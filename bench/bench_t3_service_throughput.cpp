@@ -209,7 +209,7 @@ FaultRun run_faults(Fixture& fx, std::uint64_t seed, int clients, int requests) 
   std::atomic<std::uint64_t> conn_no{0};
   typename service::DecryptionClient<MockGroup>::Options copt;
   copt.request_timeout = transport::Millis{500};
-  copt.max_retries = 40;
+  copt.retry.max_attempts = 41;
   copt.retry.base = transport::Millis{2};
   copt.retry.cap = transport::Millis{40};
   copt.auto_refresh_every = 16;

@@ -42,11 +42,7 @@ Rng Rng::fork(const std::string& label) {
   w.str("dlr.rng.fork");
   w.raw(std::span<const std::uint8_t>(key_));
   w.str(label);
-  const auto d = Sha256::hash(w.bytes());
-  Rng child(static_cast<std::uint64_t>(0));
-  std::memcpy(child.key_.data(), d.data(), 32);
-  child.block_ = 0;
-  child.avail_ = 0;
+  Rng child(Key{}, Sha256::hash(w.bytes()));
   // Ratchet our own key so fork points are not recoverable later.
   const auto self = tagged_hash("dlr.rng.ratchet", std::span<const std::uint8_t>(key_));
   std::memcpy(key_.data(), self.data(), 32);

@@ -39,6 +39,10 @@ class Rng {
   bool coin() { return (u64() & 1) != 0; }
 
  private:
+  /// A generator keyed directly by `key` (fork's child: no seed hashing).
+  struct Key {};
+  Rng(Key, const std::array<std::uint8_t, 32>& key) : key_(key) {}
+
   std::array<std::uint8_t, 32> key_;
   std::uint64_t block_ = 0;
   std::array<std::uint8_t, 64> buf_;

@@ -14,15 +14,16 @@
 // and the install, so decryptions of the key being refreshed keep running,
 // and refreshes of DIFFERENT keys never contend.
 //
-// Routing: the fleet caches a versioned ShardMap and maintains a small pool
-// of SessionMux connections per shard (Options::conns_per_shard lanes, each
-// calling thread hashing to one), connected lazily and replaced on
-// transport failure.
-// A WrongShard response -- stale map after a re-shard -- triggers a ks.map
-// refetch from the answering shard (every shard serves the whole map) and a
-// re-route; the retry loop treats it like any retryable error, under the
-// same bounded-backoff RetrySchedule as PR 2's client. With an EMPTY map
-// everything routes to the bootstrap port (single-shard mode).
+// Requests run on the single-key client's retry core (service::RetryCore):
+// it keeps kConnsPerShard connection lanes and one circuit breaker per
+// shard, and retries under the same rules and the same retry.deadline
+// budget. The fleet adds the routing: it caches a versioned ShardMap, and a
+// WrongShard response -- stale map after a re-shard -- triggers a
+// single-flight ks.map refetch from the answering shard (every shard serves
+// the whole map) and a re-route. With an EMPTY map everything routes to the
+// bootstrap port (single-shard mode). A key whose refresh is stuck pending
+// is reconciled over ks.hello before each attempt on it. The fleet opens no
+// client spans and stamps no trace context.
 //
 // The refresh scheduler (scheduler.hpp) lives HERE because refresh is a
 // two-party protocol and this process holds the P1 shares. Its Source is
@@ -33,16 +34,13 @@
 // explicitly (refresh-every-K is gone).
 #pragma once
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -54,9 +52,7 @@
 #include "service/client.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/metrics.hpp"
-#include "transport/breaker.hpp"
 #include "transport/mux.hpp"
-#include "transport/retry.hpp"
 
 namespace dlr::keystore {
 
@@ -68,31 +64,17 @@ class KsFleet {
   using ServiceErrc = service::ServiceErrc;
   using ServiceError = service::ServiceError;
 
-  struct Options {
-    transport::TransportOptions transport{};
-    transport::Millis request_timeout{10000};
-    int max_retries = 8;
-    transport::RetryPolicy retry{};
-    /// Wraps every connection (fault injection in tests/benches).
-    std::function<std::shared_ptr<transport::Conn>(std::shared_ptr<transport::FramedConn>)>
-        conn_wrapper;
+  struct Options : service::RetryCore::Options {
     RefreshScheduler::Options scheduler{};
     /// Budget fraction at which the scheduler refreshes a key.
     double refresh_threshold = 0.5;
-    /// Connections kept per shard. Each calling thread hashes to one lane,
-    /// so concurrent client threads do not serialize on a single socket's
-    /// send mutex and pump thread (the single-key client gives every
-    /// DecryptionClient its own connection; the pool is the fleet analogue).
-    int conns_per_shard = 4;
-    /// Per-SHARD circuit breaker under the retry loop (DESIGN.md §13): a
-    /// shard that keeps failing or shedding gets fast-failed locally until
-    /// its cooldown elapses, instead of burning the attempt budget on it.
-    transport::CircuitBreaker::Options breaker{};
-    /// Per-operation deadline budget (0 = none). Deducted across retries
-    /// and backoff sleeps; the remaining budget rides each ks.dec request
-    /// so the server can drop work the caller already gave up on.
-    transport::Millis deadline{0};
   };
+
+  /// Connections kept per shard. Each calling thread hashes to one lane, so
+  /// concurrent client threads do not serialize on a single socket's send
+  /// mutex and pump thread (the single-key client gives every
+  /// DecryptionClient its own connection; the lanes are the fleet analogue).
+  static constexpr std::size_t kConnsPerShard = 4;
 
   /// `bootstrap_port` serves two roles: where everything routes while the
   /// map is empty, and where fetch_map() bootstraps from.
@@ -102,7 +84,14 @@ class KsFleet {
         prm_(prm),
         rng_(std::move(rng)),
         bootstrap_port_(bootstrap_port),
-        opt_(std::move(opt)) {}
+        opt_(std::move(opt)),
+        core_(opt_, {.metrics = "ks.client",
+                     .reconnects = "ks.client.reconnects",
+                     .lanes = kConnsPerShard,
+                     .on_wrong_shard =
+                         [this](std::uint32_t shard, transport::SessionMux& m) {
+                           return refetch_map_single_flight(shard, m);
+                         }}) {}
 
   ~KsFleet() { close(); }
   KsFleet(const KsFleet&) = delete;
@@ -123,12 +112,12 @@ class KsFleet {
     ByteWriter w;
     Core::ser_sk2(gg_, w, sk2);
     const Bytes body = encode_ks_put(id, w.take());
-    with_retries(id, [&](transport::SessionMux& m, std::uint32_t) {
-      auto sess = m.open();
+    service::P1Runtime<GG>* const no_key = nullptr;
+    core_.run("put", no_key, route(id), [&](Attempt& a) {
+      auto sess = a.mux.open();
       sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
                  kKsPut, body);
-      (void)service::expect_ok(sess->recv(opt_.request_timeout), kKsPutOk);
-      return 0;
+      (void)service::expect_ok(sess->recv(a.timeout()), kKsPutOk);
     });
   }
 
@@ -137,55 +126,54 @@ class KsFleet {
   [[nodiscard]] GT decrypt(const KeyId& id, const typename Core::Ciphertext& c) {
     auto st = state(id);
     thread_local crypto::Rng rng = crypto::Rng::from_os_entropy();
-    return with_retries(id, [&](transport::SessionMux& m, std::uint32_t remaining_ms) {
-      maybe_reconcile(m, id, *st);
+    return core_.run("dec", &st->p1, route(id), [&](Attempt& a) {
+      maybe_reconcile(a, id, *st);
       const auto snap = st->p1.begin_decrypt(c, rng);
-      auto sess = m.open();
+      auto sess = a.mux.open();
       sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
-                 kKsDec, encode_ks_request(id, snap.epoch, snap.round1, remaining_ms));
+                 kKsDec, encode_ks_request(id, snap.epoch, snap.round1, a.deadline_ms()));
       const KsDecOk ok =
-          decode_ks_dec_ok(service::expect_ok(sess->recv(opt_.request_timeout), kKsDecOk));
+          decode_ks_dec_ok(service::expect_ok(sess->recv(a.timeout()), kKsDecOk));
       st->spent_millibits.store(ok.spent_millibits);
       st->budget_millibits.store(ok.budget_millibits);
       return st->p1.finish_decrypt(snap, ok.reply);
-    }, st.get());
+    });
   }
 
   /// Run the two-phase refresh for one key, advancing its epoch by one.
   /// Also the scheduler's RefreshFn. An interrupted attempt leaves pending
-  /// state that the next contact's ks.hello reconciles; a refresh of the
+  /// state that the next attempt's ks.hello reconciles; a refresh of the
   /// key already in flight on another thread answers Draining, retried here
   /// until that refresh has moved the epoch.
   void refresh_key(const KeyId& id) {
     auto st = state(id);
     const std::uint64_t start = st->p1.epoch();
-    with_retries(id, [&](transport::SessionMux& m, std::uint32_t) {
-      maybe_reconcile(m, id, *st);
-      if (st->p1.epoch() > start) return 0;  // reconciliation (or another refresh) moved it
+    core_.run("refresh", &st->p1, route(id), [&](Attempt& a) {
+      maybe_reconcile(a, id, *st);
+      if (st->p1.epoch() > start) return;  // reconciliation (or another refresh) moved it
       st->p1.refresh(
           [&](std::uint64_t e, const Bytes& r1) {
-            auto sess = m.open();
+            auto sess = a.mux.open();
             sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
                        kKsRef, encode_ks_request(id, e, r1));
-            return [this, sess = std::move(sess)] {
-              return service::expect_ok(sess->recv(opt_.request_timeout), kKsRefOk);
+            return [&a, sess = std::move(sess)] {
+              return service::expect_ok(sess->recv(a.timeout()), kKsRefOk);
             };
           },
           [&](std::uint64_t e, const Bytes& digest) {
-            auto sess = m.open();
+            auto sess = a.mux.open();
             sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
                        kKsRefCommit, encode_ks_request(id, e, digest));
             return service::decode_commit_ok(
-                service::expect_ok(sess->recv(opt_.request_timeout), kKsRefCommitOk));
+                service::expect_ok(sess->recv(a.timeout()), kKsRefCommitOk));
           });
       st->spent_millibits.store(0);  // fresh period; the next ks.dec.ok corrects the mirror
-      return 0;
     });
   }
 
   /// Fetch the shard map from `port` (default: bootstrap) and adopt it.
   void fetch_map(std::uint16_t port = 0) {
-    auto m = connect_raw(port ? port : bootstrap_port_);
+    auto m = core_.connect(port ? port : bootstrap_port_);
     adopt_map(fetch_map_on(*m));
     m->stop();
   }
@@ -255,7 +243,7 @@ class KsFleet {
   }
   [[nodiscard]] RefreshScheduler* scheduler() { return scheduler_.get(); }
 
-  [[nodiscard]] std::uint64_t reconnects() const { return reconnects_.load(); }
+  [[nodiscard]] std::uint64_t reconnects() const { return core_.reconnects(); }
   [[nodiscard]] std::uint64_t map_refetches() const { return map_refetches_.load(); }
   /// Callers that blocked on another thread's in-flight map fetch instead of
   /// issuing their own (the WrongShard-storm dedupe).
@@ -264,20 +252,17 @@ class KsFleet {
 
   /// The breaker guarding `shard` (created on first use; tests/benches).
   [[nodiscard]] transport::CircuitBreaker& shard_breaker(std::uint32_t shard) {
-    return breaker_for(shard);
+    return core_.breaker(shard);
   }
 
   void close() {
     stop_scheduler();
-    std::lock_guard lk(mux_mu_);
-    closed_ = true;
-    for (auto& [shard, sc] : muxes_)
-      for (auto& m : sc.lanes)
-        if (m) m->stop();
-    muxes_.clear();
+    core_.close();
   }
 
  private:
+  using Attempt = service::RetryCore::Attempt;
+
   struct KeyState {
     KeyState(const GG& gg, const schemes::DlrParams& prm, typename Core::PublicKey pk,
              typename Core::Sk1 sk1, schemes::P1Mode mode, crypto::Rng rng)
@@ -318,7 +303,7 @@ class KsFleet {
   /// Per-key hello reconciliation, run before any op on a key whose refresh
   /// is stuck pending (never as a blanket post-reconnect sweep, and never
   /// for a refresh another thread is still driving).
-  void maybe_reconcile(transport::SessionMux& m, const KeyId& id, KeyState& st) {
+  void maybe_reconcile(const Attempt& a, const KeyId& id, KeyState& st) {
     const auto ok = st.p1.reconcile_if_stuck(
         [&](const typename service::P1Runtime<GG>::PendingInfo& info) {
           service::HelloMsg h;
@@ -326,11 +311,11 @@ class KsFleet {
           h.has_pending = info.active;
           h.pending_epoch = info.epoch;
           h.pending_digest = info.digest;
-          auto sess = m.open();
+          auto sess = a.mux.open();
           sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
                      kKsHello, encode_ks_hello(id, h));
           return service::decode_hello_ok(
-              service::expect_ok(sess->recv(opt_.request_timeout), kKsHelloOk));
+              service::expect_ok(sess->recv(a.timeout()), kKsHelloOk));
         });
     if (!ok) return;
     if (ok->disposition == service::RefDisposition::Commit) st.spent_millibits.store(0);
@@ -340,80 +325,19 @@ class KsFleet {
 
   // ---- routing ----
 
-  [[nodiscard]] std::uint16_t port_for(const KeyId& id, std::uint32_t* shard_out) const {
-    std::shared_lock lk(map_mu_);
-    if (map_.empty()) {
-      *shard_out = 0;
-      return bootstrap_port_;
-    }
-    const std::uint32_t shard = map_.owner(id);
-    const ShardInfo* s = map_.shard(shard);
-    if (!s)
-      throw ServiceError(ServiceErrc::Internal, 0,
-                         "shard map names shard " + std::to_string(shard) + " without an address");
-    *shard_out = shard;
-    return s->port;
-  }
-
-  [[nodiscard]] std::shared_ptr<transport::SessionMux> connect_raw(std::uint16_t port) {
-    auto fc = std::make_shared<transport::FramedConn>(
-        transport::connect_loopback(port, opt_.transport), opt_.transport);
-    std::shared_ptr<transport::Conn> conn =
-        opt_.conn_wrapper ? opt_.conn_wrapper(std::move(fc))
-                          : std::static_pointer_cast<transport::Conn>(std::move(fc));
-    return std::make_shared<transport::SessionMux>(std::move(conn));
-  }
-
-  [[nodiscard]] std::size_t lane_of() const {
-    const std::size_t n = opt_.conns_per_shard > 0 ? opt_.conns_per_shard : 1;
-    return std::hash<std::thread::id>{}(std::this_thread::get_id()) % n;
-  }
-
-  [[nodiscard]] std::shared_ptr<transport::SessionMux> mux_for(std::uint32_t shard,
-                                                               std::uint16_t port) {
-    const std::size_t lane = lane_of();
-    {
-      // Read-mostly fast path: once a lane's mux exists it is only replaced
-      // after a transport failure, so the steady-state request stream shares
-      // the lock instead of serializing on it.
-      std::shared_lock lk(mux_mu_);
-      if (closed_)
-        throw transport::TransportError(transport::Errc::ConnectionClosed, "fleet closed");
-      const auto it = muxes_.find(shard);
-      if (it != muxes_.end() && lane < it->second.lanes.size() && it->second.lanes[lane])
-        return it->second.lanes[lane];
-    }
-    std::unique_lock lk(mux_mu_);
-    if (closed_)
-      throw transport::TransportError(transport::Errc::ConnectionClosed, "fleet closed");
-    auto& sc = muxes_[shard];
-    const std::size_t n = opt_.conns_per_shard > 0 ? opt_.conns_per_shard : 1;
-    if (sc.lanes.size() < n) {
-      sc.lanes.resize(n);
-      sc.ever.resize(n, 0);
-    }
-    auto& slot = sc.lanes[lane];
-    if (!slot) {
-      slot = connect_raw(port);
-      if (sc.ever[lane]) {
-        reconnects_.fetch_add(1);
-        telemetry::Registry::global().counter("ks.client.reconnects").add();
-      }
-      sc.ever[lane] = 1;
-    }
-    return slot;
-  }
-
-  void drop_mux(std::uint32_t shard, const std::shared_ptr<transport::SessionMux>& failed) {
-    std::lock_guard lk(mux_mu_);
-    auto it = muxes_.find(shard);
-    if (it == muxes_.end()) return;
-    for (auto& slot : it->second.lanes)
-      if (slot == failed) {
-        slot->stop();
-        slot.reset();
-        return;
-      }
+  /// The endpoint of `id`'s owning shard, read from the map at each attempt.
+  [[nodiscard]] auto route(const KeyId& id) const {
+    return [this, &id] {
+      std::shared_lock lk(map_mu_);
+      if (map_.empty()) return service::RetryCore::Endpoint{0, bootstrap_port_};
+      const std::uint32_t shard = map_.owner(id);
+      const ShardInfo* s = map_.shard(shard);
+      if (!s)
+        throw ServiceError(ServiceErrc::Internal, 0,
+                           "shard map names shard " + std::to_string(shard) +
+                               " without an address");
+      return service::RetryCore::Endpoint{shard, s->port};
+    };
   }
 
   [[nodiscard]] ShardMap fetch_map_on(transport::SessionMux& m) {
@@ -463,140 +387,6 @@ class KsFleet {
     return ok;
   }
 
-  /// The routed retry loop shared by every op: route -> run -> on WrongShard
-  /// refetch the map from the answering shard, on other retryable errors
-  /// back off, on transport failure drop that shard's mux and reconnect.
-  /// With the key's state `st`, a StaleEpoch backs off only until the key's
-  /// P1 half moves its epoch: decryptions overlap the key's refresh, and one
-  /// whose round 1 reached P2 after the COMMIT retries as soon as P1 has
-  /// installed its half (DecryptionClient::decrypt waits the same way).
-  template <class Op>
-  auto with_retries(const KeyId& id, Op&& op, KeyState* st = nullptr) -> decltype(op(
-      std::declval<transport::SessionMux&>(), std::uint32_t{})) {
-    thread_local crypto::Rng backoff_rng = crypto::Rng::from_os_entropy();
-    transport::RetryPolicy policy = opt_.retry;
-    policy.max_attempts = opt_.max_retries + 1;
-    transport::RetrySchedule sched(policy);
-    const auto op_deadline = opt_.deadline.count() > 0
-                                 ? std::chrono::steady_clock::now() + opt_.deadline
-                                 : std::chrono::steady_clock::time_point{};
-    for (;;) {
-      const std::uint64_t seen = st ? st->p1.epoch() : 0;
-      std::uint32_t shard = 0;
-      std::shared_ptr<transport::SessionMux> m;
-      transport::CircuitBreaker* br = nullptr;
-      bool admitted = false;  // breaker outcome owed only for admitted attempts
-      try {
-        check_budget(op_deadline);
-        const std::uint16_t port = port_for(id, &shard);
-        br = &breaker_for(shard);
-        const auto adm = br->try_acquire();
-        if (!adm.admitted) {
-          telemetry::Registry::global().counter("ks.client.breaker.fastfail").add();
-          throw ServiceError(
-              ServiceErrc::Overloaded, 0,
-              "circuit breaker open for shard " + std::to_string(shard),
-              static_cast<std::uint32_t>(adm.retry_after.count()));
-        }
-        admitted = true;
-        m = mux_for(shard, port);
-        auto result = op(*m, remaining_ms(op_deadline));
-        breaker_success(shard, *br);
-        return result;
-      } catch (const ServiceError& e) {
-        // Overloaded proves the shard is shedding; every other typed error
-        // proves it answered -- only the former counts against the breaker.
-        if (admitted && br) {
-          if (e.code() == ServiceErrc::Overloaded)
-            breaker_failure(shard, *br);
-          else
-            breaker_success(shard, *br);
-        }
-        if (!e.retryable()) throw;
-        const auto delay =
-            sched.next(backoff_rng.u64(), transport::Millis{e.retry_after_ms()});
-        if (!delay) throw;
-        telemetry::Registry::global().counter("ks.client.retries").add();
-        if (e.code() == ServiceErrc::WrongShard && m) {
-          // Stale map: the answering shard serves the current one. Concurrent
-          // misroutes to the same shard collapse to ONE in-flight fetch.
-          if (refetch_map_single_flight(shard, *m))
-            continue;  // re-route immediately; no backoff needed
-          // Fetch failed: fall through to the backoff path.
-        }
-        if (st && e.code() == ServiceErrc::StaleEpoch) {
-          st->p1.wait_epoch_change(seen, clamp_to_budget(*delay, op_deadline));
-          continue;
-        }
-        std::this_thread::sleep_for(clamp_to_budget(*delay, op_deadline));
-      } catch (const transport::TransportError&) {
-        if (admitted && br) breaker_failure(shard, *br);
-        const auto delay = sched.next(backoff_rng.u64());
-        if (!delay) throw;
-        telemetry::Registry::global().counter("ks.client.retries").add();
-        if (m) drop_mux(shard, m);
-        std::this_thread::sleep_for(clamp_to_budget(*delay, op_deadline));
-      }
-    }
-  }
-
-  // ---- deadline budget + per-shard breaker plumbing (DESIGN.md §13) ----
-
-  /// Throws the non-retryable typed error once the op's budget is spent; the
-  /// sleep clamp below guarantees the loop re-checks right after a backoff.
-  static void check_budget(std::chrono::steady_clock::time_point op_deadline) {
-    if (op_deadline == std::chrono::steady_clock::time_point{}) return;
-    if (std::chrono::steady_clock::now() >= op_deadline)
-      throw ServiceError(ServiceErrc::DeadlineExceeded, 0, "deadline budget spent");
-  }
-
-  /// Remaining budget to ride the wire (0 = no deadline; floor 1 ms so a
-  /// nearly-spent budget still encodes as "has a deadline").
-  [[nodiscard]] static std::uint32_t remaining_ms(
-      std::chrono::steady_clock::time_point op_deadline) {
-    if (op_deadline == std::chrono::steady_clock::time_point{}) return 0;
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        op_deadline - std::chrono::steady_clock::now());
-    return static_cast<std::uint32_t>(std::max<long long>(1, left.count()));
-  }
-
-  [[nodiscard]] static transport::Millis clamp_to_budget(
-      transport::Millis d, std::chrono::steady_clock::time_point op_deadline) {
-    if (op_deadline == std::chrono::steady_clock::time_point{}) return d;
-    return std::min(d, transport::Millis{remaining_ms(op_deadline)});
-  }
-
-  [[nodiscard]] transport::CircuitBreaker& breaker_for(std::uint32_t shard) {
-    std::lock_guard lk(breakers_mu_);
-    auto it = breakers_.find(shard);
-    if (it == breakers_.end())
-      it = breakers_
-               .emplace(shard,
-                        std::make_unique<transport::CircuitBreaker>(opt_.breaker))
-               .first;
-    return *it->second;
-  }
-
-  void breaker_success(std::uint32_t shard, transport::CircuitBreaker& br) {
-    const auto closes_before = br.closes();
-    br.on_success();
-    if (br.closes() != closes_before) {
-      telemetry::Registry::global().counter("ks.client.breaker.close").add();
-      telemetry::event(telemetry::EventKind::BreakerClose,
-                       "shard=" + std::to_string(shard));
-    }
-  }
-
-  void breaker_failure(std::uint32_t shard, transport::CircuitBreaker& br) {
-    const auto opens_before = br.opens();
-    br.on_failure();
-    if (br.opens() != opens_before) {
-      telemetry::Registry::global().counter("ks.client.breaker.open").add();
-      telemetry::event(telemetry::EventKind::BreakerOpen,
-                       "shard=" + std::to_string(shard) + " state=open");
-    }
-  }
-
   GG gg_;
   schemes::DlrParams prm_;
   std::mutex rng_mu_;
@@ -610,17 +400,6 @@ class KsFleet {
   mutable std::shared_mutex map_mu_;
   ShardMap map_;
 
-  /// Per-shard connection lanes (opt_.conns_per_shard of them; a lane that
-  /// was connected before counts re-establishment as a reconnect).
-  struct ShardConns {
-    std::vector<std::shared_ptr<transport::SessionMux>> lanes;
-    std::vector<char> ever;
-  };
-
-  std::shared_mutex mux_mu_;
-  std::map<std::uint32_t, ShardConns> muxes_;
-  bool closed_ = false;  // guarded by mux_mu_
-
   /// Per-shard single-flight map refetch state (guarded by map_fetch_mu_).
   struct MapFetch {
     bool in_flight = false;
@@ -631,16 +410,10 @@ class KsFleet {
   std::condition_variable map_fetch_cv_;
   std::map<std::uint32_t, MapFetch> map_fetches_;
   std::atomic<std::uint64_t> map_fetch_waits_{0};
-
-  /// Per-shard breakers, created on first route (unique_ptr: the breaker's
-  /// mutex pins its address while callers hold references across the map's
-  /// rebalancing inserts).
-  std::mutex breakers_mu_;
-  std::map<std::uint32_t, std::unique_ptr<transport::CircuitBreaker>> breakers_;
+  std::atomic<std::uint64_t> map_refetches_{0};
 
   std::unique_ptr<RefreshScheduler> scheduler_;
-  std::atomic<std::uint64_t> reconnects_{0};
-  std::atomic<std::uint64_t> map_refetches_{0};
+  service::RetryCore core_;  // last: its lanes close before the state above goes
 };
 
 }  // namespace dlr::keystore

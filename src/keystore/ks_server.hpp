@@ -140,14 +140,11 @@ class KsServer {
     /// bench): presents a controllable capacity so saturation is
     /// deterministic instead of a race against real crypto speed.
     std::chrono::microseconds inject_crypto_delay{0};
-    /// Emit a SlowRequest event when a decryption's server-side handling
-    /// exceeds this many milliseconds (0 = disabled).
-    double slow_request_ms = 0;
-    /// Answer svc.hello like a pre-observability v1 server: reject a
-    /// versioned hello as BadRequest and never negotiate wire tracing
-    /// (interop tests).
-    bool legacy_hello = false;
   };
+
+  /// A decryption whose server-side handling takes longer than this logs a
+  /// SlowRequest event (every 256th one, like Shed).
+  static constexpr double kSlowRequestMs = 100;
 
   KsServer(GG gg, schemes::DlrParams prm, crypto::Rng rng, Options opt)
       : opt_(std::move(opt)),
@@ -739,10 +736,9 @@ class KsServer {
       gov_.record_batch(ran, std::chrono::duration<double, std::micro>(
                                  std::chrono::steady_clock::now() - crypto_t0)
                                  .count());
-    for (const auto& j : batch) slow_request_since(j.enq);
-
     // Demultiplex: one frame list per connection, sent with one syscall.
     const auto encode_now = std::chrono::steady_clock::now();
+    for (const auto& j : batch) slow_request_since(j.enq, encode_now);
     std::vector<std::pair<transport::Conn*, std::vector<transport::Frame>>> by_conn;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const auto& j = batch[i];
@@ -1242,21 +1238,14 @@ class KsServer {
     service::HelloMsg h;
     try {
       h = service::decode_hello(f.body);
-      // A pre-observability server rejected the trailing version byte inside
-      // decode_hello; legacy_hello reproduces that so interop tests can prove
-      // the client's v1 fallback.
-      if (opt_.legacy_hello && h.version != 0)
-        throw std::invalid_argument("svc.hello: trailing bytes");
     } catch (const std::exception& e) {
       send_err(conn, f, ServiceErrc::BadRequest, e.what());
       return;
     }
     service::HelloOk ok = store_.hello(default_key_id(), h);
-    // The echoed version arms wire tracing on the client, so a legacy server
+    // The echoed version arms wire tracing on the client; a legacy client
     // (version 0) never receives a trace envelope it would reject.
-    ok.version = opt_.legacy_hello
-                     ? 0
-                     : std::min<std::uint8_t>(h.version, service::kWireDeadlineVersion);
+    ok.version = std::min<std::uint8_t>(h.version, service::kWireDeadlineVersion);
     reply_data(conn, f, service::kLabelHelloOk, service::encode_hello_ok(ok));
   }
 
@@ -1324,15 +1313,18 @@ class KsServer {
     send_err(conn, req, ServiceError(code, default_epoch(), msg, retry_after_ms));
   }
 
-  /// SlowRequest event for a decryption whose server-side handling began at t0.
-  void slow_request_since(std::chrono::steady_clock::time_point t0) const {
-    if (opt_.slow_request_ms <= 0) return;
-    const double ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-    if (ms > opt_.slow_request_ms)
+  /// SlowRequest event for a decryption whose server-side handling began at
+  /// t0 and ended at `now`, rate-limited like shed_event.
+  void slow_request_since(std::chrono::steady_clock::time_point t0,
+                          std::chrono::steady_clock::time_point now =
+                              std::chrono::steady_clock::now()) {
+    const double ms = std::chrono::duration<double, std::milli>(now - t0).count();
+    if (ms <= kSlowRequestMs) return;
+    const std::uint64_t nth = slow_requests_.fetch_add(1) + 1;
+    if (nth % 256 == 1)
       telemetry::event(telemetry::EventKind::SlowRequest,
-                       "ms=" + std::to_string(ms) +
-                           " threshold=" + std::to_string(opt_.slow_request_ms));
+                       "ms=" + std::to_string(ms) + " threshold=" +
+                           std::to_string(kSlowRequestMs) + " n=" + std::to_string(nth));
   }
 
   static telemetry::Counter& requests_counter() {
@@ -1415,6 +1407,7 @@ class KsServer {
   transport::Listener listener_;
   std::unique_ptr<service::WorkerPool> pool_;
   std::unique_ptr<service::AdminServer> admin_;
+  std::atomic<std::uint64_t> slow_requests_{0};  // decryptions over kSlowRequestMs
   std::chrono::steady_clock::time_point started_at_{};
   std::thread accept_thread_;
   std::thread compact_thread_;

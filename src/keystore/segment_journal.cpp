@@ -12,7 +12,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "service/journal.hpp"  // ensure_dir, join_path
 #include "telemetry/metrics.hpp"
 #include "transport/frame.hpp"  // crc32
 
@@ -117,9 +116,20 @@ void fsync_dir(const std::string& dir) {
 
 }  // namespace
 
+const std::string& ensure_dir(const std::string& dir) {
+  if (!dir.empty() && ::mkdir(dir.c_str(), 0700) != 0 && errno != EEXIST)
+    throw_io("mkdir", dir);
+  return dir;
+}
+
+std::string join_path(const std::string& dir, const std::string& name) {
+  if (dir.empty()) return name;
+  return (dir.back() == '/') ? dir + name : dir + "/" + name;
+}
+
 SegmentJournal::SegmentJournal(std::string dir, Options opt)
     : dir_(std::move(dir)), opt_(opt) {
-  service::ensure_dir(dir_);
+  ensure_dir(dir_);
 
   // Enumerate segments; delete stray .tmp files (crash before rename).
   std::vector<std::uint64_t> segs;
@@ -130,7 +140,7 @@ SegmentJournal::SegmentJournal(std::string dir, Options opt)
     if (const auto id = parse_seg_name(name)) {
       segs.push_back(*id);
     } else if (name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0) {
-      ::unlink(service::join_path(dir_, name).c_str());
+      ::unlink(join_path(dir_, name).c_str());
       ++recovery_.tmp_removed;
     }
   }
@@ -212,7 +222,7 @@ SegmentJournal::~SegmentJournal() {
 }
 
 std::string SegmentJournal::seg_path(std::uint64_t id) const {
-  return service::join_path(dir_, seg_name(id));
+  return join_path(dir_, seg_name(id));
 }
 
 void SegmentJournal::open_active_locked(std::uint64_t id) {

@@ -1,5 +1,6 @@
-// Segmented append-only journal: the persistence layer that scales the PR 4
-// single-record Journal to 10k+ keys (DESIGN.md §11).
+// Segmented append-only journal: the one on-disk format of both parties
+// (DESIGN.md §9.2, §11). The keystore journals every key of a shard into
+// one; a durable P1Runtime journals its single record into one of its own.
 //
 // A SegmentJournal owns one directory of segment files `seg-<16 hex>.log`.
 // Every state change of every key is one appended record:
@@ -135,5 +136,12 @@ class SegmentJournal {
 
 inline SegmentJournal::SegmentJournal(std::string dir)
     : SegmentJournal(std::move(dir), Options{}) {}
+
+/// mkdir(dir) if absent (single level; EEXIST is success). Returns dir so
+/// call sites can inline it when building journal paths.
+const std::string& ensure_dir(const std::string& dir);
+
+/// dir + "/" + name, tolerating a trailing slash on dir.
+[[nodiscard]] std::string join_path(const std::string& dir, const std::string& name);
 
 }  // namespace dlr::keystore

@@ -1,5 +1,8 @@
 // Client side of the DLR decryption service: the main processor P1 serving
-// many local user threads, speaking to the remote auxiliary device P2Server.
+// many local user threads, speaking to the remote auxiliary device P2 (the
+// one-key KsServer). The same P1 half and the same retry loop serve the
+// keystore fleet (keystore/ks_client.hpp), so this file is the one P1 client
+// stack.
 //
 // P1Runtime holds the singular P1 share behind a shared_mutex (the share
 // lock). Decryption round-1 construction runs under the shared lock
@@ -28,20 +31,32 @@
 // is always executable -- a crash or lost frame at ANY point leaves a state
 // that reconcile() can repair, never a fork. Reconciliation holds the
 // refresh mutex, so it never reports or resolves a refresh that another
-// thread is still driving.
+// thread is still driving. A durable runtime journals each step into a
+// keystore::SegmentJournal of its own under <state_dir>/p1/ (DESIGN.md
+// §9.2), the format the server journals in.
 //
-// DecryptionClient is one connection's view: it multiplexes every request
-// (one mux session each) over a single connection, auto-refreshes every K
-// decryptions when configured, and retries retryable service errors and
-// transport failures under a bounded-backoff RetrySchedule, reconnecting
-// (with a fresh hello reconciliation) when the connection dies. Several
+// RetryCore is the one retry loop of both P1 clients (DESIGN.md §13.4). It
+// owns each endpoint's connection lanes and circuit breaker and runs an
+// operation as attempts: admit at the breaker, take the calling thread's
+// lane, run one attempt, and on failure back off -- never for less than the
+// server's retry-after hint -- wait for the key's epoch to move after a
+// StaleEpoch, refetch the shard map after a WrongShard, or drop the lane
+// after a transport failure. retry.deadline is an operation's one budget.
+//
+// DecryptionClient is RetryCore over one endpoint. It adds the hello (with
+// its legacy fallback) on every new connection, trace envelopes, the
+// svc.client.* spans and auto-refresh every K decryptions. Several
 // DecryptionClients may share one P1Runtime to fan out over multiple
 // connections.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -49,12 +64,14 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <vector>
 
 #include "crypto/rng.hpp"
 #include "crypto/sha256.hpp"
+#include "keystore/segment_journal.hpp"
 #include "schemes/dlr.hpp"
 #include "service/admin.hpp"
-#include "service/journal.hpp"
 #include "service/protocol.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/trace.hpp"
@@ -84,16 +101,21 @@ class P1Runtime {
     bool has_r2 = false;
   };
 
-  /// With a non-empty `state_dir`, state is journaled to
-  /// <state_dir>/p1.journal and restored from it when present (the passed
-  /// sk1/mode seed only the first run); restores count in svc.recoveries.
+  /// With a non-empty `state_dir`, state is journaled under <state_dir>/p1/
+  /// and restored from there when present (the passed sk1/mode seed only the
+  /// first run); restores count in svc.recoveries. A p1.journal left in
+  /// `state_dir` by an older build is refused (std::runtime_error).
   P1Runtime(GG gg, schemes::DlrParams prm, typename Core::PublicKey pk,
             typename Core::Sk1 sk1, schemes::P1Mode mode, crypto::Rng rng,
-            std::string state_dir = {})
-      : journal_(state_dir.empty()
-                     ? Journal{}
-                     : Journal(join_path(ensure_dir(state_dir), "p1.journal"))) {
-    std::optional<Bytes> payload = journal_.load();
+            std::string state_dir = {}) {
+    std::optional<Bytes> payload;
+    if (!state_dir.empty()) {
+      journal_ = open_journal(state_dir);
+      auto recovered = journal_->take_recovered();
+      // The journal's one record: P1's half of the single key.
+      if (const auto it = recovered.find(keystore::default_key_id()); it != recovered.end())
+        payload = std::move(it->second);
+    }
     if (payload) {
       ByteReader r(*payload);
       epoch_ = r.u64();
@@ -120,7 +142,7 @@ class P1Runtime {
                   std::move(rng));
     }
     p1_->prepare_period();
-    if (journal_.attached() && !payload) persist();
+    if (journal_ && !payload) persist();
   }
 
   /// Build round 1 + capture (epoch, period key) consistently under the
@@ -218,9 +240,9 @@ class P1Runtime {
     return epoch_;
   }
 
-  /// Wait (bounded) for the epoch to move past `seen` -- used by decryption
-  /// retries (DecryptionClient, KsFleet) so they re-issue only after the
-  /// in-progress refresh lands.
+  /// Wait (bounded) for the epoch to move past `seen` -- RetryCore's wait
+  /// after a StaleEpoch, so a retry re-issues only once the refresh that
+  /// turned it away has landed here too.
   void wait_epoch_change(std::uint64_t seen, transport::Millis timeout) {
     std::unique_lock lock(epoch_mu_);
     epoch_cv_.wait_for(lock, timeout, [&] { return epoch_ != seen; });
@@ -234,7 +256,7 @@ class P1Runtime {
       return std::vector<std::pair<std::string, std::string>>{
           {"epoch", std::to_string(epoch())},
           {"pending_refresh", pending_flag_.load() ? "true" : "false"},
-          {"journal", journal_.attached() ? journal_.path() : "(volatile)"},
+          {"journal", journal_ ? journal_->dir() : "(volatile)"},
       };
     });
   }
@@ -251,6 +273,19 @@ class P1Runtime {
     Bytes digest;
     std::optional<Bytes> r2;  // set once PREPARE round-tripped
   };
+
+  /// <state_dir>/p1/, a directory of its own, so a P1 and a P2 given the same
+  /// state dir never share segment files. An older build's p1.journal is
+  /// refused, never skipped: starting from the constructor share
+  /// while the server holds a later epoch would fork the key.
+  static std::unique_ptr<keystore::SegmentJournal> open_journal(const std::string& state_dir) {
+    const std::string dlrj = keystore::join_path(state_dir, "p1.journal");
+    if (std::filesystem::exists(dlrj))
+      throw std::runtime_error("P1Runtime: " + dlrj +
+                               " is a DLRJ journal, a format this build no longer reads");
+    return std::make_unique<keystore::SegmentJournal>(
+        keystore::join_path(keystore::ensure_dir(state_dir), "p1"));
+  }
 
   [[nodiscard]] PendingInfo pending_info_locked() const {
     PendingInfo info;
@@ -310,11 +345,11 @@ class P1Runtime {
     ++epoch_;
   }
 
-  /// Journal (epoch, pending, party state). Caller holds refresh_mu_ (or is
+  /// Journal (epoch | pending | party state). Caller holds refresh_mu_ (or is
   /// the constructor): every mutation of pending_ and of the party state
   /// happens under it, so the state is stable while decryptions read it.
   void persist() {
-    if (!journal_.attached()) return;
+    if (!journal_) return;
     ByteWriter w;
     w.u64(epoch());
     w.u8(pending_ ? 1 : 0);
@@ -327,10 +362,11 @@ class P1Runtime {
     ByteWriter sw;
     p1_->ser_state(sw);
     w.blob(sw.bytes());
-    journal_.save(w.take());
+    journal_->append(keystore::default_key_id(), w.take());
+    journal_->maybe_compact();  // one live record: the directory stays bounded
   }
 
-  Journal journal_;
+  std::unique_ptr<keystore::SegmentJournal> journal_;  // set only when durable
   std::optional<schemes::DlrParty1<GG>> p1_;  // optional: two construction paths
   mutable std::shared_mutex mu_;        // share lock: p1_ period state vs. round-1 reads
   mutable std::mutex refresh_mu_;       // one refresher or reconciler at a time
@@ -341,6 +377,293 @@ class P1Runtime {
   std::uint64_t epoch_ = 0;
 };
 
+/// Wraps each new connection (fault injection and frame recording in tests).
+using ConnWrapper =
+    std::function<std::shared_ptr<transport::Conn>(std::shared_ptr<transport::FramedConn>)>;
+
+/// The one retry loop of the P1 clients. DecryptionClient runs it over one
+/// endpoint, KsFleet over every shard of its map. An operation is a sequence
+/// of attempts; each is admitted by the endpoint's circuit breaker, runs on
+/// the calling thread's lane (connected, with Hooks::on_connect, when empty)
+/// and ends one of four ways:
+///
+///   - success: the breaker hears it, the result returns;
+///   - a ServiceError that is not retryable: rethrown;
+///   - a retryable ServiceError: back off for at least the server's
+///     retry-after hint, where a StaleEpoch instead waits, bounded by the
+///     same backoff, for the key's epoch to move, and a WrongShard runs
+///     Hooks::on_wrong_shard and re-routes at once if that refreshed the map;
+///   - a TransportError: back off on a new lane (the next attempt connects).
+///
+/// Only transport failures and Overloaded sheds count against a breaker; any
+/// other typed answer proves the endpoint alive. An open breaker fails an
+/// attempt fast with a retryable Overloaded carrying its remaining cooldown.
+/// Options::retry.deadline is the operation's one budget: the schedule
+/// refuses a backoff that would overrun it, every reply wait is capped by
+/// what is left (Attempt::timeout), and the rest rides the request
+/// (Attempt::deadline_ms). When the schedule gives up, the operation ends
+/// with its last error.
+class RetryCore {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  /// The settings both clients share; each client's Options adds its own.
+  struct Options {
+    transport::TransportOptions transport{};
+    /// Longest wait for one reply; what is left of the budget caps it too.
+    transport::Millis request_timeout{10000};
+    /// Backoff shape and attempt count of one operation (a first try and 8
+    /// retries by default). retry.deadline is the operation's wall-clock
+    /// budget, 0 = unbounded.
+    transport::RetryPolicy retry{.max_attempts = 9};
+    /// Per-endpoint circuit breaker, layered under the schedule (DESIGN.md §13).
+    transport::CircuitBreaker::Options breaker{};
+    ConnWrapper conn_wrapper;
+  };
+
+  /// What the owning client plugs in.
+  struct Hooks {
+    std::string metrics{};     // counters <metrics>.retries and <metrics>.breaker.*
+    std::string reconnects{};  // counter of lanes connected again after a failure
+    std::size_t lanes = 1;     // connections per endpoint; each thread hashes to one
+    /// Runs on every new lane before it serves an attempt (the hello).
+    std::function<void(transport::SessionMux&)> on_connect{};
+    /// WrongShard from shard `id` over `mux`: refresh the routing; true
+    /// re-routes at once, false backs off.
+    std::function<bool(std::uint32_t id, transport::SessionMux& mux)> on_wrong_shard{};
+  };
+
+  /// Where an attempt goes: a breaker and lane key (the shard) and its port.
+  struct Endpoint {
+    std::uint32_t id = 0;
+    std::uint16_t port = 0;
+  };
+
+  /// One attempt: its connection and the operation's budget.
+  struct Attempt {
+    transport::SessionMux& mux;
+    transport::Millis request_timeout;
+    Clock::time_point deadline;  // {} = unbounded
+
+    /// How long to wait for the next reply: request_timeout, capped by the
+    /// budget left.
+    [[nodiscard]] transport::Millis timeout() const {
+      if (deadline == Clock::time_point{}) return request_timeout;
+      return std::min(request_timeout, transport::Millis{deadline_ms()});
+    }
+
+    /// The budget left for a request's deadline field: whole ms, at least 1
+    /// so a nearly spent budget still reads as one; 0 = unbounded.
+    [[nodiscard]] std::uint32_t deadline_ms() const {
+      if (deadline == Clock::time_point{}) return 0;
+      const auto left =
+          std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Clock::now()).count();
+      return static_cast<std::uint32_t>(std::max<long long>(1, left));
+    }
+  };
+
+  RetryCore(Options opt, Hooks hooks) : opt_(std::move(opt)), hooks_(std::move(hooks)) {}
+  ~RetryCore() { close(); }
+  RetryCore(const RetryCore&) = delete;
+  RetryCore& operator=(const RetryCore&) = delete;
+
+  [[nodiscard]] const Options& options() const { return opt_; }
+
+  /// A new connection to `port` outside the lanes (wrapped; no on_connect).
+  [[nodiscard]] std::shared_ptr<transport::SessionMux> connect(std::uint16_t port) const {
+    auto fc = std::make_shared<transport::FramedConn>(
+        transport::connect_loopback(port, opt_.transport), opt_.transport);
+    std::shared_ptr<transport::Conn> conn =
+        opt_.conn_wrapper ? opt_.conn_wrapper(std::move(fc))
+                          : std::static_pointer_cast<transport::Conn>(std::move(fc));
+    return std::make_shared<transport::SessionMux>(std::move(conn));
+  }
+
+  /// The calling thread's lane to `ep`, connected first if it is empty.
+  [[nodiscard]] std::shared_ptr<transport::SessionMux> lane(const Endpoint& ep) {
+    return lane(slot(ep.id), ep);
+  }
+
+  /// Run `op(Attempt&)` under the retry rules above and return its result.
+  /// `key` is the P1Runtime whose epoch a StaleEpoch waits on (nullptr: the
+  /// operation has none); `route()` names the endpoint of each attempt;
+  /// `name` labels the operation in Retry events.
+  template <class Key, class Route, class Op>
+  auto run(const char* name, Key* key, Route&& route, Op&& op) {
+    using Result = decltype(op(std::declval<Attempt&>()));
+    thread_local crypto::Rng backoff_rng = crypto::Rng::from_os_entropy();
+    transport::RetrySchedule sched(opt_.retry);
+    const Clock::time_point deadline = opt_.retry.deadline.count() > 0
+                                           ? Clock::now() + opt_.retry.deadline
+                                           : Clock::time_point{};
+    for (;;) {
+      const std::uint64_t seen = key ? key->epoch() : 0;
+      Endpoint ep;
+      Slot* s = nullptr;
+      bool admitted = false;  // the breaker hears only admitted attempts
+      std::shared_ptr<transport::SessionMux> m;
+      try {
+        ep = route();
+        s = &slot(ep.id);
+        const auto adm = s->breaker.try_acquire();
+        if (!adm.admitted) {
+          count(".breaker.fastfail");
+          throw ServiceError(ServiceErrc::Overloaded, 0, "circuit breaker open for " + where(ep),
+                             static_cast<std::uint32_t>(adm.retry_after.count()));
+        }
+        admitted = true;
+        m = lane(*s, ep);
+        Attempt a{*m, opt_.request_timeout, deadline};
+        if constexpr (std::is_void_v<Result>) {
+          op(a);
+          succeeded(*s, ep);
+          return;
+        } else {
+          Result out = op(a);
+          succeeded(*s, ep);
+          return out;
+        }
+      } catch (const ServiceError& e) {
+        if (admitted) {
+          if (e.code() == ServiceErrc::Overloaded)
+            failed(*s, ep);
+          else
+            succeeded(*s, ep);
+        }
+        if (!e.retryable()) throw;
+        const auto delay =
+            sched.next(backoff_rng.u64(), transport::Millis{e.retry_after_ms()});
+        if (!delay) throw;
+        retried(name, service_errc_name(e.code()));
+        if (e.code() == ServiceErrc::WrongShard && m && hooks_.on_wrong_shard &&
+            hooks_.on_wrong_shard(ep.id, *m))
+          continue;  // re-route against the refreshed map; no backoff
+        if (key && e.code() == ServiceErrc::StaleEpoch)
+          key->wait_epoch_change(seen, *delay);
+        else
+          std::this_thread::sleep_for(*delay);
+      } catch (const transport::TransportError&) {
+        if (admitted) failed(*s, ep);
+        const auto delay = sched.next(backoff_rng.u64());
+        if (!delay) throw;
+        retried(name, "transport");
+        if (m) drop(*s, m);
+        std::this_thread::sleep_for(*delay);
+      }
+    }
+  }
+
+  /// Endpoint `id`'s breaker (created on first use).
+  [[nodiscard]] transport::CircuitBreaker& breaker(std::uint32_t id) { return slot(id).breaker; }
+
+  /// Lanes connected again after a failure.
+  [[nodiscard]] std::uint64_t reconnects() const { return reconnects_.load(); }
+
+  /// Stop every lane; later attempts fail with ConnectionClosed. Idempotent.
+  void close() {
+    std::vector<std::shared_ptr<transport::SessionMux>> open;
+    {
+      std::unique_lock lk(mu_);
+      closed_ = true;
+      for (auto& [id, s] : slots_)
+        for (auto& m : s.lanes)
+          if (m) open.push_back(std::move(m));
+    }
+    for (auto& m : open) m->stop();
+  }
+
+ private:
+  /// One endpoint: its lanes and breaker. Map nodes never move or go away,
+  /// so references stay valid; the lanes are guarded by mu_.
+  struct Slot {
+    Slot(std::size_t n, const transport::CircuitBreaker::Options& b)
+        : lanes(n), connected(n), breaker(b) {}
+    std::vector<std::shared_ptr<transport::SessionMux>> lanes;
+    std::vector<char> connected;  // lane connected before: the next connect is a reconnect
+    transport::CircuitBreaker breaker;
+  };
+
+  [[nodiscard]] Slot& slot(std::uint32_t id) {
+    {
+      std::shared_lock lk(mu_);
+      const auto it = slots_.find(id);
+      if (it != slots_.end()) return it->second;
+    }
+    std::unique_lock lk(mu_);
+    return slots_.try_emplace(id, hooks_.lanes, opt_.breaker).first->second;
+  }
+
+  [[nodiscard]] std::shared_ptr<transport::SessionMux> lane(Slot& s, const Endpoint& ep) {
+    const std::size_t i =
+        hooks_.lanes > 1 ? std::hash<std::thread::id>{}(std::this_thread::get_id()) % hooks_.lanes
+                         : 0;
+    {
+      // Read-mostly fast path: a lane is only replaced after a failure.
+      std::shared_lock lk(mu_);
+      if (closed_) throw transport::TransportError(transport::Errc::ConnectionClosed, "closed");
+      if (s.lanes[i]) return s.lanes[i];
+    }
+    std::unique_lock lk(mu_);
+    if (closed_) throw transport::TransportError(transport::Errc::ConnectionClosed, "closed");
+    if (s.lanes[i]) return s.lanes[i];
+    auto m = connect(ep.port);
+    if (hooks_.on_connect) hooks_.on_connect(*m);  // a throw drops the half-open mux
+    s.lanes[i] = m;
+    if (s.connected[i]) {
+      const auto n = reconnects_.fetch_add(1) + 1;
+      telemetry::Registry::global().counter(hooks_.reconnects).add();
+      telemetry::event(telemetry::EventKind::Reconnect, where(ep) + " n=" + std::to_string(n));
+    }
+    s.connected[i] = 1;
+    return m;
+  }
+
+  /// Empty the lane that still holds `failed`; another thread may have
+  /// replaced it already.
+  void drop(Slot& s, const std::shared_ptr<transport::SessionMux>& failed) {
+    {
+      std::unique_lock lk(mu_);
+      const auto it = std::find(s.lanes.begin(), s.lanes.end(), failed);
+      if (it == s.lanes.end()) return;
+      it->reset();
+    }
+    failed->stop();
+  }
+
+  void succeeded(Slot& s, const Endpoint& ep) {
+    if (!s.breaker.on_success()) return;
+    count(".breaker.close");
+    telemetry::event(telemetry::EventKind::BreakerClose, where(ep));
+  }
+
+  void failed(Slot& s, const Endpoint& ep) {
+    if (!s.breaker.on_failure()) return;
+    count(".breaker.open");
+    telemetry::event(telemetry::EventKind::BreakerOpen,
+                     where(ep) + " n=" + std::to_string(s.breaker.opens()));
+  }
+
+  void retried(const char* name, const char* cause) {
+    count(".retries");
+    telemetry::event(telemetry::EventKind::Retry, std::string("op=") + name + " cause=" + cause);
+  }
+
+  void count(const char* suffix) const {
+    telemetry::Registry::global().counter(hooks_.metrics + suffix).add();
+  }
+
+  [[nodiscard]] static std::string where(const Endpoint& ep) {
+    return "shard=" + std::to_string(ep.id) + " port=" + std::to_string(ep.port);
+  }
+
+  Options opt_;
+  Hooks hooks_;
+  std::shared_mutex mu_;  // guards slots_ membership, every Slot::lanes, closed_
+  std::map<std::uint32_t, Slot> slots_;
+  bool closed_ = false;
+  std::atomic<std::uint64_t> reconnects_{0};
+};
+
 template <group::BilinearGroup GG>
 class DecryptionClient {
  public:
@@ -348,27 +671,8 @@ class DecryptionClient {
   using GT = typename GG::GT;
   using PendingInfo = typename P1Runtime<GG>::PendingInfo;
 
-  struct Options {
-    transport::TransportOptions transport{};
-    transport::Millis request_timeout{10000};
-    int max_retries = 8;         // retryable-error retries per operation
+  struct Options : RetryCore::Options {
     int auto_refresh_every = 0;  // run Refresh every K decryptions (0 = never)
-    /// Backoff shape between retries/reconnects (max_attempts is overridden
-    /// by max_retries).
-    transport::RetryPolicy retry{};
-    /// Wraps the connection (fault injection in tests/benches).
-    std::function<std::shared_ptr<transport::Conn>(std::shared_ptr<transport::FramedConn>)>
-        conn_wrapper;
-    /// Per-endpoint circuit breaker (DESIGN.md §13), layered under the retry
-    /// schedule. Only endpoint-health failures count against it: transport
-    /// errors and Overloaded sheds. Epoch-coordination errors (StaleEpoch,
-    /// Draining, ...) prove the server is alive and report as success.
-    transport::CircuitBreaker::Options breaker{};
-    /// Wall-clock budget for one decrypt()/refresh() operation, deducted
-    /// across retry attempts; the remaining budget rides each request as its
-    /// wire deadline when the server negotiated kWireDeadlineVersion.
-    /// 0 = unbounded (requests carry no deadline).
-    transport::Millis deadline{0};
   };
 
   /// Connects and runs the hello reconciliation; a journaled pending refresh
@@ -377,9 +681,14 @@ class DecryptionClient {
   /// refresh() reconnect (and reconcile) lazily under their retry schedules.
   /// Protocol-level hello failures (e.g. a detected epoch fork) still throw.
   DecryptionClient(std::shared_ptr<P1Runtime<GG>> p1, std::uint16_t port, Options opt = {})
-      : p1_(std::move(p1)), opt_(std::move(opt)), port_(port), breaker_(opt_.breaker) {
+      : p1_(std::move(p1)),
+        port_(port),
+        auto_refresh_every_(opt.auto_refresh_every),
+        core_(std::move(opt), {.metrics = "svc.client",
+                               .reconnects = "svc.reconnects",
+                               .on_connect = [this](transport::SessionMux& m) { hello(m); }}) {
     try {
-      reconnect(nullptr);
+      (void)core_.lane(endpoint());
     } catch (const transport::TransportError&) {
     }
   }
@@ -391,226 +700,96 @@ class DecryptionClient {
   /// a legacy (pre-trace) server, so request frames carry no trace envelope.
   [[nodiscard]] std::uint8_t wire_version() const { return wire_version_.load(); }
 
-  /// Endpoint circuit breaker state (tests/benches).
-  [[nodiscard]] const transport::CircuitBreaker& breaker() const { return breaker_; }
+  /// Endpoint circuit breaker (tests/benches).
+  [[nodiscard]] const transport::CircuitBreaker& breaker() { return core_.breaker(endpoint().id); }
 
-  /// One DistDec round trip; throws ServiceError (retryable() for
+  /// One DistDec round trip, no retry; throws ServiceError (retryable() for
   /// StaleEpoch/Draining/DrainTimeout/Shutdown) and TransportError.
   [[nodiscard]] GT decrypt_once(const typename Core::Ciphertext& c) {
     telemetry::ScopedSpan root("svc.client.dec");
-    thread_local crypto::Rng rng = crypto::Rng::from_os_entropy();
-    auto m = mux();
-    if (!m)
-      throw transport::TransportError(transport::Errc::ConnectionClosed, "not connected");
-    return decrypt_once_on(*m, c, rng);
+    const auto m = core_.lane(endpoint());
+    return decrypt_on({*m, core_.options().request_timeout, {}}, c);
   }
 
-  /// DistDec with the auto-refresh policy, retry of retryable errors, and
-  /// transparent reconnect (with hello reconciliation) on transport failure.
-  /// Every attempt passes the circuit breaker first (an open circuit
-  /// fail-fasts as a retryable Overloaded carrying the remaining cooldown),
-  /// retry delays honor server retry-after hints, and Options::deadline is
-  /// one budget deducted across all attempts.
+  /// DistDec with the auto-refresh policy, under the retry core: a stuck
+  /// refresh is reconciled before each attempt, and a lost connection is
+  /// replaced (with its hello) on the next.
   [[nodiscard]] GT decrypt(const typename Core::Ciphertext& c) {
     maybe_auto_refresh();
     // The root span covers the whole operation; every network attempt opens a
     // sibling "svc.client.attempt" child, so a retried decryption exports as
     // one trace tree with one attempt subtree per try.
     telemetry::ScopedSpan root("svc.client.dec");
-    thread_local crypto::Rng rng = crypto::Rng::from_os_entropy();
-    transport::RetrySchedule sched(retry_policy());
-    const auto op_deadline = op_deadline_from_now();
-    for (;;) {
-      const std::uint64_t seen = p1_->epoch();
-      std::shared_ptr<transport::SessionMux> m;
-      bool admitted = false;
-      try {
-        check_budget(op_deadline, "decrypt");
-        acquire_breaker();
-        admitted = true;
-        m = mux();
-        if (!m) m = reconnect(nullptr);
-        const GT out = decrypt_once_on(*m, c, rng, remaining_ms(op_deadline));
-        breaker_success();
-        return out;
-      } catch (const ServiceError& e) {
-        if (admitted) breaker_observe(e);
-        if (!e.retryable()) throw;
-        const auto delay =
-            sched.next(rng.u64(), transport::Millis{e.retry_after_ms()});
-        if (!delay) throw;
-        telemetry::Registry::global().counter("svc.client.retries").add();
-        telemetry::event(telemetry::EventKind::Retry,
-                         std::string("op=dec cause=") + service_errc_name(e.code()));
-        // StaleEpoch with a refresh stuck pending means reconciliation (not
-        // mere waiting) is what advances our epoch; a refresh in flight on
-        // another thread advances it by itself.
-        if (m) {
-          try {
-            hello_if_stuck(*m);
-          } catch (const transport::TransportError&) {
-          } catch (const ServiceError&) {
-          }
-        }
-        p1_->wait_epoch_change(seen,
-                               clamp_to_budget(std::max(*delay, transport::Millis{50}),
-                                               op_deadline));
-      } catch (const transport::TransportError&) {
-        if (admitted) breaker_failure();
-        const auto delay = sched.next(rng.u64());
-        if (!delay) throw;
-        telemetry::Registry::global().counter("svc.client.retries").add();
-        telemetry::event(telemetry::EventKind::Retry, "op=dec cause=transport");
-        std::this_thread::sleep_for(clamp_to_budget(*delay, op_deadline));
-        try {
-          reconnect(m);
-        } catch (const transport::TransportError&) {
-          // Still down; the next loop iteration backs off and retries.
-        } catch (const ServiceError&) {
-        }
-      }
-    }
+    return core_.run("dec", p1_.get(), [this] { return endpoint(); },
+                     [&](RetryCore::Attempt& a) {
+                       hello_if_stuck(a);
+                       return decrypt_on(a, c);
+                     });
   }
 
-  /// Run the two-phase Refresh protocol, advancing the epoch by exactly one.
-  /// Retries retryable errors and reconnects across transport failures; an
-  /// interrupted attempt that the server already committed is rolled forward
-  /// by the reconnect's hello reconciliation.
+  /// Run the two-phase Refresh protocol, advancing the epoch by exactly one,
+  /// within the operation budget. An interrupted attempt that the server
+  /// already committed is rolled forward by the next attempt's hello.
   void refresh() {
     telemetry::ScopedSpan span("svc.client.refresh");
-    thread_local crypto::Rng rng = crypto::Rng::from_os_entropy();
-    transport::RetrySchedule sched(retry_policy());
     const std::uint64_t start = p1_->epoch();
-    for (;;) {
-      std::shared_ptr<transport::SessionMux> m;
-      bool admitted = false;
-      try {
-        acquire_breaker();
-        admitted = true;
-        m = mux();
-        if (!m) m = reconnect(nullptr);
-        hello_if_stuck(*m);  // resolve leftovers first
-        // Reconciliation, or another client's refresh of this runtime, moved us.
-        if (p1_->epoch() > start) {
-          breaker_success();
-          return;
-        }
-        p1_->refresh(
-            [&](std::uint64_t e, const Bytes& r1) {
-              auto sess = m->open();
-              sess->send(transport::FrameType::Data,
-                         static_cast<std::uint8_t>(net::DeviceId::P1), kLabelRefReq,
-                         encode_request(e, r1), send_ctx());
-              return [this, sess = std::move(sess)] {
-                return expect_ok(sess->recv(opt_.request_timeout), kLabelRefOk);
-              };
-            },
-            [&](std::uint64_t e, const Bytes& digest) {
-              auto sess = m->open();
-              sess->send(transport::FrameType::Data,
-                         static_cast<std::uint8_t>(net::DeviceId::P1), kLabelRefCommit,
-                         encode_commit(CommitMsg{e, digest}), send_ctx());
-              return decode_commit_ok(
-                  expect_ok(sess->recv(opt_.request_timeout), kLabelRefCommitOk));
-            });
-        breaker_success();
-        return;
-      } catch (const ServiceError& e) {
-        if (admitted) breaker_observe(e);
-        if (!e.retryable()) throw;
-        const auto delay =
-            sched.next(rng.u64(), transport::Millis{e.retry_after_ms()});
-        if (!delay) throw;
-        telemetry::Registry::global().counter("svc.client.retries").add();
-        telemetry::event(telemetry::EventKind::Retry,
-                         std::string("op=refresh cause=") + service_errc_name(e.code()));
-        std::this_thread::sleep_for(*delay);
-      } catch (const transport::TransportError&) {
-        if (admitted) breaker_failure();
-        const auto delay = sched.next(rng.u64());
-        if (!delay) throw;
-        std::this_thread::sleep_for(*delay);
-        try {
-          reconnect(m);  // hello inside resolves the interrupted attempt
-        } catch (const transport::TransportError&) {
-        } catch (const ServiceError&) {
-        }
-      }
-    }
+    core_.run("refresh", p1_.get(), [this] { return endpoint(); },
+              [&](RetryCore::Attempt& a) {
+                hello_if_stuck(a);  // resolve leftovers first
+                // Reconciliation, or another client's refresh of this runtime,
+                // moved us.
+                if (p1_->epoch() > start) return;
+                p1_->refresh(
+                    [&](std::uint64_t e, const Bytes& r1) {
+                      auto sess = a.mux.open();
+                      sess->send(transport::FrameType::Data,
+                                 static_cast<std::uint8_t>(net::DeviceId::P1), kLabelRefReq,
+                                 encode_request(e, r1), send_ctx());
+                      return [&a, sess = std::move(sess)] {
+                        return expect_ok(sess->recv(a.timeout()), kLabelRefOk);
+                      };
+                    },
+                    [&](std::uint64_t e, const Bytes& digest) {
+                      auto sess = a.mux.open();
+                      sess->send(transport::FrameType::Data,
+                                 static_cast<std::uint8_t>(net::DeviceId::P1), kLabelRefCommit,
+                                 encode_commit(CommitMsg{e, digest}), send_ctx());
+                      return decode_commit_ok(
+                          expect_ok(sess->recv(a.timeout()), kLabelRefCommitOk));
+                    });
+              });
   }
 
   /// Number of reconnects this client performed (tests/benches).
-  [[nodiscard]] std::uint64_t reconnects() const { return reconnects_.load(); }
+  [[nodiscard]] std::uint64_t reconnects() const { return core_.reconnects(); }
 
-  void close() {
-    closed_.store(true);
-    std::lock_guard lock(conn_mu_);
-    if (mux_) mux_->stop();
-  }
+  void close() { core_.close(); }
 
  private:
-  [[nodiscard]] transport::RetryPolicy retry_policy() const {
-    transport::RetryPolicy p = opt_.retry;
-    p.max_attempts = opt_.max_retries + 1;
-    return p;
-  }
+  [[nodiscard]] RetryCore::Endpoint endpoint() const { return {0, port_}; }
 
-  [[nodiscard]] std::shared_ptr<transport::SessionMux> mux() {
-    std::lock_guard lock(conn_mu_);
-    return mux_;
-  }
-
-  /// Replace the connection `failed` (nullptr = connect unconditionally
-  /// unless one exists) and run the hello reconciliation on it. If another
-  /// thread already reconnected, its connection is reused.
-  std::shared_ptr<transport::SessionMux> reconnect(
-      const std::shared_ptr<transport::SessionMux>& failed) {
-    std::lock_guard lock(conn_mu_);
-    if (mux_ && mux_ != failed) return mux_;
-    if (closed_.load())
-      throw transport::TransportError(transport::Errc::ConnectionClosed, "client closed");
-    if (mux_) {
-      mux_->stop();
-      mux_.reset();  // old mux stays alive via surviving Session handles
-    }
-    auto fc = std::make_shared<transport::FramedConn>(
-        transport::connect_loopback(port_, opt_.transport), opt_.transport);
-    std::shared_ptr<transport::Conn> conn =
-        opt_.conn_wrapper ? opt_.conn_wrapper(std::move(fc))
-                          : std::static_pointer_cast<transport::Conn>(std::move(fc));
-    auto m = std::make_shared<transport::SessionMux>(std::move(conn));
-    hello(*m);  // throws on fork; the half-open mux is dropped
-    mux_ = std::move(m);
-    if (connected_once_) {
-      reconnects_.fetch_add(1);
-      telemetry::Registry::global().counter("svc.reconnects").add();
-      telemetry::event(telemetry::EventKind::Reconnect,
-                       "port=" + std::to_string(port_) +
-                           " n=" + std::to_string(reconnects_.load()));
-    }
-    connected_once_ = true;
-    return mux_;
-  }
-
-  /// Hello exchange + pending-refresh reconciliation on `m`
+  /// Hello exchange + pending-refresh reconciliation on a new connection
   /// (P1Runtime::reconcile: waits out a refresh another thread is driving).
   void hello(transport::SessionMux& m) {
-    count_verdict(p1_->reconcile([&](const PendingInfo& info) { return hello_exchange(m, info); }));
+    count_verdict(p1_->reconcile([&](const PendingInfo& info) {
+      return hello_exchange(m, info, core_.options().request_timeout);
+    }));
   }
 
-  /// hello() only for a refresh stuck pending (P1Runtime::reconcile_if_stuck).
-  void hello_if_stuck(transport::SessionMux& m) {
-    const auto ok =
-        p1_->reconcile_if_stuck([&](const PendingInfo& info) { return hello_exchange(m, info); });
+  /// The hello only for a refresh stuck pending (P1Runtime::reconcile_if_stuck).
+  void hello_if_stuck(const RetryCore::Attempt& a) {
+    const auto ok = p1_->reconcile_if_stuck(
+        [&](const PendingInfo& info) { return hello_exchange(a.mux, info, a.timeout()); });
     if (ok) count_verdict(*ok);
   }
 
-  /// One hello reporting `info`. The client first offers wire-trace version
-  /// kWireTraceVersion as a trailing hello byte; a legacy server rejects the
-  /// unknown byte with BadRequest, in which case we re-hello bare and
+  /// One hello reporting `info`. The client first offers wire version
+  /// kWireDeadlineVersion as a trailing hello byte; a legacy server rejects
+  /// the unknown byte with BadRequest, in which case we re-hello bare and
   /// remember the peer as legacy (trace envelopes stay off for this client --
   /// old peers keep decrypting, just untraced).
-  [[nodiscard]] HelloOk hello_exchange(transport::SessionMux& m, const PendingInfo& info) {
+  [[nodiscard]] HelloOk hello_exchange(transport::SessionMux& m, const PendingInfo& info,
+                                       transport::Millis timeout) {
     HelloMsg h;
     h.epoch = p1_->epoch();
     h.has_pending = info.active;
@@ -619,15 +798,23 @@ class DecryptionClient {
     h.version = legacy_peer_.load() ? 0 : kWireDeadlineVersion;
     HelloOk ok;
     try {
-      ok = hello_once(m, h);
+      ok = hello_once(m, h, timeout);
     } catch (const ServiceError& e) {
       if (h.version == 0 || e.code() != ServiceErrc::BadRequest) throw;
       legacy_peer_.store(true);
       h.version = 0;
-      ok = hello_once(m, h);
+      ok = hello_once(m, h, timeout);
     }
     wire_version_.store(ok.version);
     return ok;
+  }
+
+  [[nodiscard]] static HelloOk hello_once(transport::SessionMux& m, const HelloMsg& h,
+                                          transport::Millis timeout) {
+    auto sess = m.open();
+    sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
+               kLabelHello, encode_hello(h));
+    return decode_hello_ok(expect_ok(sess->recv(timeout), kLabelHelloOk));
   }
 
   /// Telemetry for an applied reconciliation verdict.
@@ -643,13 +830,6 @@ class DecryptionClient {
     }
   }
 
-  [[nodiscard]] HelloOk hello_once(transport::SessionMux& m, const HelloMsg& h) {
-    auto sess = m.open();
-    sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
-               kLabelHello, encode_hello(h));
-    return decode_hello_ok(expect_ok(sess->recv(opt_.request_timeout), kLabelHelloOk));
-  }
-
   /// Trace context to stamp onto an outgoing request frame: the innermost
   /// open span when the peer negotiated wire tracing, nothing otherwise.
   [[nodiscard]] telemetry::TraceContext send_ctx() const {
@@ -657,106 +837,26 @@ class DecryptionClient {
                                 : telemetry::TraceContext{};
   }
 
-  [[nodiscard]] GT decrypt_once_on(transport::SessionMux& m,
-                                   const typename Core::Ciphertext& c, crypto::Rng& rng,
-                                   std::uint32_t deadline_ms = 0) {
+  [[nodiscard]] GT decrypt_on(const RetryCore::Attempt& a, const typename Core::Ciphertext& c) {
     telemetry::ScopedSpan span("svc.client.attempt");
+    thread_local crypto::Rng rng = crypto::Rng::from_os_entropy();
     const auto snap = p1_->begin_decrypt(c, rng);
-    auto sess = m.open();
+    auto sess = a.mux.open();
     // The remaining budget rides the request only when the peer negotiated
     // the deadline wire version (a pre-deadline server rejects trailing
     // request bytes as BadRequest).
     const std::uint32_t wire_deadline =
-        wire_version_.load() >= kWireDeadlineVersion ? deadline_ms : 0;
+        wire_version_.load() >= kWireDeadlineVersion ? a.deadline_ms() : 0;
     sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
                kLabelDecReq, encode_request(snap.epoch, snap.round1, wire_deadline),
                send_ctx());
-    auto timeout = opt_.request_timeout;
-    if (deadline_ms != 0)
-      timeout = std::min(timeout, transport::Millis{deadline_ms});
-    const Bytes r2 = expect_ok(sess->recv(timeout), kLabelDecOk);
-    return p1_->finish_decrypt(snap, r2);
-  }
-
-  // ---- deadline budget helpers (Options::deadline) ---------------------------
-
-  [[nodiscard]] std::chrono::steady_clock::time_point op_deadline_from_now() const {
-    if (opt_.deadline.count() <= 0) return {};
-    return std::chrono::steady_clock::now() + opt_.deadline;
-  }
-
-  /// Throws a non-retryable DeadlineExceeded once the operation budget is
-  /// spent -- attempts and backoff sleeps all draw from the same clock.
-  void check_budget(std::chrono::steady_clock::time_point op_deadline, const char* op) const {
-    if (op_deadline == std::chrono::steady_clock::time_point{}) return;
-    if (std::chrono::steady_clock::now() >= op_deadline)
-      throw ServiceError(ServiceErrc::DeadlineExceeded, p1_->epoch(),
-                         std::string(op) + ": deadline budget spent");
-  }
-
-  [[nodiscard]] std::uint32_t remaining_ms(
-      std::chrono::steady_clock::time_point op_deadline) const {
-    if (op_deadline == std::chrono::steady_clock::time_point{}) return 0;
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        op_deadline - std::chrono::steady_clock::now());
-    return left.count() <= 0 ? 1 : static_cast<std::uint32_t>(left.count());
-  }
-
-  /// Never sleep past the operation budget; the next loop iteration turns an
-  /// exhausted budget into DeadlineExceeded.
-  [[nodiscard]] transport::Millis clamp_to_budget(
-      transport::Millis delay, std::chrono::steady_clock::time_point op_deadline) const {
-    if (op_deadline == std::chrono::steady_clock::time_point{}) return delay;
-    return std::min(delay, transport::Millis{remaining_ms(op_deadline)});
-  }
-
-  // ---- circuit breaker (Options::breaker) ------------------------------------
-
-  /// Fail fast while the circuit is open: a retryable Overloaded whose hint
-  /// is the remaining cooldown, so the retry schedule sleeps past it instead
-  /// of burning attempts against a known-bad endpoint.
-  void acquire_breaker() {
-    const auto adm = breaker_.try_acquire();
-    if (adm.admitted) return;
-    telemetry::Registry::global().counter("svc.client.breaker.fastfail").add();
-    throw ServiceError(ServiceErrc::Overloaded, p1_->epoch(), "circuit breaker open",
-                       static_cast<std::uint32_t>(adm.retry_after.count()));
-  }
-
-  void breaker_success() {
-    const auto closes0 = breaker_.closes();
-    breaker_.on_success();
-    if (breaker_.closes() != closes0) {
-      telemetry::Registry::global().counter("svc.client.breaker.close").add();
-      telemetry::event(telemetry::EventKind::BreakerClose,
-                       "port=" + std::to_string(port_));
-    }
-  }
-
-  void breaker_failure() {
-    const auto opens0 = breaker_.opens();
-    breaker_.on_failure();
-    if (breaker_.opens() != opens0) {
-      telemetry::Registry::global().counter("svc.client.breaker.open").add();
-      telemetry::event(telemetry::EventKind::BreakerOpen,
-                       "port=" + std::to_string(port_) + " n=" +
-                           std::to_string(breaker_.opens()));
-    }
-  }
-
-  /// Typed errors and the breaker: only Overloaded indicates endpoint
-  /// distress; any other ServiceError proves the server is up and answering.
-  void breaker_observe(const ServiceError& e) {
-    if (e.code() == ServiceErrc::Overloaded)
-      breaker_failure();
-    else
-      breaker_success();
+    return p1_->finish_decrypt(snap, expect_ok(sess->recv(a.timeout()), kLabelDecOk));
   }
 
   void maybe_auto_refresh() {
-    if (opt_.auto_refresh_every <= 0) return;
+    if (auto_refresh_every_ <= 0) return;
     const auto n = dec_count_.fetch_add(1) + 1;
-    if (n % static_cast<std::uint64_t>(opt_.auto_refresh_every) != 0) return;
+    if (n % static_cast<std::uint64_t>(auto_refresh_every_) != 0) return;
     // One refresher at a time per client; losers skip (their decrypts would
     // only pile onto the drain).
     bool expected = false;
@@ -771,18 +871,13 @@ class DecryptionClient {
   }
 
   std::shared_ptr<P1Runtime<GG>> p1_;
-  Options opt_;
   std::uint16_t port_;
-  transport::CircuitBreaker breaker_;
-  std::mutex conn_mu_;  // guards mux_ swap; serializes reconnects
-  std::shared_ptr<transport::SessionMux> mux_;
-  bool connected_once_ = false;  // guarded by conn_mu_
+  int auto_refresh_every_;
   std::atomic<std::uint64_t> dec_count_{0};
-  std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<std::uint8_t> wire_version_{0};  // negotiated in the last hello
   std::atomic<bool> legacy_peer_{false};       // peer rejected the version byte once
   std::atomic<bool> refreshing_{false};
-  std::atomic<bool> closed_{false};
+  RetryCore core_;  // last: its lanes' hellos use the members above
 };
 
 }  // namespace dlr::service

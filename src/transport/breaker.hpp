@@ -83,27 +83,31 @@ class CircuitBreaker {
 
   /// Report the outcome of an admitted request. Overloaded/transport errors
   /// count as failures; typed non-retryable app errors should be reported as
-  /// success (the endpoint answered -- it is not down).
-  void on_success() {
+  /// success (the endpoint answered -- it is not down). Returns whether this
+  /// report closed the circuit.
+  bool on_success() {
     std::lock_guard lk(mu_);
     consecutive_failures_ = 0;
     probe_in_flight_ = false;
-    if (state_ != State::Closed) {
-      state_ = State::Closed;
-      ++transitions_;
-      ++closes_;
-    }
+    if (state_ == State::Closed) return false;
+    state_ = State::Closed;
+    ++transitions_;
+    ++closes_;
+    return true;
   }
 
-  void on_failure(Clock::time_point now = Clock::now()) {
+  /// Returns whether this report opened the circuit.
+  bool on_failure(Clock::time_point now = Clock::now()) {
     std::lock_guard lk(mu_);
     probe_in_flight_ = false;
     if (state_ == State::HalfOpen) {  // probe failed: straight back to Open
       trip(now);
-      return;
+      return true;
     }
-    if (state_ == State::Open) return;  // already open (late failure report)
-    if (++consecutive_failures_ >= opt_.failure_threshold) trip(now);
+    if (state_ == State::Open) return false;  // already open (late failure report)
+    if (++consecutive_failures_ < opt_.failure_threshold) return false;
+    trip(now);
+    return true;
   }
 
   [[nodiscard]] State state() const {

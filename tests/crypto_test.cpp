@@ -142,6 +142,15 @@ TEST(RngTest, ForkRatchetsParent) {
   EXPECT_NE(a.u64(), c.u64());  // differs from never-forked
 }
 
+TEST(RngTest, ForkStreamsArePinned) {
+  // Every seeded stream downstream of a fork (keygen, P1/P2 party rngs,
+  // KeyStore::ref_prepare coins) depends on these bytes staying put.
+  Rng parent(20261018);
+  Rng child = parent.fork("ks.ref_prepare");
+  EXPECT_EQ(to_hex(child.bytes(16)), "3f8f61cc4a432b24c7f790aea6c3675f");
+  EXPECT_EQ(to_hex(parent.bytes(16)), "9ae874a6d305339d32c9044d0012a8be");
+}
+
 TEST(RngTest, BelowIsInRangeAndRoughlyUniform) {
   Rng rng(9);
   std::array<int, 10> buckets{};

@@ -1225,7 +1225,7 @@ TEST(KsChaosTest, SeededChaosSoakNeverReturnsAWrongPlaintext) {
   std::atomic<std::uint64_t> conn_no{0};
   typename KsFleet<MockGroup>::Options fo;
   fo.request_timeout = transport::Millis{300};
-  fo.max_retries = 40;
+  fo.retry.max_attempts = 41;
   fo.retry.base = transport::Millis{2};
   fo.retry.cap = transport::Millis{30};
   fo.refresh_threshold = 0.5;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "group/mock_group.hpp"
+#include "legacy_peer.hpp"
 #include "service/admin.hpp"
 #include "service/client.hpp"
 #include "service/p2_server.hpp"
@@ -218,15 +219,17 @@ TEST(ObservabilityAdminTest, ScrapeSurvivesConcurrentLoadAndCountsItself) {
 // ---- hello negotiation: legacy peers keep working, tracing stays off ----------
 
 TEST(ObservabilityNegotiationTest, LegacyServerStillDecryptsWithTracingOff) {
-  typename P2Server<MockGroup>::Options opt;
-  opt.legacy_hello = true;  // a pre-trace peer: rejects the version byte
-  Obs svc(opt);
-  auto client = svc.client();
+  Obs svc;
+  // A pre-trace peer in front of the server: it rejects the version byte.
+  LegacyPeer v1(svc.server->port());
+  DecryptionClient<MockGroup> client(svc.p1, v1.port());
   EXPECT_EQ(client.wire_version(), 0u);
 
   crypto::Rng rng(4);
   const auto m = svc.gg.gt_random(rng);
   ASSERT_TRUE(svc.gg.gt_eq(client.decrypt(svc.encrypt(m, rng)), m));
+  EXPECT_EQ(v1.rejected_hellos(), 1u);
+  EXPECT_EQ(v1.envelopes(), 0u) << "a trace envelope crossed to a v1 peer";
 
   const auto imp = exported_spans(svc);
 #if DLR_TELEMETRY_ENABLED
@@ -247,7 +250,7 @@ TEST(ObservabilityFaultTest, RetriedAndDuplicatedFramesNeverCrossLinkTraces) {
   Obs svc;
   typename DecryptionClient<MockGroup>::Options copt;
   copt.request_timeout = transport::Millis{300};
-  copt.max_retries = 40;
+  copt.retry.max_attempts = 41;
   copt.retry.base = transport::Millis{2};
   copt.retry.cap = transport::Millis{20};
   copt.conn_wrapper = [](std::shared_ptr<transport::FramedConn> fc)
@@ -306,7 +309,9 @@ TEST(ObservabilityFaultTest, RetriedAndDuplicatedFramesNeverCrossLinkTraces) {
 
 TEST(ObservabilityEventTest, RefreshEmitsPrepareCommitPairAndSlowRequestsLog) {
   typename P2Server<MockGroup>::Options opt;
-  opt.slow_request_ms = 1e-6;  // everything is "slow": the event must fire
+  // Every crypto batch outlasts the slow-request threshold: the event fires.
+  opt.inject_crypto_delay = std::chrono::milliseconds(
+      static_cast<int>(P2Server<MockGroup>::kSlowRequestMs) + 20);
   Obs svc(opt);
   auto client = svc.client();
   crypto::Rng rng(6);

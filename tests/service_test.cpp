@@ -6,9 +6,15 @@
 // crash/reconnect recovery, and the deterministic fault-injection chaos soak.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <filesystem>
+#include <functional>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -17,8 +23,9 @@
 #include "crypto/sha256.hpp"
 #include "group/mock_group.hpp"
 #include "group/tate_group.hpp"
+#include "keystore/ks_client.hpp"
+#include "legacy_peer.hpp"
 #include "service/client.hpp"
-#include "service/journal.hpp"
 #include "service/p2_server.hpp"
 #include "telemetry/events.hpp"
 #include "transport/fault.hpp"
@@ -750,6 +757,236 @@ TEST(ServiceWireTest, SvcRepliesArePinnedByteForByte) {
   EXPECT_EQ(got, want);
 }
 
+// ---- what the clients send ------------------------------------------------------
+
+/// Every frame one client sent, across all of its connections, in order. The
+/// test can hold a frame before it leaves, and lose one reply: the reply
+/// arrives, then its connection dies, so the request took effect but its
+/// answer never reaches the client.
+struct SentLog {
+  std::mutex mu;
+  std::vector<transport::Frame> frames;
+  std::function<void(const transport::Frame&)> hold;  // runs before a frame leaves
+  std::string lose_reply;                             // label of the reply to lose
+
+  /// One line per frame: type, label, length, the epoch and deadline fields
+  /// of the requests that carry them, and whether a trace envelope rode along.
+  std::vector<std::string> fields() {
+    std::lock_guard lk(mu);
+    std::vector<std::string> out;
+    for (const auto& f : frames) {
+      std::string s = std::string(f.type == transport::FrameType::Data ? "Data " : "Other ") +
+                      f.label + " len=" + std::to_string(f.body.size());
+      if (f.label == kLabelDecReq || f.label == kLabelRefReq) {
+        const Request r = decode_request(f.body);
+        s += " epoch=" + std::to_string(r.epoch) + " deadline=" + std::to_string(r.deadline_ms);
+      } else if (f.label == kLabelRefCommit) {
+        s += " epoch=" + std::to_string(decode_commit(f.body).epoch);
+      } else if (f.label == kLabelHello) {
+        const HelloMsg h = decode_hello(f.body);
+        s += " epoch=" + std::to_string(h.epoch) + " pending=" + std::to_string(h.has_pending);
+      } else if (f.label == keystore::kKsDec || f.label == keystore::kKsRef ||
+                 f.label == keystore::kKsRefCommit) {
+        const keystore::KsRequest r = keystore::decode_ks_request(f.body);
+        s += " epoch=" + std::to_string(r.epoch) + " deadline=" + std::to_string(r.deadline_ms);
+      } else if (f.label == keystore::kKsHello) {
+        const HelloMsg h = keystore::decode_ks_hello(f.body).hello;
+        s += " epoch=" + std::to_string(h.epoch) + " pending=" + std::to_string(h.has_pending);
+      }
+      s += std::string(" trace=") + (f.trace_id != 0 ? "1" : "0");
+      out.push_back(std::move(s));
+    }
+    return out;
+  }
+};
+
+class RecordingConn final : public transport::Conn {
+ public:
+  RecordingConn(std::shared_ptr<transport::Conn> under, std::shared_ptr<SentLog> log)
+      : under_(std::move(under)), log_(std::move(log)) {}
+
+  void send(const transport::Frame& f) override {
+    {
+      std::lock_guard lk(log_->mu);
+      log_->frames.push_back(f);
+    }
+    if (log_->hold) log_->hold(f);
+    under_->send(f);
+  }
+  transport::Frame recv(std::optional<transport::Millis> timeout) override {
+    transport::Frame f = under_->recv(timeout);
+    bool lose = false;
+    {
+      std::lock_guard lk(log_->mu);
+      if (!log_->lose_reply.empty() && f.label == log_->lose_reply) {
+        log_->lose_reply.clear();
+        lose = true;
+      }
+    }
+    if (lose) {
+      under_->shutdown();
+      throw transport::TransportError(transport::Errc::ConnectionClosed, "lost " + f.label);
+    }
+    return f;
+  }
+  using transport::Conn::recv;
+  [[nodiscard]] const transport::TransportOptions& options() const override {
+    return under_->options();
+  }
+  void shutdown() noexcept override { under_->shutdown(); }
+
+ private:
+  std::shared_ptr<transport::Conn> under_;
+  std::shared_ptr<SentLog> log_;
+};
+
+std::function<std::shared_ptr<transport::Conn>(std::shared_ptr<transport::FramedConn>)>
+record_into(std::shared_ptr<SentLog> log) {
+  return [log](std::shared_ptr<transport::FramedConn> fc) -> std::shared_ptr<transport::Conn> {
+    return std::make_shared<RecordingConn>(std::move(fc), log);
+  };
+}
+
+/// "1" where a request frame carries the caller's trace context.
+const std::string kTraced = DLR_TELEMETRY_ENABLED ? "1" : "0";
+
+TEST(ClientWireTest, DecryptionClientFramesArePinned) {
+  // One fixed script through DecryptionClient: connect hellos, a decryption,
+  // a decryption held until a refresh commits (StaleEpoch, then a retry at
+  // the new epoch), a refresh whose COMMIT reply is lost (the reconnect
+  // hello reports the refresh pending and rolls it forward), and a client of
+  // a v1 peer (versioned hello refused, bare re-hello, untraced requests).
+  Service svc(/*workers=*/2, 7850);
+  auto log_a = std::make_shared<SentLog>();
+  auto log_b = std::make_shared<SentLog>();
+  auto log_c = std::make_shared<SentLog>();
+  typename DecryptionClient<MockGroup>::Options opt;
+  opt.retry.base = transport::Millis{2};
+  opt.retry.cap = transport::Millis{20};
+  opt.conn_wrapper = record_into(log_a);
+  auto a = svc.client(opt);
+  opt.conn_wrapper = record_into(log_b);
+  auto b = svc.client(opt);
+  crypto::Rng rng(7851);
+  const auto dec = [&](DecryptionClient<MockGroup>& client) {
+    const auto m = svc.gg.gt_random(rng);
+    return svc.gg.gt_eq(client.decrypt(Core::enc(svc.gg, svc.kg.pk, m, rng)), m);
+  };
+  EXPECT_TRUE(dec(b));
+
+  // B's next request leaves only once A's refresh has committed at the server.
+  std::atomic<bool> held{false};
+  log_b->hold = [&](const transport::Frame& f) {
+    if (f.label != kLabelDecReq || held.exchange(true)) return;
+    (void)wait_until([&] { return svc.epoch() == 1; });
+  };
+  const auto m = svc.gg.gt_random(rng);
+  const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
+  std::atomic<bool> b_ok{false};
+  std::thread held_dec([&] { b_ok.store(svc.gg.gt_eq(b.decrypt(c), m)); });
+  EXPECT_TRUE(wait_until([&] { return held.load(); }));
+  a.refresh();
+  held_dec.join();
+  EXPECT_TRUE(b_ok.load());
+
+  log_a->lose_reply = kLabelRefCommitOk;
+  a.refresh();
+  EXPECT_EQ(a.epoch(), 2u);
+  EXPECT_EQ(svc.epoch(), 2u);
+  EXPECT_GE(a.reconnects(), 1u);
+
+  LegacyPeer v1(svc.server->port());
+  opt.conn_wrapper = record_into(log_c);
+  DecryptionClient<MockGroup> legacy(svc.p1, v1.port(), opt);
+  EXPECT_EQ(legacy.wire_version(), 0u);
+  EXPECT_TRUE(dec(legacy));
+  EXPECT_EQ(v1.rejected_hellos(), 1u);
+  EXPECT_EQ(v1.envelopes(), 0u) << "a trace envelope crossed to a v1 peer";
+
+  const std::vector<std::string> want_a = {
+      "Data svc.hello len=26 epoch=0 pending=0 trace=0",
+      "Data svc.ref len=1736 epoch=0 deadline=0 trace=" + kTraced,
+      "Data svc.ref.commit len=48 epoch=0 trace=" + kTraced,
+      "Data svc.ref len=1736 epoch=1 deadline=0 trace=" + kTraced,
+      "Data svc.ref.commit len=48 epoch=1 trace=" + kTraced,
+      "Data svc.hello len=58 epoch=1 pending=1 trace=0",
+  };
+  const std::vector<std::string> want_b = {
+      "Data svc.hello len=26 epoch=0 pending=0 trace=0",
+      "Data svc.dec len=936 epoch=0 deadline=0 trace=" + kTraced,
+      "Data svc.dec len=936 epoch=0 deadline=0 trace=" + kTraced,
+      "Data svc.dec len=936 epoch=1 deadline=0 trace=" + kTraced,
+  };
+  const std::vector<std::string> want_c = {
+      "Data svc.hello len=26 epoch=2 pending=0 trace=0",
+      "Data svc.hello len=25 epoch=2 pending=0 trace=0",
+      "Data svc.dec len=936 epoch=2 deadline=0 trace=0",
+  };
+  EXPECT_EQ(log_a->fields(), want_a);
+  EXPECT_EQ(log_b->fields(), want_b);
+  EXPECT_EQ(log_c->fields(), want_c);
+}
+
+TEST(ClientWireTest, KsFleetFramesArePinned) {
+  // One fixed script through KsFleet over two shards: provisioning through a
+  // fleet with no map (WrongShard, ks.map, re-route), a decryption, a refresh
+  // whose commit reply is lost (the next attempt's ks.hello reports the
+  // refresh pending and rolls it forward), and a decryption at the new epoch.
+  // The fleet opens no client spans, so nothing it sends is traced.
+  using keystore::KsFleet;
+  using keystore::KsServer;
+  const MockGroup gg = make_mock();
+  const auto prm = mock_params();
+  typename KsServer<MockGroup>::Options o0, o1;
+  o0.shard_id = 0;
+  o1.shard_id = 1;
+  KsServer<MockGroup> s0(gg, prm, crypto::Rng(7860), o0);
+  KsServer<MockGroup> s1(gg, prm, crypto::Rng(7861), o1);
+  s0.start();
+  s1.start();
+  const keystore::ShardMap map(1, {{0, "", s0.port()}, {1, "", s1.port()}});
+  s0.set_shard_map(map);
+  s1.set_shard_map(map);
+  keystore::KeyId id{"acme", ""};
+  for (int i = 0; map.owner(id) != 1; ++i) id.key = "key" + std::to_string(i);
+
+  auto log = std::make_shared<SentLog>();
+  typename KsFleet<MockGroup>::Options fo;
+  fo.retry.base = transport::Millis{2};
+  fo.retry.cap = transport::Millis{20};
+  fo.conn_wrapper = record_into(log);
+  KsFleet<MockGroup> fleet(gg, prm, crypto::Rng(7862), s0.port(), fo);
+  crypto::Rng rng(7863);
+  const auto kg = Core::gen(gg, prm, rng);
+  fleet.add_key(id, kg.pk, kg.sk1, schemes::P1Mode::Plain);
+  fleet.provision(id, kg.sk2);
+  const auto dec = [&] {
+    const auto m = gg.gt_random(rng);
+    return gg.gt_eq(fleet.decrypt(id, Core::enc(gg, kg.pk, m, rng)), m);
+  };
+  EXPECT_TRUE(dec());
+  log->lose_reply = keystore::kKsRefCommitOk;
+  fleet.refresh_key(id);
+  EXPECT_EQ(fleet.epoch_of(id), 1u);
+  EXPECT_EQ(s1.store().epoch_of(id), 1u);
+  EXPECT_TRUE(dec());
+  fleet.close();
+
+  const std::vector<std::string> want = {
+      "Data ks.put len=204 trace=0",
+      "Data ks.map len=0 trace=0",
+      "Data ks.put len=204 trace=0",
+      "Data ks.dec len=956 epoch=0 deadline=0 trace=0",
+      "Data ks.ref len=1756 epoch=0 deadline=0 trace=0",
+      "Data ks.ref.commit len=68 epoch=0 deadline=0 trace=0",
+      "Data ks.hello len=77 epoch=0 pending=1 trace=0",
+      "Data ks.dec len=956 epoch=1 deadline=0 trace=0",
+  };
+  EXPECT_EQ(log->fields(), want);
+  s0.stop();
+  s1.stop();
+}
+
 TEST(ServiceTest, StopIsOrderlyAndIdempotent) {
   Service svc;
   {
@@ -868,56 +1105,6 @@ TEST(EpochCoordinatorTest, DrainDeadlineFailsTheRefreshCleanly) {
   EXPECT_EQ(k.store.epoch_of(k.id), 1u);
 }
 
-// ---- journal ------------------------------------------------------------------
-
-TEST(JournalTest, RoundTripAndAtomicReplace) {
-  const std::string dir = make_state_dir();
-  Journal j(join_path(dir, "t.journal"));
-  EXPECT_FALSE(j.load().has_value());  // missing = no journal
-  const Bytes a{1, 2, 3, 4, 5};
-  j.save(a);
-  EXPECT_EQ(j.load().value(), a);
-  const Bytes b(1000, 0xAB);
-  j.save(b);  // replace, larger record
-  EXPECT_EQ(j.load().value(), b);
-  j.save(Bytes{});  // empty payload is a valid record
-  EXPECT_EQ(j.load().value(), Bytes{});
-  j.remove();
-  EXPECT_FALSE(j.load().has_value());
-}
-
-TEST(JournalTest, CorruptRecordsLoadAsNullopt) {
-  const std::string dir = make_state_dir();
-  const std::string path = join_path(dir, "t.journal");
-  Journal j(path);
-  j.save(Bytes{9, 9, 9, 9});
-  // Flip one byte of the payload on disk: CRC must reject it.
-  {
-    FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, -1, SEEK_END);
-    std::fputc(0x5A, f);
-    std::fclose(f);
-  }
-  EXPECT_FALSE(j.load().has_value());
-  // Garbage shorter than a header and wrong magic are equally rejected.
-  for (const Bytes& garbage : {Bytes{1, 2, 3}, Bytes(64, 0x00)}) {
-    FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(garbage.data(), 1, garbage.size(), f);
-    std::fclose(f);
-    EXPECT_FALSE(j.load().has_value());
-  }
-}
-
-TEST(JournalTest, DetachedJournalIsANoOp) {
-  Journal j;
-  EXPECT_FALSE(j.attached());
-  EXPECT_NO_THROW(j.save(Bytes{1}));
-  EXPECT_FALSE(j.load().has_value());
-  EXPECT_NO_THROW(j.remove());
-}
-
 // ---- two-phase refresh commit -------------------------------------------------
 
 TEST(ServiceTwoPhaseTest, DuplicatePrepareAndCommitAreIdempotent) {
@@ -1005,7 +1192,7 @@ TEST(ServiceTwoPhaseTest, RefreshInterruptedAtEveryFrameConvergesWithoutForking)
     std::shared_ptr<transport::FaultInjector> injector;
     typename DecryptionClient<MockGroup>::Options opt;
     opt.request_timeout = transport::Millis{300};
-    opt.max_retries = 8;
+    opt.retry.max_attempts = 9;
     opt.retry.base = transport::Millis{2};
     opt.retry.cap = transport::Millis{20};
     opt.conn_wrapper = [&](std::shared_ptr<transport::FramedConn> fc)
@@ -1079,7 +1266,7 @@ TEST(ServiceRecoveryTest, ClientCrashAfterPrepareRollsBackOnRestart) {
     std::atomic<int> conn_no{0};
     typename DecryptionClient<MockGroup>::Options opt;
     opt.request_timeout = transport::Millis{300};
-    opt.max_retries = 0;  // first failure surfaces: the "crash" point
+    opt.retry.max_attempts = 1;  // first failure surfaces: the "crash" point
     opt.conn_wrapper = [&](std::shared_ptr<transport::FramedConn> fc)
         -> std::shared_ptr<transport::Conn> {
       if (conn_no.fetch_add(1) != 0) return fc;
@@ -1126,7 +1313,7 @@ TEST(ServiceRecoveryTest, ClientCrashAfterServerCommitRollsForwardOnRestart) {
       std::atomic<int> conn_no{0};
       typename DecryptionClient<MockGroup>::Options opt;
       opt.request_timeout = transport::Millis{300};
-      opt.max_retries = 0;
+      opt.retry.max_attempts = 1;
       opt.conn_wrapper = [&](std::shared_ptr<transport::FramedConn> fc)
           -> std::shared_ptr<transport::Conn> {
         if (conn_no.fetch_add(1) != 0) return fc;
@@ -1156,6 +1343,79 @@ TEST(ServiceRecoveryTest, ClientCrashAfterServerCommitRollsForwardOnRestart) {
     EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, sk1, sk2), svc.kg.msk))
         << "roll-forward recovery forked the key material";
   }
+}
+
+/// The segment files of a durable P1Runtime's journal (<state_dir>/p1/), oldest first.
+std::vector<std::filesystem::path> p1_segments(const std::string& state_dir) {
+  std::vector<std::filesystem::path> out;
+  for (const auto& e : std::filesystem::directory_iterator(state_dir + "/p1"))
+    if (e.path().extension() == ".log") out.push_back(e.path());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(ServiceRecoveryTest, TornTailInP1JournalResumesFromThePreviousRecord) {
+  // Two refreshes, then a crash that tears the last record P1 appended (the
+  // installed epoch-2 state). The restart resumes from the record before it,
+  // the journaled round 2 of the second refresh, and the hello rolls it
+  // forward to the epoch the server already committed.
+  const std::string p1_dir = make_state_dir();
+  Service svc(4, 7550, {}, p1_dir);
+  {
+    auto client = svc.client();
+    client.refresh();
+    client.refresh();
+    ASSERT_EQ(client.epoch(), 2u);
+  }
+  const auto segs = p1_segments(p1_dir);
+  ASSERT_EQ(segs.size(), 1u);
+  std::filesystem::resize_file(segs.back(), std::filesystem::file_size(segs.back()) - 9);
+  auto& torn = telemetry::Registry::global().counter("ks.journal.torn_tails");
+  [[maybe_unused]] const auto torn0 = torn.value();
+  crypto::Rng decoy_rng(997);
+  const auto decoy = Core::gen(svc.gg, svc.prm, decoy_rng);
+  svc.p1 = std::make_shared<P1Runtime<MockGroup>>(svc.gg, svc.prm, svc.kg.pk, decoy.sk1,
+                                                  schemes::P1Mode::Plain, crypto::Rng(48),
+                                                  p1_dir);
+#if DLR_TELEMETRY_ENABLED
+  EXPECT_EQ(torn.value(), torn0 + 1);
+#endif
+  EXPECT_EQ(svc.p1->epoch(), 1u);
+  ASSERT_TRUE(svc.p1->pending_info().active);
+  EXPECT_TRUE(svc.p1->pending_info().has_r2);
+  auto client = svc.client();  // ctor hello applies the Commit verdict
+  EXPECT_EQ(client.epoch(), 2u);
+  crypto::Rng rng(49);
+  const auto m = svc.gg.gt_random(rng);
+  EXPECT_TRUE(svc.gg.gt_eq(client.decrypt(Core::enc(svc.gg, svc.kg.pk, m, rng)), m));
+  EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, svc.p1->share_for_test(), svc.sk2()),
+                          svc.kg.msk));
+}
+
+TEST(ServiceRecoveryTest, LeftoverP1JournalFileIsRefused) {
+  // A p1.journal from a build that journaled P1 in its own single-record
+  // format: its share may be epochs ahead of the constructor's, so the
+  // runtime refuses to start rather than fall back to the constructor share.
+  const std::string p1_dir = make_state_dir();
+  const std::string leftover = p1_dir + "/p1.journal";
+  {
+    FILE* f = std::fopen(leftover.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("DLRJ", f);
+    std::fclose(f);
+  }
+  const auto gg = make_mock();
+  const auto prm = mock_params();
+  crypto::Rng rng(7560);
+  const auto kg = Core::gen(gg, prm, rng);
+  try {
+    P1Runtime<MockGroup> p1(gg, prm, kg.pk, kg.sk1, schemes::P1Mode::Plain, crypto::Rng(7561),
+                            p1_dir);
+    FAIL() << "a leftover p1.journal was ignored";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(leftover), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(std::filesystem::exists(p1_dir + "/p1")) << "refused, yet a journal was opened";
 }
 
 // ---- graceful shutdown --------------------------------------------------------
@@ -1191,7 +1451,7 @@ TEST(ServiceChaosTest, SeededChaosSoakNeverReturnsAWrongPlaintext) {
   std::atomic<std::uint64_t> conn_no{0};
   typename DecryptionClient<MockGroup>::Options opt;
   opt.request_timeout = transport::Millis{300};
-  opt.max_retries = 40;
+  opt.retry.max_attempts = 41;
   opt.retry.base = transport::Millis{2};
   opt.retry.cap = transport::Millis{30};
   opt.auto_refresh_every = 5;
@@ -1392,7 +1652,7 @@ TEST(ServiceOverloadTest, ClientBreakerOpensOnDeadEndpointAndFastFails) {
                                                    crypto::Rng(7501), std::string{});
   typename DecryptionClient<MockGroup>::Options opt;
   opt.transport.connect_retries = 0;  // fail each attempt fast
-  opt.max_retries = 1;
+  opt.retry.max_attempts = 2;
   opt.retry.base = transport::Millis{1};
   opt.retry.cap = transport::Millis{2};
   // The fast-fail hint equals the remaining cooldown (60 s); a finite retry
@@ -1435,7 +1695,7 @@ TEST(ServiceOverloadTest, BreakerRecoveryEmitsOpenAndCloseEvents) {
 
   typename DecryptionClient<MockGroup>::Options opt;
   opt.transport.connect_retries = 0;
-  opt.max_retries = 1;
+  opt.retry.max_attempts = 2;
   opt.retry.base = transport::Millis{1};
   opt.retry.cap = transport::Millis{2};
   opt.retry.deadline = transport::Millis{100};
@@ -1512,6 +1772,222 @@ TEST(ServiceOverloadTest, StopWhileFloodedJoinsWithoutDeadlock) {
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(3))
       << "stop() left a flooder to wait out its send timeout";
   svc.reset();
+}
+
+// ---- the retry core: budget, breakers, refresh ---------------------------------
+
+TEST(ClientRetryTest, BudgetRidesSvcDecAndTheServerDropsExpiredWork) {
+  // 120 ms of queued crypto ahead of a decryption with a 60 ms budget. The
+  // budget rides svc.dec; the server drops the request once it expires, and
+  // the client gives up when the budget does, with its own last error. The
+  // busy requests' first reply proves the rest are queued: the server orders
+  // nothing across connections.
+  TinyServer svc(std::chrono::microseconds{40000}, /*queue_cap=*/64);
+  crypto::Rng rng(7470);
+  const auto m = svc.gg.gt_random(rng);
+  const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
+  const Bytes round1 = svc.p1->begin_decrypt(c, rng).round1;
+  transport::SessionMux mux(std::make_shared<transport::FramedConn>(
+      transport::connect_loopback(svc.server->port()), transport::TransportOptions{}));
+  std::vector<std::unique_ptr<transport::SessionMux::Session>> busy;
+  for (int i = 0; i < 4; ++i) {
+    busy.push_back(mux.open());
+    busy.back()->send(transport::FrameType::Data, 1, kLabelDecReq, encode_request(0, round1));
+  }
+  ASSERT_EQ(busy.front()->recv(transport::Millis{10000}).type, transport::FrameType::Data);
+  busy.erase(busy.begin());
+
+  auto log = std::make_shared<SentLog>();
+  typename DecryptionClient<MockGroup>::Options opt;
+  opt.retry.deadline = transport::Millis{60};
+  opt.conn_wrapper = record_into(log);
+  DecryptionClient<MockGroup> client(svc.p1, svc.server->port(), opt);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)client.decrypt(c), transport::TransportError);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(1000));
+  {
+    std::lock_guard lk(log->mu);
+    ASSERT_EQ(log->frames.size(), 2u);  // the hello and one svc.dec
+    const Request req = decode_request(log->frames[1].body);
+    EXPECT_GT(req.deadline_ms, 0u);
+    EXPECT_LE(req.deadline_ms, 60u);
+  }
+  EXPECT_TRUE(wait_until([&] { return svc.server->gov().shed_deadline() > 0; }))
+      << "the server served work its client had given up on";
+  for (auto& s : busy) (void)s->recv(transport::Millis{10000});
+}
+
+TEST(ClientRetryTest, BudgetRidesKsDecAndTheShardDropsExpiredWork) {
+  // The fleet's twin of the test above, over ks.dec.
+  using keystore::KsFleet;
+  using keystore::KsServer;
+  const MockGroup gg = make_mock();
+  const auto prm = mock_params();
+  typename KsServer<MockGroup>::Options so;
+  so.workers = 1;
+  so.max_batch = 1;
+  so.inject_crypto_delay = std::chrono::microseconds{40000};
+  KsServer<MockGroup> shard(gg, prm, crypto::Rng(7480), so);
+  shard.start();
+  const keystore::KeyId id{"acme", "budget"};
+  crypto::Rng rng(7481);
+  const auto kg = Core::gen(gg, prm, rng);
+  shard.store().put(id, kg.sk2);
+  schemes::DlrParty1<MockGroup> party(gg, prm, kg.pk, kg.sk1, schemes::P1Mode::Plain,
+                                      crypto::Rng(7482));
+  party.prepare_period();
+  const auto c = Core::enc(gg, kg.pk, gg.gt_random(rng), rng);
+  transport::SessionMux mux(std::make_shared<transport::FramedConn>(
+      transport::connect_loopback(shard.port()), transport::TransportOptions{}));
+  std::vector<std::unique_ptr<transport::SessionMux::Session>> busy;
+  for (int i = 0; i < 4; ++i) {
+    busy.push_back(mux.open());
+    busy.back()->send(transport::FrameType::Data, 1, keystore::kKsDec,
+                      keystore::encode_ks_request(id, 0, party.dec_round1(c, rng)));
+  }
+  ASSERT_EQ(busy.front()->recv(transport::Millis{10000}).type, transport::FrameType::Data);
+  busy.erase(busy.begin());
+
+  auto log = std::make_shared<SentLog>();
+  typename KsFleet<MockGroup>::Options fo;
+  fo.retry.deadline = transport::Millis{60};
+  fo.conn_wrapper = record_into(log);
+  KsFleet<MockGroup> fleet(gg, prm, crypto::Rng(7483), shard.port(), fo);
+  fleet.add_key(id, kg.pk, kg.sk1, schemes::P1Mode::Plain);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)fleet.decrypt(id, c), transport::TransportError);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(1000));
+  {
+    std::lock_guard lk(log->mu);
+    ASSERT_EQ(log->frames.size(), 1u);
+    const keystore::KsRequest req = keystore::decode_ks_request(log->frames[0].body);
+    EXPECT_GT(req.deadline_ms, 0u);
+    EXPECT_LE(req.deadline_ms, 60u);
+  }
+  EXPECT_TRUE(wait_until([&] { return shard.gov().shed_deadline() > 0; }))
+      << "the shard served work its client had given up on";
+  for (auto& s : busy) (void)s->recv(transport::Millis{10000});
+  fleet.close();
+  shard.stop();
+}
+
+TEST(ClientRetryTest, DeadShardTripsItsOwnBreakerWhileTheOtherServes) {
+  using keystore::KsFleet;
+  using keystore::KsServer;
+  const MockGroup gg = make_mock();
+  const auto prm = mock_params();
+  typename KsServer<MockGroup>::Options o0, o1;
+  o0.shard_id = 0;
+  o1.shard_id = 1;
+  KsServer<MockGroup> s0(gg, prm, crypto::Rng(7490), o0);
+  auto s1 = std::make_unique<KsServer<MockGroup>>(gg, prm, crypto::Rng(7491), o1);
+  s0.start();
+  s1->start();
+  const keystore::ShardMap map(1, {{0, "", s0.port()}, {1, "", s1->port()}});
+  s0.set_shard_map(map);
+  s1->set_shard_map(map);
+  keystore::KeyId on0{"acme", "a0"}, on1{"acme", "b0"};
+  for (int i = 1; map.owner(on0) != 0; ++i) on0.key = "a" + std::to_string(i);
+  for (int i = 1; map.owner(on1) != 1; ++i) on1.key = "b" + std::to_string(i);
+
+  typename KsFleet<MockGroup>::Options fo;
+  fo.transport.connect_retries = 0;  // each attempt at the dead shard fails fast
+  // A request opened on a lane whose peer already died waits out its reply
+  // timeout; keep it short.
+  fo.request_timeout = transport::Millis{100};
+  fo.retry.base = transport::Millis{1};
+  fo.retry.cap = transport::Millis{2};
+  fo.retry.max_attempts = 3;
+  // The fast-fail hint is the remaining cooldown (60 s); the budget keeps
+  // the schedule from sleeping on it.
+  fo.retry.deadline = transport::Millis{500};
+  fo.breaker.failure_threshold = 2;
+  fo.breaker.open_for = transport::Millis{60000};
+  KsFleet<MockGroup> fleet(gg, prm, crypto::Rng(7492), s0.port(), fo);
+  fleet.set_map(map);
+  crypto::Rng rng(7493);
+  std::map<std::string, Core::KeyGenResult> kgs;
+  for (const auto* id : {&on0, &on1}) {
+    auto kg = Core::gen(gg, prm, rng);
+    fleet.add_key(*id, kg.pk, kg.sk1, schemes::P1Mode::Plain);
+    fleet.provision(*id, kg.sk2);
+    kgs.emplace(id->key, std::move(kg));
+  }
+  const auto dec = [&](const keystore::KeyId& id) {
+    const auto m = gg.gt_random(rng);
+    return gg.gt_eq(fleet.decrypt(id, Core::enc(gg, kgs.at(id.key).pk, m, rng)), m);
+  };
+  ASSERT_TRUE(dec(on0));
+  ASSERT_TRUE(dec(on1));
+
+  s1.reset();  // shard 1 dies: its connections close, its port refuses
+  EXPECT_ANY_THROW((void)dec(on1));
+  EXPECT_EQ(fleet.shard_breaker(1).state(), transport::CircuitBreaker::State::Open)
+      << "two consecutive transport failures must trip shard 1's threshold-2 breaker";
+  auto& fastfail = telemetry::Registry::global().counter("ks.client.breaker.fastfail");
+  [[maybe_unused]] const auto fastfail0 = fastfail.value();
+  try {
+    (void)dec(on1);
+    FAIL() << "expected a fast-failed Overloaded";
+  } catch (const ServiceError& e) {
+    EXPECT_EQ(e.code(), ServiceErrc::Overloaded);
+    EXPECT_GT(e.retry_after_ms(), 0u);
+  }
+#if DLR_TELEMETRY_ENABLED
+  EXPECT_GT(fastfail.value(), fastfail0);
+#endif
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(dec(on0)) << "shard 0 stopped serving";
+  EXPECT_EQ(fleet.shard_breaker(0).state(), transport::CircuitBreaker::State::Closed);
+  fleet.close();
+  s0.stop();
+}
+
+TEST(ClientRetryTest, RefreshReturnsWithinItsBudgetWhenThePrepareReplyIsHeld) {
+  // The PREPARE reply (inbound frame 1, after the hello's) is held 1.5 s; the
+  // refresh's 200 ms budget caps the wait for it. A fresh client then
+  // reconciles the abandoned refresh and refreshes normally.
+  Service svc(/*workers=*/2, 7495);
+  typename DecryptionClient<MockGroup>::Options opt;
+  opt.retry.deadline = transport::Millis{200};
+  opt.conn_wrapper = hold_inbound(1, 1500);
+  auto held = svc.client(opt);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(held.refresh(), transport::TransportError);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(1000))
+      << "refresh() outlived its budget waiting for the PREPARE reply";
+  auto fresh = svc.client();
+  fresh.refresh();
+  EXPECT_EQ(fresh.epoch(), 1u);
+  EXPECT_EQ(svc.epoch(), 1u);
+  EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, svc.p1->share_for_test(), svc.sk2()),
+                          svc.kg.msk));
+}
+
+TEST(ClientRetryTest, RefreshTransportRetriesCountInSvcClientRetries) {
+  // The PREPARE frame severs the connection; the refresh retries on a new
+  // one, and that retry counts like every other.
+  Service svc(/*workers=*/2, 7497);
+  typename DecryptionClient<MockGroup>::Options opt;
+  opt.retry.base = transport::Millis{2};
+  opt.retry.cap = transport::Millis{20};
+  std::atomic<int> conns{0};
+  opt.conn_wrapper = [&](std::shared_ptr<transport::FramedConn> fc)
+      -> std::shared_ptr<transport::Conn> {
+    if (conns.fetch_add(1) != 0) return fc;
+    transport::FaultPlan plan;
+    plan.out_at(1, {transport::FaultKind::Sever});
+    return std::make_shared<transport::FaultInjector>(std::move(fc), plan);
+  };
+  auto& retries = telemetry::Registry::global().counter("svc.client.retries");
+  [[maybe_unused]] const auto retries0 = retries.value();
+  auto client = svc.client(opt);
+  client.refresh();
+  EXPECT_EQ(client.epoch(), 1u);
+  EXPECT_EQ(svc.epoch(), 1u);
+  EXPECT_GE(client.reconnects(), 1u);
+#if DLR_TELEMETRY_ENABLED
+  EXPECT_GT(retries.value(), retries0) << "the refresh's transport retry went uncounted";
+#endif
 }
 
 }  // namespace
