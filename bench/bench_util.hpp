@@ -205,13 +205,20 @@ inline std::string json_flag(int argc, char** argv) {
   return {};
 }
 
-/// If the user passed --json, dump the global telemetry registry + span table
-/// as JSON lines (works -- with empty content -- in a DLR_TELEMETRY=OFF
-/// build, so the flag never breaks).
+/// If the user passed --json, dump the global telemetry registry's counters,
+/// gauges and histograms as JSON lines (works -- with empty content -- in a
+/// DLR_TELEMETRY=OFF build, so the flag never breaks). Spans stay out:
+/// bench_diff compares metrics only, and a span dump would swamp a committed
+/// baseline.
 inline void export_json_if_requested(int argc, char** argv, const std::string& bench) {
   const std::string path = json_flag(argc, argv);
   if (path.empty()) return;
-  if (telemetry::export_global_jsonl(path, bench))
+  const std::string body = telemetry::to_jsonl(telemetry::ExportMeta{bench},
+                                               telemetry::Registry::global().snapshot(), {});
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  bool ok = f != nullptr && std::fwrite(body.data(), 1, body.size(), f) == body.size();
+  if (f != nullptr) ok = std::fclose(f) == 0 && ok;
+  if (ok)
     std::printf("\ntelemetry: wrote %s\n", path.c_str());
   else
     std::fprintf(stderr, "\ntelemetry: FAILED to write %s\n", path.c_str());

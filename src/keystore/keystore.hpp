@@ -197,36 +197,17 @@ class KeyStore {
     return keys_.size();
   }
 
-  /// DistDec round 2 + budget charge. Shared entry lock; concurrent with
-  /// other keys' refreshes and this key's other decryptions.
-  [[nodiscard]] DecOut dec(const KeyId& id, std::uint64_t epoch, const Bytes& round1) {
-    auto e = find(id);
-    const auto lk = reader_lock(*e);
-    check_not_removed(id, *e);
-    check_mig_decryptable(id, *e);
-    if (epoch != e->epoch)
-      throw ServiceError(ServiceErrc::StaleEpoch, e->epoch,
-                         "request epoch " + std::to_string(epoch) + " != " +
-                             std::to_string(e->epoch));
-    DecOut out;
-    try {
-      out.reply = e->p2.dec_respond(round1);
-    } catch (const std::exception& ex) {
-      throw ServiceError(ServiceErrc::BadRequest, e->epoch, ex.what());
-    }
-    out.spent_millibits = charge_locked(id, *e);
-    out.budget_millibits = budget_millibits();
-    return out;
-  }
-
-  /// Batched decryption against ONE key: holds the entry's shared lock and a
-  /// recode-once DlrParty2::DecBatch across many run() calls, so a batch of
-  /// requests pays one lock acquisition and one share-vector wNAF recoding
-  /// instead of N. run() is dec() per item -- same epoch check, same budget
-  /// charge, same typed errors, bit-identical replies. Because the lock is
-  /// held for the whole session, a refresh commit (exclusive lock) either
-  /// drains before the session starts or waits until it ends: a session never
-  /// observes an epoch change mid-batch.
+  /// Decryption against ONE key, the only way the store decrypts: holds the
+  /// entry's shared lock (concurrent with other keys' refreshes and this
+  /// key's other sessions) and a recode-once DlrParty2::DecBatch across many
+  /// run() calls, so a batch of requests pays one lock acquisition and one
+  /// share-vector wNAF recoding instead of N. Each run() is DistDec round 2
+  /// plus the budget charge: the epoch check comes first (a stale request
+  /// charges nothing, whatever its payload), a malformed payload answers
+  /// BadRequest, and replies are bit-identical to DlrParty2::dec_respond.
+  /// Because the lock is held for the whole session, a refresh commit
+  /// (exclusive lock) either drains before the session starts or waits until
+  /// it ends: a session never observes an epoch change mid-batch.
   class DecSession {
    public:
     DecSession(DecSession&&) = default;

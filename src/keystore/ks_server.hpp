@@ -1,18 +1,18 @@
 // KsServer<GG> -- one shard of the multi-tenant keystore service, and the
 // single-key P2 server: service::P2Server<GG> is this class.
 //
-// Thread architecture (DESIGN.md §12): with pipeline=true (default)
-// decryption requests (ks.dec AND the single-key svc.dec route) flow through
-// decode -> BatchCollector -> crypto-worker -> coalesced-encode: readers
-// decode and address-check, crypto workers pull micro-batches, group them by
-// (tenant, key), and serve each group through one KeyStore::DecSession (one
-// shared entry lock + one share-vector recode per key per batch). A refresh
-// commit takes the entry's exclusive lock, so it drains every open session
-// first and no batch ever spans two epochs. Control-plane routes (ks.ref /
-// commit / hello / put / map and the svc.* refresh routes) stay on a small
-// WorkerPool. With pipeline=false every request runs whole on the
-// WorkerPool. One background compaction thread periodically folds the
-// segmented journal, when the store keeps one.
+// Thread architecture (DESIGN.md §12): every decryption request (ks.dec AND
+// the single-key svc.dec route) flows through decode -> BatchCollector ->
+// crypto worker -> coalesced encode. Readers decode and address-check; a
+// crypto worker that wakes takes whatever is queued, up to
+// min(max_batch, 2 x workers) requests, groups them by (tenant, key), and
+// serves each group through one KeyStore::DecSession (one shared entry lock
+// + one share-vector recode per key per batch). A refresh commit takes the
+// entry's exclusive lock, so it drains every open session first and no batch
+// ever spans two epochs. Control-plane routes (ks.ref / commit / hello / put
+// / map and the svc.* refresh routes) run on a small WorkerPool. One
+// background compaction thread periodically folds the segmented journal,
+// when the store keeps one.
 //
 // Every ks.* request names a (tenant, key) and is served by the KeyStore's
 // per-key epoch machine. The single-key routes (svc.dec / svc.ref /
@@ -103,35 +103,21 @@ class KsServer {
     int workers = 4;
     std::size_t queue_cap = 1024;
     transport::TransportOptions transport{};
-    /// Grace period stop() allows queued work to finish before hanging up.
-    transport::Millis stop_drain{1000};
     /// This process's shard id (matched against the installed ShardMap).
     std::uint32_t shard_id = 0;
     typename Store::Options store{};
-    /// Background journal-compaction cadence (0 = no compaction thread;
-    /// a store without a journal runs none either).
-    std::chrono::milliseconds compact_interval{500};
     /// Wraps each accepted connection (fault injection in tests/benches).
     std::function<std::shared_ptr<transport::Conn>(std::shared_ptr<transport::FramedConn>)>
         conn_wrapper;
     /// Run a read-only AdminServer sidecar (DESIGN.md §10).
     bool admin = false;
     std::uint16_t admin_port = 0;
-    /// Pipelined decryption path (DESIGN.md §12): readers decode, crypto
-    /// workers pull cross-request micro-batches grouped by key. Off = every
-    /// request runs whole on the WorkerPool (PR 7 behavior).
-    bool pipeline = true;
-    /// Micro-batch bounds (effective cap is min(max_batch, 2 * workers)).
+    /// Largest micro-batch a crypto worker takes (effective cap is
+    /// min(max_batch, 2 * workers)).
     std::size_t max_batch = 16;
-    std::chrono::microseconds batch_wait{200};
     /// Derive a DLR_PARALLEL default from hardware_concurrency minus this
     /// server's own threads when the env var is absent.
     bool adaptive_parallel = true;
-    /// Queue-depth fraction past which the server is "degraded" and sheds
-    /// background refresh PREPAREs (DESIGN.md §13).
-    double overload_high_water = 0.75;
-    /// Ceiling on the server-computed retry-after hint.
-    std::uint32_t retry_after_cap_ms = 2000;
     /// Leakage-floor exception to refresh shedding: a key whose spent
     /// fraction is at/above this floor gets its refresh served even while
     /// degraded -- availability degrades before leakage tolerance does.
@@ -145,16 +131,19 @@ class KsServer {
   /// A decryption whose server-side handling takes longer than this logs a
   /// SlowRequest event (every 256th one, like Shed).
   static constexpr double kSlowRequestMs = 100;
+  /// Grace period stop() allows queued work to finish before hanging up.
+  static constexpr transport::Millis kStopDrain{1000};
+  /// Background journal-compaction cadence (a store without a journal runs
+  /// no compaction thread).
+  static constexpr std::chrono::milliseconds kCompactInterval{500};
 
   KsServer(GG gg, schemes::DlrParams prm, crypto::Rng rng, Options opt)
       : opt_(std::move(opt)),
         store_(std::move(gg), prm, std::move(rng), opt_.store),
-        batcher_(typename service::BatchCollector<KsDecJob>::Options{
-            effective_batch_cap(opt_), opt_.batch_wait, opt_.queue_cap}),
+        batcher_(typename service::BatchCollector<KsDecJob>::Options{effective_batch_cap(opt_),
+                                                                     opt_.queue_cap}),
         gov_(service::OverloadGovernor::Options{.workers = opt_.workers,
-                                                .queue_cap = opt_.queue_cap,
-                                                .high_water = opt_.overload_high_water,
-                                                .hint_cap_ms = opt_.retry_after_cap_ms}) {}
+                                                .queue_cap = opt_.queue_cap}) {}
 
   /// The single-key server: a store holding `default_sk2` as
   /// default_key_id(), unless Options::store.state_dir already journals that
@@ -172,19 +161,16 @@ class KsServer {
   void start(std::uint16_t port = 0) {
     listener_ = transport::Listener::loopback(port);
     started_at_ = std::chrono::steady_clock::now();
-    pool_ = std::make_unique<service::WorkerPool>(
-        opt_.pipeline ? kControlWorkers : opt_.workers, opt_.queue_cap);
+    pool_ = std::make_unique<service::WorkerPool>(kControlWorkers, opt_.queue_cap);
     if (opt_.adaptive_parallel) {
       const unsigned hw = std::thread::hardware_concurrency();
-      const int own = (opt_.pipeline ? opt_.workers + kControlWorkers : opt_.workers) + 1;
+      const int own = opt_.workers + kControlWorkers + 1;
       service::set_adaptive_parallel_default(
           hw == 0 ? 0 : std::max(0, static_cast<int>(hw) - own));
     }
-    if (opt_.pipeline) {
-      crypto_threads_.reserve(static_cast<std::size_t>(opt_.workers));
-      for (int i = 0; i < opt_.workers; ++i)
-        crypto_threads_.emplace_back([this] { crypto_loop(); });
-    }
+    crypto_threads_.reserve(static_cast<std::size_t>(opt_.workers));
+    for (int i = 0; i < opt_.workers; ++i)
+      crypto_threads_.emplace_back([this] { crypto_loop(); });
     if (opt_.admin) {
       admin_ = std::make_unique<service::AdminServer>(
           service::AdminServer::Options{.transport = opt_.transport});
@@ -192,7 +178,7 @@ class KsServer {
       admin_->start(opt_.admin_port);
     }
     accept_thread_ = std::thread([this] { accept_loop(); });
-    if (opt_.compact_interval.count() > 0 && store_.journal() != nullptr)
+    if (store_.journal() != nullptr)
       compact_thread_ = std::thread([this] { compact_loop(); });
     mig_thread_ = std::thread([this] { migrate_loop(); });
     // Journaled mid-migration keys (crash restart) go straight back on the
@@ -327,7 +313,7 @@ class KsServer {
         if (m) m->stop();
       peer_muxes_.clear();
     }
-    const auto deadline = std::chrono::steady_clock::now() + opt_.stop_drain;
+    const auto deadline = std::chrono::steady_clock::now() + kStopDrain;
     while (std::chrono::steady_clock::now() < deadline && pool_ &&
            (pool_->queued() > 0 || batcher_.queued() > 0))
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -340,7 +326,7 @@ class KsServer {
     }
     for (auto& c : conns) c->conn->shutdown();
     if (pool_) pool_->stop();
-    // Wake readers blocked in submit() backpressure before joining them;
+    // A reader still running now gets Stopped from try_submit and exits;
     // crypto workers drain the queue and exit on the first empty collect().
     batcher_.stop();
     for (auto& t : crypto_threads_)
@@ -406,7 +392,6 @@ class KsServer {
         {"journal_segments", j ? std::to_string(j->segment_count()) : "0"},
         {"compactions", j ? std::to_string(j->compactions()) : "0"},
         {"draining", draining_stop_.load() ? "true" : "false"},
-        {"pipeline", opt_.pipeline ? "true" : "false"},
         {"batch_queue", std::to_string(batcher_.queued())},
         {"queue_cap", std::to_string(opt_.queue_cap)},
         {"degraded",
@@ -469,7 +454,7 @@ class KsServer {
         break;
       }
       if (f.type != transport::FrameType::Data) continue;
-      if (opt_.pipeline && (f.label == kKsDec || f.label == service::kLabelDecReq)) {
+      if (f.label == kKsDec || f.label == service::kLabelDecReq) {
         if (!enqueue_dec(conn, std::move(f))) break;
         continue;
       }
@@ -506,7 +491,7 @@ class KsServer {
   void compact_loop() {
     std::unique_lock lk(compact_mu_);
     while (!compact_stop_) {
-      compact_cv_.wait_for(lk, opt_.compact_interval, [this] { return compact_stop_; });
+      compact_cv_.wait_for(lk, kCompactInterval, [this] { return compact_stop_; });
       if (compact_stop_) return;
       lk.unlock();
       try {
@@ -552,7 +537,7 @@ class KsServer {
     // definitive UnknownKey.
   }
 
-  // ---- pipelined decryption path ----------------------------------------
+  // ---- decryption path ----------------------------------------------------
 
   /// Reader-side stage: decode + shard-check + park in the batcher. Returns
   /// false when the reader should exit (connection dead or server stopping).
@@ -641,7 +626,7 @@ class KsServer {
     batch_size_hist().observe(static_cast<double>(batch.size()));
     const auto now = std::chrono::steady_clock::now();
     for (const auto& j : batch)
-      batch_wait_hist().observe(static_cast<double>(
+      queue_wait_hist().observe(static_cast<double>(
           std::chrono::duration_cast<std::chrono::microseconds>(now - j.enq).count()));
 
     struct Out {
@@ -789,7 +774,9 @@ class KsServer {
         "svc.batch.size", {1, 2, 4, 8, 16, 32, 64});
     return h;
   }
-  static telemetry::Histogram& batch_wait_hist() {
+  /// Each request's time in the collector's queue, from enqueue to the
+  /// start of its batch.
+  static telemetry::Histogram& queue_wait_hist() {
     static telemetry::Histogram& h = telemetry::Registry::global().histogram(
         "svc.batch.wait_us", {25, 50, 100, 200, 400, 800, 1600, 5000});
     return h;
@@ -801,9 +788,7 @@ class KsServer {
         send_err(conn, f, ServiceErrc::Shutdown, "server shutting down");
         return;
       }
-      if (f.label == kKsDec) {
-        handle_dec(conn, f);
-      } else if (f.label == kKsRef) {
+      if (f.label == kKsRef) {
         handle_ref(conn, f);
       } else if (f.label == kKsRefCommit) {
         handle_ref_commit(conn, f);
@@ -828,8 +813,6 @@ class KsServer {
         handle_mig_commit(conn, f);
       } else if (f.label == kKsMigDone) {
         handle_mig_done(conn, f);
-      } else if (f.label == service::kLabelDecReq) {
-        handle_compat_dec(conn, f);
       } else if (f.label == service::kLabelRefReq) {
         handle_compat_ref(conn, f);
       } else if (f.label == service::kLabelRefCommit) {
@@ -860,18 +843,6 @@ class KsServer {
       } catch (...) {
       }
     }
-  }
-
-  void handle_dec(transport::Conn& conn, const transport::Frame& f) {
-    telemetry::ScopedSpan span("ks.dec",
-                               telemetry::TraceContext{f.trace_id, f.parent_span});
-    const auto t0 = std::chrono::steady_clock::now();
-    KsRequest req = decode_ks(f);
-    check_owned(req.id);
-    const auto out = store_.dec(req.id, req.epoch, req.payload);
-    slow_request_since(t0);
-    reply_data(conn, f, kKsDecOk,
-               encode_ks_dec_ok({out.reply, out.spent_millibits, out.budget_millibits}));
   }
 
   void handle_ref(transport::Conn& conn, const transport::Frame& f) {
@@ -1199,17 +1170,6 @@ class KsServer {
 
   // ---- single-key routes (svc.*): the default key ---------------------
 
-  void handle_compat_dec(transport::Conn& conn, const transport::Frame& f) {
-    telemetry::ScopedSpan span("svc.dec",
-                               telemetry::TraceContext{f.trace_id, f.parent_span});
-    const auto t0 = std::chrono::steady_clock::now();
-    service::Request req = decode_svc(f);
-    auto out = store_.dec(default_key_id(), req.epoch, req.round1);
-    slow_request_since(t0);
-    requests_counter().add();
-    reply_data(conn, f, service::kLabelDecOk, std::move(out.reply));
-  }
-
   void handle_compat_ref(transport::Conn& conn, const transport::Frame& f) {
     telemetry::ScopedSpan span("svc.refresh",
                                telemetry::TraceContext{f.trace_id, f.parent_span});
@@ -1316,8 +1276,7 @@ class KsServer {
   /// SlowRequest event for a decryption whose server-side handling began at
   /// t0 and ended at `now`, rate-limited like shed_event.
   void slow_request_since(std::chrono::steady_clock::time_point t0,
-                          std::chrono::steady_clock::time_point now =
-                              std::chrono::steady_clock::now()) {
+                          std::chrono::steady_clock::time_point now) {
     const double ms = std::chrono::duration<double, std::milli>(now - t0).count();
     if (ms <= kSlowRequestMs) return;
     const std::uint64_t nth = slow_requests_.fetch_add(1) + 1;

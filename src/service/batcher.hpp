@@ -1,20 +1,20 @@
-// Cross-request micro-batch collector for the pipelined server.
+// Cross-request micro-batch collector for the decryption path.
 //
-// Readers (producers) submit decoded, epoch-admitted requests; crypto
-// workers (consumers) call collect(), which returns a batch of up to `cap`
-// items. A batch closes when it is full, when the OLDEST queued item has
-// waited `max_wait`, or when the collector is stopped (pending items still
-// drain, in batches). The deadline bounds the latency any request can absorb
-// from waiting for queue-mates: an idle server hands a lone request to a
-// crypto worker after at most max_wait.
+// Readers (producers) try_submit decoded requests; crypto workers
+// (consumers) call collect(), which blocks until the queue holds something
+// and then takes up to `cap` items at once -- whatever is queued, never
+// waiting for more. Batches form only from requests that queued while every
+// worker was busy, so an idle server hands a lone request over at once and a
+// loaded one amortizes its per-batch work over the backlog. After stop(),
+// pending items still drain, in batches.
 //
-// submit() applies backpressure (blocks while queue_cap items are pending)
-// and returns false once stop() has been called, mirroring WorkerPool. Many
-// producers and many consumers are fine; every hand-off happens under one
-// mutex, so a batch is consumed by exactly one worker.
+// try_submit never blocks: a full queue answers Full and the caller sheds
+// (DESIGN.md §13). Many producers and many consumers are fine; every
+// hand-off happens under one mutex, so a batch is consumed by exactly one
+// worker.
 #pragma once
 
-#include <chrono>
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -29,9 +29,8 @@ template <class Item>
 class BatchCollector {
  public:
   struct Options {
-    std::size_t cap = 16;                       // max items per batch
-    std::chrono::microseconds max_wait{200};    // oldest-item deadline
-    std::size_t queue_cap = 1024;               // submit() backpressure bound
+    std::size_t cap = 16;          // max items per batch
+    std::size_t queue_cap = 1024;  // try_submit() answers Full at this depth
   };
 
   explicit BatchCollector(Options opt) : opt_(opt) {
@@ -41,18 +40,6 @@ class BatchCollector {
 
   enum class Submit : std::uint8_t { Ok = 0, Full = 1, Stopped = 2 };
 
-  /// Enqueue one item; blocks while the queue is full. Returns false (and
-  /// drops the item) once stop() has been called.
-  bool submit(Item item) {
-    std::unique_lock<std::mutex> lk(mu_);
-    not_full_.wait(lk, [&] { return stopping_ || q_.size() < opt_.queue_cap; });
-    if (stopping_) return false;
-    q_.push_back({std::move(item), Clock::now()});
-    lk.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Non-blocking enqueue for load-shedding producers (DESIGN.md §13): a
   /// full queue returns Full immediately -- the item is NOT queued and the
   /// caller answers Overloaded -- instead of parking the reader thread and
@@ -61,67 +48,39 @@ class BatchCollector {
     std::unique_lock<std::mutex> lk(mu_);
     if (stopping_) return Submit::Stopped;
     if (q_.size() >= opt_.queue_cap) return Submit::Full;
-    q_.push_back({std::move(item), Clock::now()});
+    q_.push_back(std::move(item));
     lk.unlock();
     not_empty_.notify_one();
     return Submit::Ok;
   }
 
-  /// Block until a batch is ready and return it. An empty vector means the
-  /// collector is stopped AND drained -- the consumer should exit.
-  ///
-  /// Lingering is ADAPTIVE: a lone item dispatches immediately unless the
-  /// recent past showed concurrency (a multi-item batch, or items left
-  /// queued after a take). A closed-loop single client therefore never pays
-  /// the max_wait linger -- its p50 matches the unbatched path -- while
-  /// fan-in traffic, which keeps the queue occupied, still coalesces.
+  /// Block until an item is queued, then take up to `cap` of them. An empty
+  /// vector means the collector is stopped AND drained -- the consumer
+  /// should exit.
   std::vector<Item> collect() {
     std::unique_lock<std::mutex> lk(mu_);
     not_empty_.wait(lk, [&] { return stopping_ || !q_.empty(); });
-    if (q_.empty()) return {};
-    if (!stopping_ && q_.size() < opt_.cap && (q_.size() > 1 || recent_multi_)) {
-      // Linger for queue-mates, but never past the oldest item's deadline.
-      // front() can change while unlocked (another consumer may take a
-      // batch), so re-derive the deadline each time the wait wakes.
-      for (;;) {
-        if (q_.empty()) {
-          // Another consumer drained the queue; start over.
-          not_empty_.wait(lk, [&] { return stopping_ || !q_.empty(); });
-          if (q_.empty()) return {};
-          continue;
-        }
-        if (stopping_ || q_.size() >= opt_.cap) break;
-        const auto deadline = q_.front().enq + opt_.max_wait;
-        if (Clock::now() >= deadline) break;
-        not_empty_.wait_until(lk, deadline,
-                              [&] { return stopping_ || q_.size() >= opt_.cap; });
-        if (stopping_ || q_.size() >= opt_.cap) break;
-        if (!q_.empty() && Clock::now() >= q_.front().enq + opt_.max_wait) break;
-      }
-    }
-    std::vector<Item> batch;
     const std::size_t n = std::min(q_.size(), opt_.cap);
+    std::vector<Item> batch;
     batch.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      batch.push_back(std::move(q_.front().item));
+      batch.push_back(std::move(q_.front()));
       q_.pop_front();
     }
-    recent_multi_ = n > 1 || !q_.empty();
+    const bool more = !q_.empty();
     lk.unlock();
-    not_full_.notify_all();
-    if (!batch.empty() && n == opt_.cap) not_empty_.notify_one();
+    if (more) not_empty_.notify_one();
     return batch;
   }
 
-  /// Wake every blocked submit (-> false) and collector (pending items still
-  /// drain; consumers exit once the queue is empty).
+  /// Refuse every later try_submit (-> Stopped) and wake every collector
+  /// (pending items still drain; consumers exit once the queue is empty).
   void stop() {
     {
       std::lock_guard<std::mutex> lk(mu_);
       stopping_ = true;
     }
     not_empty_.notify_all();
-    not_full_.notify_all();
   }
 
   [[nodiscard]] std::size_t queued() const {
@@ -129,22 +88,12 @@ class BatchCollector {
     return q_.size();
   }
 
-  [[nodiscard]] const Options& options() const { return opt_; }
-
  private:
-  using Clock = std::chrono::steady_clock;
-  struct Pending {
-    Item item;
-    Clock::time_point enq;
-  };
-
   Options opt_;
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
-  std::deque<Pending> q_;
+  std::deque<Item> q_;
   bool stopping_ = false;
-  bool recent_multi_ = false;  // linger heuristic; guarded by mu_
 };
 
 }  // namespace dlr::service

@@ -1,4 +1,4 @@
-// Overload accounting for the pipelined servers (DESIGN.md §13).
+// Overload accounting for the decryption server (DESIGN.md §13).
 //
 // One OverloadGovernor per server instance tracks an EWMA of the per-item
 // crypto cost (updated by the crypto workers after every batch) and turns
@@ -7,12 +7,12 @@
 //   retry_after_ms ~= queue_depth * ewma_cost_us / workers / 1000
 //
 // i.e. "how long until the backlog ahead of you would have drained" --
-// clamped to [1, hint_cap_ms] so a shed response always carries a nonzero,
+// clamped to [1, kHintCapMs] so a shed response always carries a nonzero,
 // bounded hint. Before the first sample a conservative default cost stands
 // in, so the very first shed of a cold server still hints something sane.
 //
 // The governor also decides DEGRADED mode: queue depth at or above
-// high_water * queue_cap. Degraded servers deprioritize background refresh
+// kHighWater * queue_cap. Degraded servers deprioritize background refresh
 // traffic (PREPAREs answered with retryable Overloaded) before they shed
 // decrypts -- availability degrades before the leakage budget does; the
 // keystore carves out keys whose spent fraction crossed the refresh floor
@@ -34,15 +34,15 @@ namespace dlr::service {
 class OverloadGovernor {
  public:
   struct Options {
-    int workers = 4;                 // crypto parallelism the hint divides by
-    std::size_t queue_cap = 1024;    // the queue the depth is measured against
-    double high_water = 0.75;        // depth/cap fraction that enters degraded
-    std::uint32_t hint_cap_ms = 2000;  // retry-after ceiling
-    double default_cost_us = 500.0;  // per-item cost before the first sample
-    double alpha = 0.2;              // EWMA smoothing factor
+    int workers = 4;               // crypto parallelism the hint divides by
+    std::size_t queue_cap = 1024;  // the queue the depth is measured against
   };
 
-  OverloadGovernor() : OverloadGovernor(Options{}) {}
+  static constexpr double kHighWater = 0.75;       // depth/cap fraction that enters degraded
+  static constexpr std::uint32_t kHintCapMs = 2000;  // retry-after ceiling
+  static constexpr double kDefaultCostUs = 500.0;  // per-item cost before the first sample
+  static constexpr double kAlpha = 0.2;            // EWMA smoothing factor
+
   explicit OverloadGovernor(Options opt) : opt_(opt) {
     if (opt_.workers < 1) opt_.workers = 1;
     if (opt_.queue_cap == 0) opt_.queue_cap = 1;
@@ -54,7 +54,7 @@ class OverloadGovernor {
     const double per_item = total_us / static_cast<double>(items);
     double prev = cost_us_.load(std::memory_order_relaxed);
     for (;;) {
-      const double next = prev <= 0.0 ? per_item : prev + opt_.alpha * (per_item - prev);
+      const double next = prev <= 0.0 ? per_item : prev + kAlpha * (per_item - prev);
       if (cost_us_.compare_exchange_weak(prev, next, std::memory_order_relaxed)) break;
     }
   }
@@ -62,7 +62,7 @@ class OverloadGovernor {
   /// Smoothed per-item crypto cost in microseconds (default until sampled).
   [[nodiscard]] double cost_us() const {
     const double c = cost_us_.load(std::memory_order_relaxed);
-    return c > 0.0 ? c : opt_.default_cost_us;
+    return c > 0.0 ? c : kDefaultCostUs;
   }
 
   /// Server-computed backoff hint for a request shed at `queue_depth`:
@@ -71,8 +71,7 @@ class OverloadGovernor {
     const double drain_ms = static_cast<double>(queue_depth) * cost_us() /
                             static_cast<double>(opt_.workers) / 1000.0;
     const auto ms = static_cast<std::uint64_t>(drain_ms) + 1;  // ceil-ish, >= 1
-    return static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(ms, opt_.hint_cap_ms ? opt_.hint_cap_ms : 1));
+    return static_cast<std::uint32_t>(std::min<std::uint64_t>(ms, kHintCapMs));
   }
 
   /// Sustained-overload gate for graceful degradation (refresh
@@ -80,7 +79,7 @@ class OverloadGovernor {
   /// starts turning away background work while decrypts still fit.
   [[nodiscard]] bool degraded(std::size_t queue_depth) const {
     return static_cast<double>(queue_depth) >=
-           opt_.high_water * static_cast<double>(opt_.queue_cap);
+           kHighWater * static_cast<double>(opt_.queue_cap);
   }
 
   void count_shed_overload() {
@@ -108,8 +107,6 @@ class OverloadGovernor {
   [[nodiscard]] std::uint64_t shed_refresh() const {
     return shed_refresh_.load(std::memory_order_relaxed);
   }
-
-  [[nodiscard]] const Options& options() const { return opt_; }
 
  private:
   Options opt_;

@@ -19,18 +19,6 @@ WorkerPool::WorkerPool(int workers, std::size_t queue_cap) : queue_cap_(queue_ca
   for (int i = 0; i < workers; ++i) threads_.emplace_back([this] { run(); });
 }
 
-bool WorkerPool::submit(std::function<void()> job) {
-  {
-    std::unique_lock lock(mu_);
-    cv_nonfull_.wait(lock, [&] { return queue_.size() < queue_cap_ || stopping_; });
-    if (stopping_) return false;
-    queue_.push_back(std::move(job));
-    depth_gauge().set(static_cast<double>(queue_.size()));
-  }
-  cv_nonempty_.notify_one();
-  return true;
-}
-
 WorkerPool::Submit WorkerPool::try_submit(std::function<void()> job) {
   {
     std::unique_lock lock(mu_);
@@ -49,7 +37,6 @@ void WorkerPool::stop() {
     stopping_ = true;
   }
   cv_nonempty_.notify_all();
-  cv_nonfull_.notify_all();
   std::lock_guard jlock(join_mu_);  // serialize concurrent stop() callers
   for (auto& t : threads_)
     if (t.joinable()) t.join();
@@ -71,7 +58,6 @@ void WorkerPool::run() {
       queue_.pop_front();
       depth_gauge().set(static_cast<double>(queue_.size()));
     }
-    cv_nonfull_.notify_one();
     job();
   }
 }

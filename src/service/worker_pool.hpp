@@ -1,9 +1,9 @@
 // Fixed-size worker pool with a bounded job queue.
 //
-// submit() blocks when the queue is full (backpressure onto the connection
-// reader threads rather than unbounded memory growth) and returns false once
-// the pool is stopping. stop() lets queued jobs drain, then joins. Gauge
-// svc.queue_depth tracks the backlog.
+// try_submit() never blocks: a full queue answers Full (the connection
+// reader sheds the request instead of growing memory without bound) and a
+// stopping pool answers Stopped. stop() lets queued jobs drain, then joins.
+// Gauge svc.queue_depth tracks the backlog.
 #pragma once
 
 #include <condition_variable>
@@ -26,10 +26,6 @@ class WorkerPool {
 
   enum class Submit : std::uint8_t { Ok = 0, Full = 1, Stopped = 2 };
 
-  /// Enqueue a job; blocks while the queue is at capacity. Returns false
-  /// (job dropped) if the pool is stopping.
-  bool submit(std::function<void()> job);
-
   /// Non-blocking enqueue: a full queue returns Full immediately (job
   /// dropped) so readers can shed with Overloaded instead of stalling.
   [[nodiscard]] Submit try_submit(std::function<void()> job);
@@ -46,7 +42,6 @@ class WorkerPool {
   mutable std::mutex mu_;
   std::mutex join_mu_;
   std::condition_variable cv_nonempty_;
-  std::condition_variable cv_nonfull_;
   std::deque<std::function<void()>> queue_;
   std::size_t queue_cap_;
   bool stopping_ = false;

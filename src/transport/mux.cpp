@@ -10,11 +10,7 @@ SessionMux::SessionMux(std::shared_ptr<Conn> conn) : conn_(std::move(conn)) {
 
 std::unique_ptr<SessionMux::Session> SessionMux::open() {
   std::lock_guard lock(mu_);
-  const std::uint32_t id = next_id_++;
-  auto st = std::make_shared<SessionState>();
-  sessions_[id] = st;
-  telemetry::Registry::global().counter("svc.sessions").add();
-  return std::make_unique<Session>(this, id, std::move(st));
+  return add_locked(next_id_++);
 }
 
 std::unique_ptr<SessionMux::Session> SessionMux::open_with_id(std::uint32_t id) {
@@ -22,7 +18,14 @@ std::unique_ptr<SessionMux::Session> SessionMux::open_with_id(std::uint32_t id) 
   if (sessions_.count(id))
     throw TransportError(Errc::Protocol, "session id already open: " + std::to_string(id));
   next_id_ = std::max(next_id_, id + 1);
+  return add_locked(id);
+}
+
+std::unique_ptr<SessionMux::Session> SessionMux::add_locked(std::uint32_t id) {
   auto st = std::make_shared<SessionState>();
+  st->poisoned = dead_;
+  st->poison_code = dead_code_;
+  st->poison_what = dead_what_;
   sessions_[id] = st;
   telemetry::Registry::global().counter("svc.sessions").add();
   return std::make_unique<Session>(this, id, std::move(st));
@@ -75,6 +78,9 @@ void SessionMux::pump() {
 
 void SessionMux::poison_all(Errc code, const std::string& what) {
   std::lock_guard lock(mu_);
+  dead_ = true;
+  dead_code_ = code;
+  dead_what_ = what;
   for (auto& [id, st] : sessions_) {
     {
       std::lock_guard slock(st->mu);

@@ -4,8 +4,9 @@
 // frames are routed by session id into per-session queues; a Session handle
 // is the receive end of one queue plus a send path that stamps its id on
 // outgoing frames. When the connection dies (peer close, checksum failure,
-// shutdown) every open session is poisoned with the terminal error, so no
-// receiver can block forever.
+// shutdown) every open session is poisoned with the terminal error, and every
+// session opened later starts poisoned with it, so no receiver can block
+// forever and none waits out its timeout on a dead connection.
 //
 // Sends from any thread are safe (FramedConn serializes writers); each
 // Session's recv() is single-consumer. Frames for unknown sessions are
@@ -97,12 +98,18 @@ class SessionMux {
   friend class Session;
   void pump();
   void poison_all(Errc code, const std::string& what);
+  /// Register a new session under `id`; it starts poisoned on a dead mux.
+  /// Caller holds mu_.
+  [[nodiscard]] std::unique_ptr<Session> add_locked(std::uint32_t id);
   void unregister(std::uint32_t id);
 
   std::shared_ptr<Conn> conn_;
-  std::mutex mu_;  // guards sessions_ + next_id_
+  std::mutex mu_;  // guards sessions_, next_id_ and the terminal error
   std::map<std::uint32_t, std::shared_ptr<SessionState>> sessions_;
   std::uint32_t next_id_ = 1;
+  bool dead_ = false;  // the pump exited or stop() ran: dead_code_/dead_what_ hold why
+  Errc dead_code_ = Errc::SessionClosed;
+  std::string dead_what_;
   std::atomic<std::uint64_t> orphans_{0};
   std::atomic<bool> stopping_{false};
   std::mutex stop_mu_;  // serializes stop(); guards stopped_

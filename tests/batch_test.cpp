@@ -254,8 +254,8 @@ TEST(DecBatchTest, RebuiltBatchTracksRefreshedShare) {
 using service::BatchCollector;
 
 TEST(BatchCollectorTest, DrainsEverythingInCapBoundedBatches) {
-  BatchCollector<int> bc({/*cap=*/4, std::chrono::microseconds(100), /*queue_cap=*/64});
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(bc.submit(i));
+  BatchCollector<int> bc({/*cap=*/4, /*queue_cap=*/64});
+  for (int i = 0; i < 10; ++i) ASSERT_EQ(bc.try_submit(i), BatchCollector<int>::Submit::Ok);
   std::vector<int> got;
   while (got.size() < 10) {
     const auto b = bc.collect();
@@ -268,10 +268,11 @@ TEST(BatchCollectorTest, DrainsEverythingInCapBoundedBatches) {
 }
 
 TEST(BatchCollectorTest, StopDrainsThenReturnsEmpty) {
-  BatchCollector<int> bc({4, std::chrono::microseconds(100), 64});
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(bc.submit(i));
+  BatchCollector<int> bc({4, 64});
+  for (int i = 0; i < 6; ++i) ASSERT_EQ(bc.try_submit(i), BatchCollector<int>::Submit::Ok);
   bc.stop();
-  EXPECT_FALSE(bc.submit(99));  // post-stop submits refused
+  int late = 99;
+  EXPECT_EQ(bc.try_submit(late), BatchCollector<int>::Submit::Stopped);  // refused
   std::size_t n = 0;
   for (;;) {
     const auto b = bc.collect();
@@ -283,58 +284,35 @@ TEST(BatchCollectorTest, StopDrainsThenReturnsEmpty) {
 }
 
 TEST(BatchCollectorTest, LoneItemSkipsTheLinger) {
-  // A huge max_wait would stall a single request for its full duration if
-  // the collector lingered unconditionally; the adaptive fast path must hand
-  // a lone item over immediately when no concurrency has been observed.
-  BatchCollector<int> bc({16, std::chrono::microseconds(500000), 64});
-  ASSERT_TRUE(bc.submit(1));
+  // A worker takes what is queued and never waits for queue-mates: a lone
+  // item is handed over at once, also right after a multi-item batch (the
+  // kind of traffic a lingering collector would take as a cue to wait).
+  BatchCollector<int> bc({16, 64});
+  for (int i = 0; i < 2; ++i) ASSERT_EQ(bc.try_submit(i), BatchCollector<int>::Submit::Ok);
+  ASSERT_EQ(bc.collect().size(), 2u);
+  int lone = 2;
+  ASSERT_EQ(bc.try_submit(lone), BatchCollector<int>::Submit::Ok);
   const auto t0 = std::chrono::steady_clock::now();
   const auto b = bc.collect();
   const auto ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
   ASSERT_EQ(b.size(), 1u);
-  EXPECT_LT(ms, 250.0);  // far below the 500ms linger; generous for CI noise
+  EXPECT_EQ(b[0], 2);
+  EXPECT_LT(ms, 250.0);  // generous for CI noise; a taken item costs microseconds
 }
 
-TEST(BatchCollectorTest, ConcurrentTrafficCoalesces) {
-  BatchCollector<int> bc({8, std::chrono::microseconds(200000), 64});
-  // Prime the concurrency heuristic: two queued items -> multi-item batch.
-  ASSERT_TRUE(bc.submit(0));
-  ASSERT_TRUE(bc.submit(1));
+TEST(BatchCollectorTest, TrySubmitIsFullAtQueueCapUntilCollected) {
+  BatchCollector<int> bc({/*cap=*/2, /*queue_cap=*/2});
+  for (int i = 0; i < 2; ++i) ASSERT_EQ(bc.try_submit(i), BatchCollector<int>::Submit::Ok);
+  int third = 2;
+  EXPECT_EQ(bc.try_submit(third), BatchCollector<int>::Submit::Full);
+  EXPECT_EQ(bc.queued(), 2u) << "a Full item must not be queued";
   EXPECT_EQ(bc.collect().size(), 2u);
-  // Now a consumer that arrives before the producers should linger and pick
-  // up both items in one batch.
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    (void)bc.submit(2);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    (void)bc.submit(3);
-  });
+  EXPECT_EQ(bc.try_submit(third), BatchCollector<int>::Submit::Ok);
   const auto b = bc.collect();
-  producer.join();
-  EXPECT_GE(b.size(), 1u);
-  // Whatever the batch split, everything drains and nothing duplicates.
-  std::size_t rest = 0;
-  while (bc.queued() > 0) rest += bc.collect().size();
-  EXPECT_EQ(b.size() + rest, 2u);
-}
-
-TEST(BatchCollectorTest, BackpressureBlocksUntilConsumed) {
-  BatchCollector<int> bc({2, std::chrono::microseconds(50), /*queue_cap=*/2});
-  ASSERT_TRUE(bc.submit(0));
-  ASSERT_TRUE(bc.submit(1));
-  std::atomic<bool> third_in{false};
-  std::thread t([&] {
-    ASSERT_TRUE(bc.submit(2));  // blocks until a batch is taken
-    third_in.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(third_in.load());
-  EXPECT_EQ(bc.collect().size(), 2u);
-  t.join();
-  EXPECT_TRUE(third_in.load());
-  EXPECT_EQ(bc.collect().size(), 1u);
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(b[0], 2);
 }
 
 /// The TSan hammer: many producers, several competing consumers, every item
@@ -344,7 +322,7 @@ TEST(BatchCollectorHammerTest, ManyProducersManyConsumersExactlyOnce) {
   constexpr int kConsumers = 3;
   constexpr int kPerProducer = 250;
   constexpr int kTotal = kProducers * kPerProducer;
-  BatchCollector<int> bc({8, std::chrono::microseconds(100), 32});
+  BatchCollector<int> bc({8, 32});
   std::vector<std::atomic<int>> seen(kTotal);
   for (auto& s : seen) s.store(0);
   std::atomic<int> delivered{0};
@@ -362,11 +340,20 @@ TEST(BatchCollectorHammerTest, ManyProducersManyConsumersExactlyOnce) {
       }
     });
 
+  // A full queue answers Full and keeps nothing; the producer retries, as a
+  // client retries a shed request.
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p)
     producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i)
-        ASSERT_TRUE(bc.submit(p * kPerProducer + i));
+      for (int i = 0; i < kPerProducer; ++i) {
+        int v = p * kPerProducer + i;
+        for (;;) {
+          const auto r = bc.try_submit(v);
+          ASSERT_NE(r, BatchCollector<int>::Submit::Stopped);
+          if (r == BatchCollector<int>::Submit::Ok) break;
+          std::this_thread::yield();
+        }
+      }
     });
   for (auto& t : producers) t.join();
   while (delivered.load() < kTotal) std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -364,7 +364,7 @@ struct StoreRig {
     const auto c = Core::enc(gg, kgs.at(id).pk, m, rng);
     const Bytes r1 = p1.dec_round1(c, rng);
     const auto sigma = p1.period_sigma_gt();
-    const auto out = store->dec(id, epoch, r1);
+    const auto out = store->dec_session(id).run(epoch, r1);
     return gg.gt_eq(p1.dec_finish_with(sigma, out.reply), m);
   }
 
@@ -399,7 +399,7 @@ TEST(KeyStoreTest, IndependentPerKeyEpochMachines) {
 
   // Stale epochs are typed, retryable, and name the server epoch.
   try {
-    (void)rig.store->dec(a, 0, Bytes{1});
+    (void)rig.store->dec_session(a).run(0, Bytes{1});
     FAIL() << "stale epoch accepted";
   } catch (const service::ServiceError& e) {
     EXPECT_EQ(e.code(), service::ServiceErrc::StaleEpoch);
@@ -408,7 +408,7 @@ TEST(KeyStoreTest, IndependentPerKeyEpochMachines) {
   }
   // Unknown keys are typed and NOT retryable.
   try {
-    (void)rig.store->dec(KeyId{"nope", "nope"}, 0, Bytes{1});
+    (void)rig.store->dec_session(KeyId{"nope", "nope"}).run(0, Bytes{1});
     FAIL() << "unknown key accepted";
   } catch (const service::ServiceError& e) {
     EXPECT_EQ(e.code(), service::ServiceErrc::UnknownKey);
@@ -624,7 +624,7 @@ TEST(KeyStoreTest, CrashRecoveryRestoresEveryKeyEpochAndPending) {
   const auto c = Core::enc(rig->gg, rig->kgs.at(id).pk, m, rng);
   const Bytes r1 = p1.dec_round1(c, rng);
   const auto sigma = p1.period_sigma_gt();
-  const auto out = recovered.dec(id, 0, r1);
+  const auto out = recovered.dec_session(id).run(0, r1);
   EXPECT_TRUE(rig->gg.gt_eq(p1.dec_finish_with(sigma, out.reply), m));
 }
 
@@ -1329,7 +1329,7 @@ TEST(KsOverloadTest, LeakageFloorExemptsSpentKeysFromRefreshShedding) {
   for (int i = 0; i < 60; ++i) {
     const auto m = gg.gt_random(rng);
     const auto c = Core::enc(gg, kg_hot.pk, m, rng);
-    (void)server.store().dec(hot, 0, p1_hot.dec_round1(c, rng));
+    (void)server.store().dec_session(hot).run(0, p1_hot.dec_round1(c, rng));
   }
   ASSERT_GE(server.store().spent_frac(hot), so.refresh_shed_floor);
   ASSERT_LT(server.store().spent_frac(cold), so.refresh_shed_floor);
@@ -1373,8 +1373,8 @@ TEST(KsOverloadTest, LeakageFloorExemptsSpentKeysFromRefreshShedding) {
 }
 
 TEST(KsOverloadTest, StopWhileFloodedJoinsWithoutDeadlock) {
-  // Same regression as the P2 variant: shedding readers must never park in
-  // submit() backpressure, so stop() against a flood joins promptly.
+  // Same regression as the P2 variant: shedding readers must never park
+  // waiting for queue room, so stop() against a flood joins promptly.
   MockGroup gg = make_mock();
   const auto prm = mock_params();
   typename KsServer<MockGroup>::Options so;

@@ -117,12 +117,13 @@ TEST(EpochCoordinatorTest, StaleEpochRejectedBeforeTouchingTheShare) {
   // The epoch check comes first: even a payload the share would reject as
   // malformed is answered StaleEpoch, and no leakage budget is charged.
   for (const std::uint64_t stale : {2u, 4u}) {
-    EXPECT_EQ(errc_of([&] { (void)k.store.dec(k.id, stale, round1); }), ServiceErrc::StaleEpoch);
-    EXPECT_EQ(errc_of([&] { (void)k.store.dec(k.id, stale, Bytes{1, 2, 3}); }),
+    EXPECT_EQ(errc_of([&] { (void)k.store.dec_session(k.id).run(stale, round1); }),
+              ServiceErrc::StaleEpoch);
+    EXPECT_EQ(errc_of([&] { (void)k.store.dec_session(k.id).run(stale, Bytes{1, 2, 3}); }),
               ServiceErrc::StaleEpoch);
   }
   EXPECT_EQ(k.store.spent_frac(k.id), 0.0);
-  EXPECT_TRUE(k.gg.gt_eq(p->dec_finish(k.store.dec(k.id, 3, round1).reply), m));
+  EXPECT_TRUE(k.gg.gt_eq(p->dec_finish(k.store.dec_session(k.id).run(3, round1).reply), m));
   EXPECT_GT(k.store.spent_frac(k.id), 0.0);
 }
 
@@ -151,7 +152,6 @@ TEST(EpochCoordinatorTest, RefreshDrainsInflightAndRejectsNewDecrypts) {
   committer.join();
   EXPECT_TRUE(committed.load());
   EXPECT_EQ(k.store.epoch_of(k.id), 1u);
-  EXPECT_EQ(errc_of([&] { (void)k.store.dec(k.id, 0, round1); }), ServiceErrc::StaleEpoch);
   EXPECT_EQ(errc_of([&] { (void)k.store.dec_session(k.id).run(0, round1); }),
             ServiceErrc::StaleEpoch);
 }
@@ -256,14 +256,12 @@ struct Service {
   typename P2Server<MockGroup>::Options opt;
 
   explicit Service(int workers = 4, std::uint64_t seed_ = 7000,
-                   std::string server_dir_ = {}, std::string p1_dir = {},
-                   bool pipeline = true)
+                   std::string server_dir_ = {}, std::string p1_dir = {})
       : seed(seed_), server_dir(std::move(server_dir_)) {
     crypto::Rng rng(seed);
     kg = Core::gen(gg, prm, rng);
     opt.workers = workers;
     opt.store.state_dir = server_dir;
-    opt.pipeline = pipeline;
     server = std::make_unique<P2Server<MockGroup>>(gg, prm, kg.sk2, crypto::Rng(seed + 1),
                                                    opt);
     server->start();
@@ -1003,24 +1001,6 @@ TEST(ServiceTest, StopIsOrderlyAndIdempotent) {
 
 // ---- PR 8: pipelined decryption path ------------------------------------------
 
-TEST(ServicePipelineTest, PipelineOffIsStillCorrect) {
-  // The unbatched PR 2 path stays alive as the control; it must keep working
-  // when the pipeline is disabled explicitly.
-  Service svc(/*workers=*/4, /*seed=*/7600, {}, {}, /*pipeline=*/false);
-  [[maybe_unused]] const auto served0 = requests_served();
-  auto client = svc.client();
-  crypto::Rng rng(7601);
-  for (int i = 0; i < 3; ++i) {
-    const auto m = svc.gg.gt_random(rng);
-    const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
-    EXPECT_TRUE(svc.gg.gt_eq(client.decrypt_once(c), m));
-  }
-#if DLR_TELEMETRY_ENABLED
-  EXPECT_EQ(requests_served() - served0, 3u);
-#endif
-  EXPECT_DOUBLE_EQ(svc.spent_frac(), svc.charged_frac(3));
-}
-
 TEST(ServicePipelineTest, BatchesFormAndEpochsNeverMix) {
   // Fan-in load with refreshes firing: batches must form (the histogram
   // records every batch) and no batch may ever span two epochs -- each runs
@@ -1734,7 +1714,7 @@ TEST(ServiceOverloadTest, BreakerRecoveryEmitsOpenAndCloseEvents) {
 TEST(ServiceOverloadTest, StopWhileFloodedJoinsWithoutDeadlock) {
   // Regression for the blocking-reader stall: flood a saturated server from
   // several connections, then stop() mid-flood. Shedding readers must never
-  // park in submit() backpressure, so stop() joins everything promptly.
+  // park waiting for queue room, so stop() joins everything promptly.
   auto svc = std::make_unique<TinyServer>(std::chrono::microseconds{5000});
   crypto::Rng rng(44);
   const auto m = svc->gg.gt_random(rng);
@@ -1892,9 +1872,6 @@ TEST(ClientRetryTest, DeadShardTripsItsOwnBreakerWhileTheOtherServes) {
 
   typename KsFleet<MockGroup>::Options fo;
   fo.transport.connect_retries = 0;  // each attempt at the dead shard fails fast
-  // A request opened on a lane whose peer already died waits out its reply
-  // timeout; keep it short.
-  fo.request_timeout = transport::Millis{100};
   fo.retry.base = transport::Millis{1};
   fo.retry.cap = transport::Millis{2};
   fo.retry.max_attempts = 3;

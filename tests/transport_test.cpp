@@ -5,6 +5,7 @@
 // backoff math, and the deterministic FaultInjector.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "telemetry/metrics.hpp"
@@ -302,6 +303,36 @@ TEST(MuxTest, PeerDeathPoisonsBlockedReceivers) {
   // Sessions opened after death are poisoned immediately.
   auto late = ma.open_with_id(2);
   EXPECT_THROW((void)late->recv(Millis{100}), TransportError);
+}
+
+TEST(MuxTest, SessionOpenedOnADeadMuxFailsAtOnce) {
+  auto [sa, sb] = Socket::pair();
+  SessionMux ma(std::make_shared<FramedConn>(std::move(sa), TransportOptions{}));
+  auto sess = ma.open();
+  { Socket dead = std::move(sb); }  // the peer hangs up
+  try {
+    (void)sess->recv(Millis{5000});
+    FAIL() << "recv survived peer death";
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.code(), Errc::ConnectionClosed);
+  }
+  // The pump has exited. A session opened now (by id or not) must not wait
+  // out its timeout: it fails at once with the connection's terminal error.
+  auto late = ma.open();
+  auto late_by_id = ma.open_with_id(100);
+  for (auto* s : {late.get(), late_by_id.get()}) {
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      (void)s->recv(Millis{10000});
+      FAIL() << "recv on a dead mux returned a frame";
+    } catch (const TransportError& e) {
+      EXPECT_EQ(e.code(), Errc::ConnectionClosed) << e.what();
+    }
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    EXPECT_LT(ms, 100.0);
+  }
 }
 
 TEST(MuxTest, StopIsIdempotentAndThreadSafe) {
