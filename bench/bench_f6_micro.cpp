@@ -5,9 +5,11 @@
 // Also hosts the T4 pairing hot-path comparison: prepared-vs-plain pairing,
 // norm-1 vs generic GT squaring, batch-affine vs generic comb-table build,
 // and the headline pair_ct speedup (plain loop vs prepared+batched final
-// exp), exported as bench.pair_ct.* gauges with `--json <path>`.
+// exp), exported as bench.pair_ct.* gauges with `--json <path>`; and the F_q
+// kernel FpCtx selects against the generic CIOS, exported as bench.field.*.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <string>
 
 #include "bench_util.hpp"
@@ -130,6 +132,67 @@ void bench_hash_to_g(benchmark::State& state, F& f) {
   }
 }
 
+// ---- F_q kernel --------------------------------------------------------------
+// Each pass runs kFieldOps independent operations over one array of
+// run-time operands, so the rows measure throughput, not the latency of one
+// dependent chain. The plain rows go through SS256's FpCtx, which runs the
+// MULX/ADX kernel where it is selected; the _generic rows call the generic
+// CIOS and add (field::detail) on the same modulus.
+using U4 = mpint::UInt<4>;
+constexpr std::size_t kFieldOps = 512;
+
+struct FieldOperands {
+  const field::FpCtx<4>& fq;
+  std::uint64_t n0inv;
+  std::vector<U4> x, y, out;
+};
+
+FieldOperands& field_operands() {
+  static FieldOperands o = [] {
+    const auto& fq = f256().gg.ctx().fq();
+    FieldOperands r{fq, field::detail::mont_n0inv(fq.modulus().limb[0]), {}, {},
+                    std::vector<U4>(kFieldOps)};
+    crypto::Rng rng(4242);
+    for (std::size_t i = 0; i < kFieldOps; ++i) {
+      r.x.push_back(fq.random(rng));
+      r.y.push_back(fq.random(rng));
+    }
+    return r;
+  }();
+  return o;
+}
+
+auto fp_mul_op() {
+  return [&o = field_operands()](const U4& a, const U4& b) { return o.fq.mul(a, b); };
+}
+auto fp_mul_generic_op() {
+  return [&o = field_operands()](const U4& a, const U4& b) {
+    return field::detail::mont_mul_cios(a, b, o.fq.modulus(), o.n0inv);
+  };
+}
+auto fp_add_op() {
+  return [&o = field_operands()](const U4& a, const U4& b) { return o.fq.add(a, b); };
+}
+auto fp_add_generic_op() {
+  return [&o = field_operands()](const U4& a, const U4& b) {
+    return field::detail::add_generic(a, b, o.fq.modulus());
+  };
+}
+
+template <class Op>
+void field_pass(Op op) {
+  auto& o = field_operands();
+  for (std::size_t i = 0; i < kFieldOps; ++i) o.out[i] = op(o.x[i], o.y[i]);
+  benchmark::DoNotOptimize(o.out.data());
+  benchmark::ClobberMemory();
+}
+
+template <class Op>
+void bench_field(benchmark::State& state, Op op) {
+  for (auto _ : state) field_pass(op);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kFieldOps));
+}
+
 void register_group_benches() {
   benchmark::RegisterBenchmark("ss256/pairing", [](benchmark::State& s) { bench_pairing(s, f256()); });
   benchmark::RegisterBenchmark("ss512/pairing", [](benchmark::State& s) { bench_pairing(s, f512()); });
@@ -155,6 +218,10 @@ void register_group_benches() {
   benchmark::RegisterBenchmark("ss256/g_random_many", [](benchmark::State& s) { bench_g_random_many(s, f256()); });
   benchmark::RegisterBenchmark("ss256/gt_random", [](benchmark::State& s) { bench_gt_random(s, f256()); });
   benchmark::RegisterBenchmark("ss256/hash_to_g", [](benchmark::State& s) { bench_hash_to_g(s, f256()); });
+  benchmark::RegisterBenchmark("ss256/fp_mul", [](benchmark::State& s) { bench_field(s, fp_mul_op()); });
+  benchmark::RegisterBenchmark("ss256/fp_mul_generic", [](benchmark::State& s) { bench_field(s, fp_mul_generic_op()); });
+  benchmark::RegisterBenchmark("ss256/fp_add", [](benchmark::State& s) { bench_field(s, fp_add_op()); });
+  benchmark::RegisterBenchmark("ss256/fp_add_generic", [](benchmark::State& s) { bench_field(s, fp_add_generic_op()); });
 }
 
 // Multi-exponentiation vs the naive product of powers (the Strauss
@@ -287,6 +354,60 @@ void pair_ct_speedup_report() {
   reg.gauge("bench.pair_ct.speedup", {{"preset", "ss512"}}).set(speedup);
 }
 
+/// ns per operation through FpCtx and through the generic path, and the
+/// ratio generic/FpCtx: medians over rounds that time the two back to back
+/// in this one process. Host phases move single-process timings by up to
+/// 2x between runs; both sides of a round share the phase.
+template <class Fast, class Generic>
+std::array<double, 3> field_ratio(Fast fast, Generic generic) {
+  constexpr int kRounds = 9;
+  constexpr int kPasses = 200;
+  const auto ns_per_op = [](auto op) {
+    const auto st = bench::time_stats(
+        [&] {
+          for (int p = 0; p < kPasses; ++p) field_pass(op);
+        },
+        1);
+    return st.med * 1e6 / (kPasses * static_cast<double>(kFieldOps));
+  };
+  std::vector<double> f, g, r;
+  for (int i = 0; i < kRounds; ++i) {
+    f.push_back(ns_per_op(fast));
+    g.push_back(ns_per_op(generic));
+    r.push_back(g.back() / f.back());
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  return {median(f), median(g), median(r)};
+}
+
+/// The F_q kernel FpCtx selects at SS256 against the generic CIOS, on
+/// independent operations. The multiplication ratio is a report, not a
+/// gate: an isolated mul overlaps less than the field code that calls it.
+void field_speedup_report() {
+  const bool mulx = field_operands().fq.kernel() == field::FpKernel::MulxAdx4;
+  const auto mul = field_ratio(fp_mul_op(), fp_mul_generic_op());
+  const auto add = field_ratio(fp_add_op(), fp_add_generic_op());
+
+  std::printf("\nF_q kernel ss256 (FpCtx runs %s; %zu independent ops per pass)\n",
+              mulx ? "mulx-adx-4" : "cios", kFieldOps);
+  bench::Table tbl({"op", "FpCtx ns", "generic ns", "speedup"});
+  tbl.row({"mul", bench::fmt(mul[0]), bench::fmt(mul[1]), bench::fmt(mul[2]) + "x"});
+  tbl.row({"add", bench::fmt(add[0]), bench::fmt(add[1]), bench::fmt(add[2]) + "x"});
+  tbl.print();
+
+  auto& reg = telemetry::Registry::global();
+  reg.gauge("bench.field.mulx_adx", {{"preset", "ss256"}}).set(mulx ? 1 : 0);
+  reg.gauge("bench.field.mul_ns", {{"preset", "ss256"}, {"path", "fpctx"}}).set(mul[0]);
+  reg.gauge("bench.field.mul_ns", {{"preset", "ss256"}, {"path", "generic"}}).set(mul[1]);
+  reg.gauge("bench.field.mul_speedup", {{"preset", "ss256"}}).set(mul[2]);
+  reg.gauge("bench.field.add_ns", {{"preset", "ss256"}, {"path", "fpctx"}}).set(add[0]);
+  reg.gauge("bench.field.add_ns", {{"preset", "ss256"}, {"path", "generic"}}).set(add[1]);
+  reg.gauge("bench.field.add_speedup", {{"preset", "ss256"}}).set(add[2]);
+}
+
 /// Remove `--json [path]` / `--json=path` so benchmark::Initialize (which
 /// rejects unknown flags) never sees it.
 int strip_json_flag(int argc, char** argv) {
@@ -323,11 +444,7 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   pair_ct_speedup_report();
-  if (!json_path.empty()) {
-    if (dlr::telemetry::export_global_jsonl(json_path, "F6"))
-      std::printf("telemetry: wrote %s\n", json_path.c_str());
-    else
-      std::fprintf(stderr, "telemetry: FAILED to write %s\n", json_path.c_str());
-  }
+  field_speedup_report();
+  if (!json_path.empty()) dlr::bench::export_json(json_path, "F6");
   return 0;
 }

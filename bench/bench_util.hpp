@@ -205,14 +205,12 @@ inline std::string json_flag(int argc, char** argv) {
   return {};
 }
 
-/// If the user passed --json, dump the global telemetry registry's counters,
-/// gauges and histograms as JSON lines (works -- with empty content -- in a
+/// Dump the global telemetry registry's counters, gauges and histograms to
+/// `path` as JSON lines (works -- with empty content -- in a
 /// DLR_TELEMETRY=OFF build, so the flag never breaks). Spans stay out:
 /// bench_diff compares metrics only, and a span dump would swamp a committed
 /// baseline.
-inline void export_json_if_requested(int argc, char** argv, const std::string& bench) {
-  const std::string path = json_flag(argc, argv);
-  if (path.empty()) return;
+inline void export_json(const std::string& path, const std::string& bench) {
   const std::string body = telemetry::to_jsonl(telemetry::ExportMeta{bench},
                                                telemetry::Registry::global().snapshot(), {});
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -222,6 +220,12 @@ inline void export_json_if_requested(int argc, char** argv, const std::string& b
     std::printf("\ntelemetry: wrote %s\n", path.c_str());
   else
     std::fprintf(stderr, "\ntelemetry: FAILED to write %s\n", path.c_str());
+}
+
+/// export_json to the `--json` path, if the user passed one.
+inline void export_json_if_requested(int argc, char** argv, const std::string& bench) {
+  const std::string path = json_flag(argc, argv);
+  if (!path.empty()) export_json(path, bench);
 }
 
 }  // namespace dlr::bench

@@ -13,24 +13,125 @@
 #include <vector>
 
 #include "crypto/rng.hpp"
+#include "field/fp_x64.hpp"
 #include "mpint/uint.hpp"
 
 namespace dlr::field {
 
 using mpint::UInt;
 
+namespace detail {
+
+/// -m^{-1} mod 2^64 for odd m (Newton iteration over the 2-adics).
+[[nodiscard]] constexpr std::uint64_t mont_n0inv(std::uint64_t m) {
+  std::uint64_t inv = 1;
+  for (int i = 0; i < 6; ++i) inv *= 2 - m * inv;
+  return ~inv + 1;  // negate
+}
+
+// The generic kernel: every FpCtx the x86-64 kernel (fp_x64.hpp) does not
+// take runs these, and tests and F6 call them as its reference. They are
+// forced inline into FpCtx's members so that an operation on the generic
+// kernel costs at most one call, not two.
+
+/// CIOS Montgomery multiplication: returns a*b*R^{-1} mod m, R = 2^(64L)
+/// (Acar's Coarsely Integrated Operand Scanning).
+template <std::size_t L>
+[[nodiscard, gnu::always_inline]] inline UInt<L> mont_mul_cios(const UInt<L>& a,
+                                                               const UInt<L>& b,
+                                                               const UInt<L>& mod,
+                                                               std::uint64_t n0inv) {
+  std::uint64_t t[L + 2] = {0};
+  for (std::size_t i = 0; i < L; ++i) {
+    // t += a[i] * b
+    std::uint64_t carry = 0;
+    for (std::size_t j = 0; j < L; ++j) {
+      const unsigned __int128 acc = static_cast<unsigned __int128>(a.limb[i]) * b.limb[j] +
+                                    t[j] + carry;
+      t[j] = static_cast<std::uint64_t>(acc);
+      carry = static_cast<std::uint64_t>(acc >> 64);
+    }
+    {
+      const unsigned __int128 acc = static_cast<unsigned __int128>(t[L]) + carry;
+      t[L] = static_cast<std::uint64_t>(acc);
+      t[L + 1] = static_cast<std::uint64_t>(acc >> 64);
+    }
+    // Reduce one limb: t += m*mod, divide by 2^64.
+    const std::uint64_t m = t[0] * n0inv;
+    {
+      const unsigned __int128 acc = static_cast<unsigned __int128>(m) * mod.limb[0] + t[0];
+      carry = static_cast<std::uint64_t>(acc >> 64);  // low 64 bits are zero
+    }
+    for (std::size_t j = 1; j < L; ++j) {
+      const unsigned __int128 acc = static_cast<unsigned __int128>(m) * mod.limb[j] +
+                                    t[j] + carry;
+      t[j - 1] = static_cast<std::uint64_t>(acc);
+      carry = static_cast<std::uint64_t>(acc >> 64);
+    }
+    {
+      const unsigned __int128 acc = static_cast<unsigned __int128>(t[L]) + carry;
+      t[L - 1] = static_cast<std::uint64_t>(acc);
+      t[L] = t[L + 1] + static_cast<std::uint64_t>(acc >> 64);
+    }
+    t[L + 1] = 0;
+  }
+  UInt<L> r;
+  for (std::size_t j = 0; j < L; ++j) r.limb[j] = t[j];
+  if (t[L] != 0 || r >= mod) {
+    UInt<L> s;
+    mpint::sub(s, r, mod);
+    return s;
+  }
+  return r;
+}
+
+/// a + b mod m for reduced a, b.
+template <std::size_t L>
+[[nodiscard, gnu::always_inline]] inline UInt<L> add_generic(const UInt<L>& a, const UInt<L>& b,
+                                                             const UInt<L>& mod) {
+  UInt<L> r;
+  const std::uint64_t carry = mpint::add(r, a, b);
+  if (carry != 0 || r >= mod) {
+    UInt<L> t;
+    mpint::sub(t, r, mod);
+    return t;
+  }
+  return r;
+}
+
+/// a - b mod m for reduced a, b.
+template <std::size_t L>
+[[nodiscard, gnu::always_inline]] inline UInt<L> sub_generic(const UInt<L>& a, const UInt<L>& b,
+                                                             const UInt<L>& mod) {
+  UInt<L> r;
+  if (mpint::sub(r, a, b) != 0) {
+    UInt<L> t;
+    mpint::add(t, r, mod);
+    return t;
+  }
+  return r;
+}
+
+}  // namespace detail
+
+/// Which Montgomery kernel an FpCtx runs; fixed at construction.
+enum class FpKernel {
+  Cios,      // detail::mont_mul_cios, add_generic, sub_generic: every L
+  MulxAdx4,  // fp_x64.hpp: L == 4, q[3] < 2^63 - 2, x86-64 with BMI2 and ADX
+};
+
 template <std::size_t L>
 class FpCtx {
  public:
   using E = UInt<L>;  // element, Montgomery form
 
-  explicit FpCtx(const UInt<L>& modulus) : mod_(modulus) {
+  explicit FpCtx(const UInt<L>& modulus)
+      : mod_(modulus), n0inv_(detail::mont_n0inv(modulus.limb[0])) {
     if (!modulus.is_odd() || modulus.bit_length() < 3)
       throw std::invalid_argument("FpCtx: modulus must be odd and > 4");
-    // n0inv = -mod^{-1} mod 2^64 (Newton iteration over 2-adics).
-    std::uint64_t inv = 1;
-    for (int i = 0; i < 6; ++i) inv *= 2 - mod_.limb[0] * inv;
-    n0inv_ = ~inv + 1;  // negate
+    if constexpr (kX64) {
+      if (detail::x64::selects(mod_)) kernel_ = FpKernel::MulxAdx4;
+    }
 
     // one_ = R mod m. 2^(64L) lives at bit 64L of a UInt<L+1>.
     UInt<L + 1> r{};
@@ -63,28 +164,24 @@ class FpCtx {
     return mont_mul(a, one_raw);
   }
 
+  /// The kernel add, sub and the Montgomery product run on.
+  [[nodiscard]] FpKernel kernel() const { return kernel_; }
+
   [[nodiscard]] E add(const E& a, const E& b) const {
-    E r;
-    const std::uint64_t carry = mpint::add(r, a, b);
-    if (carry != 0 || r >= mod_) {
-      E t;
-      mpint::sub(t, r, mod_);
-      return t;
+    if constexpr (kX64) {
+      if (kernel_ == FpKernel::MulxAdx4) return detail::x64::add(a, b, mod_);
     }
-    return r;
+    return detail::add_generic(a, b, mod_);
   }
 
   [[nodiscard]] E sub(const E& a, const E& b) const {
-    E r;
-    if (mpint::sub(r, a, b) != 0) {
-      E t;
-      mpint::add(t, r, mod_);
-      return t;
+    if constexpr (kX64) {
+      if (kernel_ == FpKernel::MulxAdx4) return detail::x64::sub(a, b, mod_);
     }
-    return r;
+    return detail::sub_generic(a, b, mod_);
   }
 
-  [[nodiscard]] E neg(const E& a) const { return a.is_zero() ? a : sub(zero(), a); }
+  [[nodiscard]] E neg(const E& a) const { return sub(zero(), a); }
 
   [[nodiscard]] E dbl(const E& a) const { return add(a, a); }
 
@@ -181,60 +278,24 @@ class FpCtx {
   }
 
  private:
+  // Whether this width can run the x86-64 kernel in this build at all.
+  static constexpr bool kX64 = L == 4 && detail::x64::kAvailable;
+
   [[nodiscard]] E inv_(const E& a) const {
     const UInt<L> e = mod_ - UInt<L>::from_u64(2);
     return pow(a, e);
   }
 
-  /// CIOS Montgomery multiplication: returns a*b*R^{-1} mod m
-  /// (Acar's Coarsely Integrated Operand Scanning).
   [[nodiscard]] E mont_mul(const E& a, const E& b) const {
-    std::uint64_t t[L + 2] = {0};
-    for (std::size_t i = 0; i < L; ++i) {
-      // t += a[i] * b
-      std::uint64_t carry = 0;
-      for (std::size_t j = 0; j < L; ++j) {
-        const unsigned __int128 acc = static_cast<unsigned __int128>(a.limb[i]) * b.limb[j] +
-                                      t[j] + carry;
-        t[j] = static_cast<std::uint64_t>(acc);
-        carry = static_cast<std::uint64_t>(acc >> 64);
-      }
-      {
-        const unsigned __int128 acc = static_cast<unsigned __int128>(t[L]) + carry;
-        t[L] = static_cast<std::uint64_t>(acc);
-        t[L + 1] = static_cast<std::uint64_t>(acc >> 64);
-      }
-      // Reduce one limb: t += m*mod, divide by 2^64.
-      const std::uint64_t m = t[0] * n0inv_;
-      {
-        const unsigned __int128 acc = static_cast<unsigned __int128>(m) * mod_.limb[0] + t[0];
-        carry = static_cast<std::uint64_t>(acc >> 64);  // low 64 bits are zero
-      }
-      for (std::size_t j = 1; j < L; ++j) {
-        const unsigned __int128 acc = static_cast<unsigned __int128>(m) * mod_.limb[j] +
-                                      t[j] + carry;
-        t[j - 1] = static_cast<std::uint64_t>(acc);
-        carry = static_cast<std::uint64_t>(acc >> 64);
-      }
-      {
-        const unsigned __int128 acc = static_cast<unsigned __int128>(t[L]) + carry;
-        t[L - 1] = static_cast<std::uint64_t>(acc);
-        t[L] = t[L + 1] + static_cast<std::uint64_t>(acc >> 64);
-      }
-      t[L + 1] = 0;
+    if constexpr (kX64) {
+      if (kernel_ == FpKernel::MulxAdx4) return detail::x64::mont_mul(a, b, mod_, n0inv_);
     }
-    E r;
-    for (std::size_t j = 0; j < L; ++j) r.limb[j] = t[j];
-    if (t[L] != 0 || r >= mod_) {
-      E s;
-      mpint::sub(s, r, mod_);
-      return s;
-    }
-    return r;
+    return detail::mont_mul_cios(a, b, mod_, n0inv_);
   }
 
   UInt<L> mod_;
   std::uint64_t n0inv_ = 0;
+  FpKernel kernel_ = FpKernel::Cios;
   E one_{};
   E r2_{};
   E two_inv_{};

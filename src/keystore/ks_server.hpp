@@ -1038,7 +1038,15 @@ class KsServer {
         lk.unlock();
         const bool all_acked = broadcast_done();
         lk.lock();
-        if (all_acked) mig_broadcast_pending_ = false;
+        if (all_acked) {
+          mig_broadcast_pending_ = false;
+        } else {
+          // An unreachable peer keeps the broadcast pending until the next
+          // 50 ms tick; queued keys and stop() cut the wait short.
+          mig_cv_.wait_for(lk, std::chrono::milliseconds(50), [this] {
+            return mig_stop_ || (!mig_halted_.load() && !mig_queue_.empty());
+          });
+        }
       }
     }
   }
@@ -1130,8 +1138,14 @@ class KsServer {
                            "no address for peer shard " + std::to_string(shard));
       port = s->port;
     }
-    auto fc = std::make_shared<transport::FramedConn>(
-        transport::connect_loopback(port, opt_.transport), opt_.transport);
+    // One dial, no connect retries: a refused peer is down or has moved, and
+    // migrate_loop retries on the TransportError (the key goes back on the
+    // queue, a broadcast waits for the next tick). Retrying here held the
+    // loop for the whole connect backoff (about 1.6 s) per dead port.
+    transport::TransportOptions dial = opt_.transport;
+    dial.connect_retries = 0;
+    auto fc = std::make_shared<transport::FramedConn>(transport::connect_loopback(port, dial),
+                                                      opt_.transport);
     auto m = std::make_shared<transport::SessionMux>(
         std::static_pointer_cast<transport::Conn>(std::move(fc)));
     std::lock_guard lk(peer_mu_);

@@ -3,6 +3,7 @@
 // storage modes, transcript structure, and secret-memory snapshots.
 #include <gtest/gtest.h>
 
+#include "crypto/sha256.hpp"
 #include "group/counting_group.hpp"
 #include "group/mock_group.hpp"
 #include "group/tate_group.hpp"
@@ -347,6 +348,42 @@ TEST(DlrOpsTest, TatePairingCountsAndMessageSizesMatchFormulas) {
 
   const auto c2 = DlrCore<CG>::enc(g1, kg.pk, m, rng);
   EXPECT_TRUE(g1.gt_eq(p1.dec_finish(p2.dec_respond(p1.dec_round1(c2))), m));
+}
+
+// Known answer at SS256: one SHA-256 over the serialized bytes of e(g, g), a
+// prepared pair_many over 8 seeded points, a seeded decryption (round-1
+// message, P2's reply, P1's plaintext) and a seeded ref_round1. The digest
+// was recorded with the generic CIOS field kernel; any F_q kernel FpCtx
+// selects must reproduce it bit for bit.
+TEST(DlrOpsTest, SS256KnownAnswerDigestIsPinned) {
+  const auto tate = make_tate_ss256();
+  const auto prm = DlrParams::derive(tate.scalar_bits(), 64);
+  service::set_parallel_threads_for_test(0);
+  Rng rng(2210);
+  ByteWriter w;
+  tate.gt_ser(w, tate.pair(tate.g_gen(), tate.g_gen()));
+  std::vector<Tate::G> qs;
+  for (int i = 0; i < 8; ++i) qs.push_back(tate.g_random(rng));
+  tate.gt_ser_many(w, tate.prepare_pair(tate.g_random(rng)).pair_many(qs));
+
+  auto kg = DlrCore<Tate>::gen(tate, prm, rng);
+  DlrParty1<Tate> p1(tate, prm, kg.pk, std::move(kg.sk1), P1Mode::Plain, Rng(2211));
+  DlrParty2<Tate> p2(tate, prm, std::move(kg.sk2), Rng(2212));
+  const auto m = tate.gt_random(rng);
+  const auto c = DlrCore<Tate>::enc(tate, kg.pk, m, rng);
+  p1.prepare_period();
+  const auto msg1 = p1.dec_round1(c);
+  const auto reply = p2.dec_respond(msg1);
+  const auto pt = p1.dec_finish(reply);
+  EXPECT_TRUE(tate.gt_eq(pt, m));
+  w.raw(msg1);
+  w.raw(reply);
+  tate.gt_ser(w, pt);
+  w.raw(p1.ref_round1());
+  service::set_parallel_threads_for_test(-1);
+
+  EXPECT_EQ(to_hex(crypto::Sha256::hash(w.take())),
+            "9789802e66de4c5e70f62bd88f1210606e64ac56828c5cdedb7eb95f653c884d");
 }
 
 // ---- secret memory ---------------------------------------------------------------------
