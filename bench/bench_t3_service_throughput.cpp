@@ -51,6 +51,7 @@
 
 #include "bench_util.hpp"
 #include "group/mock_group.hpp"
+#include "keystore/ks_protocol.hpp"
 #include "service/admin.hpp"
 #include "service/client.hpp"
 #include "service/p2_server.hpp"
@@ -311,7 +312,8 @@ double overload_capacity(Fixture& fx, int requests) {
   server.start();
   crypto::Rng rng(8100 + fx.seed);
   const auto ct = Core::enc_precomp(fx.gg, *fx.pk_tbl, fx.gg.gt_random(rng), rng);
-  const Bytes body = service::encode_request(0, fx.p1->begin_decrypt(ct, rng).round1);
+  const Bytes body = keystore::encode_ks_request(keystore::default_key_id(), 0,
+                                                 fx.p1->begin_decrypt(ct, rng).round1);
 
   constexpr int kClients = 8;
   const int per_client = (requests + kClients - 1) / kClients;
@@ -324,7 +326,7 @@ double overload_capacity(Fixture& fx, int requests) {
           transport::connect_loopback(server.port()), transport::TransportOptions{}));
       for (int i = 0; i < per_client; ++i) {
         auto sess = mux.open();
-        sess->send(transport::FrameType::Data, 1, service::kLabelDecReq, body);
+        sess->send(transport::FrameType::Data, 1, keystore::kKsDec, body);
         if (sess->recv(transport::Millis{10000}).type == transport::FrameType::Data)
           ok.fetch_add(1);
       }
@@ -357,7 +359,8 @@ OverloadStats run_overload_point(Fixture& fx, double offered_rps, double seconds
   server.start();
   crypto::Rng rng(8200 + fx.seed);
   const auto ct = Core::enc_precomp(fx.gg, *fx.pk_tbl, fx.gg.gt_random(rng), rng);
-  const Bytes body = service::encode_request(0, fx.p1->begin_decrypt(ct, rng).round1);
+  const Bytes body = keystore::encode_ks_request(keystore::default_key_id(), 0,
+                                                 fx.p1->begin_decrypt(ct, rng).round1);
 
   constexpr int kSenders = 4;
   const auto n_total =
@@ -427,7 +430,7 @@ OverloadStats run_overload_point(Fixture& fx, double offered_rps, double seconds
                                                      offered_rps));
           std::this_thread::sleep_until(due);
           auto sess = mux.open();
-          sess->send(transport::FrameType::Data, 1, service::kLabelDecReq, body);
+          sess->send(transport::FrameType::Data, 1, keystore::kKsDec, body);
           ++local.sent;
           {
             std::lock_guard lk(mu);

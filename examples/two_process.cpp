@@ -10,8 +10,8 @@
 // a net::Channel (transport::MuxChannel), so the party objects run exactly
 // the code the in-process driver runs.
 //
-// Both processes run with wire tracing on (DESIGN.md §10): each request
-// frame carries the sender's (trace id, span id), the child parents its
+// Both processes trace across the wire (DESIGN.md §10): each request frame
+// carries the sender's (trace id, span id), the child parents its
 // spans under the received context, and before exiting it ships its span
 // set back over the same channel. The parent merges both processes into
 // two_process_trace.json -- one Chrome/Perfetto trace in which each period's
@@ -43,7 +43,7 @@ int run_p2(transport::Socket sock, schemes::DlrParty2<GG> p2) {
   transport::SessionMux mux(std::make_shared<transport::FramedConn>(
       std::move(sock), transport::TransportOptions{}));
   const auto session = mux.open_with_id(kProtocolSession);
-  transport::MuxChannel ch(*session, net::DeviceId::P2, /*wire_trace=*/true);
+  transport::MuxChannel ch(*session, net::DeviceId::P2);
   try {
     for (int period = 0; period < kPeriods; ++period) {
       {
@@ -108,7 +108,7 @@ int main() {
     transport::SessionMux mux(std::make_shared<transport::FramedConn>(
         std::move(parent_sock), transport::TransportOptions{}));
     const auto session = mux.open_with_id(kProtocolSession);
-    transport::MuxChannel ch(*session, net::DeviceId::P1, /*wire_trace=*/true);
+    transport::MuxChannel ch(*session, net::DeviceId::P1);
     try {
       for (int period = 0; period < kPeriods; ++period) {
         const auto m = gg.gt_random(rng);

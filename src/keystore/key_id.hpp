@@ -28,9 +28,9 @@ struct KeyId {
   [[nodiscard]] std::string display() const { return tenant + "/" + key; }
 };
 
-/// The single-key identity: svc.* requests (no tenant/key fields) are
-/// served as this key, which KsServer puts when constructed with a default
-/// share (service::P2Server, the single-key server).
+/// The single-key identity: the key DecryptionClient names on every ks.*
+/// request, which KsServer puts when constructed with a default share
+/// (service::P2Server, the single-key server).
 [[nodiscard]] inline const KeyId& default_key_id() {
   static const KeyId id{"_default", "_default"};
   return id;

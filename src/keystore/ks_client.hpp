@@ -14,16 +14,18 @@
 // and the install, so decryptions of the key being refreshed keep running,
 // and refreshes of DIFFERENT keys never contend.
 //
-// Requests run on the single-key client's retry core (service::RetryCore):
-// it keeps kConnsPerShard connection lanes and one circuit breaker per
-// shard, and retries under the same rules and the same retry.deadline
-// budget. The fleet adds the routing: it caches a versioned ShardMap, and a
-// WrongShard response -- stale map after a re-shard -- triggers a
-// single-flight ks.map refetch from the answering shard (every shard serves
-// the whole map) and a re-route. With an EMPTY map everything routes to the
-// bootstrap port (single-shard mode). A key whose refresh is stuck pending
-// is reconciled over ks.hello before each attempt on it. The fleet opens no
-// client spans and stamps no trace context.
+// Requests run on the single-key client's retry core (service::RetryCore)
+// and its per-key exchanges (service::dec_exchange, refresh_exchange,
+// hello_exchange): the core keeps kConnsPerShard connection lanes and one
+// circuit breaker per shard, and retries under the same rules and the same
+// retry.deadline budget. The fleet adds the routing: it caches a versioned
+// ShardMap, and a WrongShard response -- stale map after a re-shard --
+// triggers a single-flight ks.map refetch from the answering shard (every
+// shard serves the whole map) and a re-route. With an EMPTY map everything
+// routes to the bootstrap port (single-shard mode). A key whose refresh is
+// stuck pending is reconciled over ks.hello before each attempt on it. The
+// fleet opens no client spans; its requests carry the calling thread's trace
+// context, so a caller's span parents the server's.
 //
 // The refresh scheduler (scheduler.hpp) lives HERE because refresh is a
 // two-party protocol and this process holds the P1 shares. Its Source is
@@ -114,9 +116,7 @@ class KsFleet {
     const Bytes body = encode_ks_put(id, w.take());
     service::P1Runtime<GG>* const no_key = nullptr;
     core_.run("put", no_key, route(id), [&](Attempt& a) {
-      auto sess = a.mux.open();
-      sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
-                 kKsPut, body);
+      const auto sess = service::send_request(a.mux, kKsPut, body);
       (void)service::expect_ok(sess->recv(a.timeout()), kKsPutOk);
     });
   }
@@ -125,18 +125,13 @@ class KsFleet {
   /// from the reply into the scheduler's source data.
   [[nodiscard]] GT decrypt(const KeyId& id, const typename Core::Ciphertext& c) {
     auto st = state(id);
-    thread_local crypto::Rng rng = crypto::Rng::from_os_entropy();
     return core_.run("dec", &st->p1, route(id), [&](Attempt& a) {
       maybe_reconcile(a, id, *st);
-      const auto snap = st->p1.begin_decrypt(c, rng);
-      auto sess = a.mux.open();
-      sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
-                 kKsDec, encode_ks_request(id, snap.epoch, snap.round1, a.deadline_ms()));
-      const KsDecOk ok =
-          decode_ks_dec_ok(service::expect_ok(sess->recv(a.timeout()), kKsDecOk));
-      st->spent_millibits.store(ok.spent_millibits);
-      st->budget_millibits.store(ok.budget_millibits);
-      return st->p1.finish_decrypt(snap, ok.reply);
+      KsDecOk ledger;
+      auto m = service::dec_exchange(st->p1, id, a, c, &ledger);
+      st->spent_millibits.store(ledger.spent_millibits);
+      st->budget_millibits.store(ledger.budget_millibits);
+      return m;
     });
   }
 
@@ -151,22 +146,7 @@ class KsFleet {
     core_.run("refresh", &st->p1, route(id), [&](Attempt& a) {
       maybe_reconcile(a, id, *st);
       if (st->p1.epoch() > start) return;  // reconciliation (or another refresh) moved it
-      st->p1.refresh(
-          [&](std::uint64_t e, const Bytes& r1) {
-            auto sess = a.mux.open();
-            sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
-                       kKsRef, encode_ks_request(id, e, r1));
-            return [&a, sess = std::move(sess)] {
-              return service::expect_ok(sess->recv(a.timeout()), kKsRefOk);
-            };
-          },
-          [&](std::uint64_t e, const Bytes& digest) {
-            auto sess = a.mux.open();
-            sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
-                       kKsRefCommit, encode_ks_request(id, e, digest));
-            return service::decode_commit_ok(
-                service::expect_ok(sess->recv(a.timeout()), kKsRefCommitOk));
-          });
+      service::refresh_exchange(st->p1, id, a);
       st->spent_millibits.store(0);  // fresh period; the next ks.dec.ok corrects the mirror
     });
   }
@@ -306,16 +286,7 @@ class KsFleet {
   void maybe_reconcile(const Attempt& a, const KeyId& id, KeyState& st) {
     const auto ok = st.p1.reconcile_if_stuck(
         [&](const typename service::P1Runtime<GG>::PendingInfo& info) {
-          service::HelloMsg h;
-          h.epoch = st.p1.epoch();
-          h.has_pending = info.active;
-          h.pending_epoch = info.epoch;
-          h.pending_digest = info.digest;
-          auto sess = a.mux.open();
-          sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
-                     kKsHello, encode_ks_hello(id, h));
-          return service::decode_hello_ok(
-              service::expect_ok(sess->recv(a.timeout()), kKsHelloOk));
+          return service::hello_exchange(st.p1, id, a.mux, info, a.timeout());
         });
     if (!ok) return;
     if (ok->disposition == service::RefDisposition::Commit) st.spent_millibits.store(0);
@@ -341,9 +312,7 @@ class KsFleet {
   }
 
   [[nodiscard]] ShardMap fetch_map_on(transport::SessionMux& m) {
-    auto sess = m.open();
-    sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
-               kKsMap, Bytes{});
+    const auto sess = service::send_request(m, kKsMap, Bytes{});
     return ShardMap::decode(
         service::expect_ok(sess->recv(opt_.request_timeout), kKsMapOk));
   }

@@ -1,11 +1,10 @@
-// Wire schema of the multi-tenant keystore service (DESIGN.md §11), layered
-// on the svc.* conventions of service/protocol.hpp: one Data frame per
-// request on its own mux session, answered by one `*.ok` Data frame or one
-// svc.err Error frame (the keystore reuses ServiceErrc, adding WrongShard
-// and UnknownKey).
+// Wire schema of the multi-tenant keystore service (DESIGN.md §11), and of
+// the one-key server, which serves its one key as default_key_id(). It keeps
+// the conventions of service/protocol.hpp: one Data frame per request on its
+// own mux session, answered by one `*.ok` Data frame or one svc.err Error
+// frame (the keystore reuses ServiceErrc, adding WrongShard and UnknownKey).
 //
-// Every ks.* request starts with the key address, then mirrors its svc.*
-// counterpart:
+// Every per-key request starts with the key address:
 //
 //   ks.dec         body = str tenant | str key | u64 epoch | blob dec.r1 [| u32 deadline_ms]
 //     -> ks.dec.ok body = blob dec.r2 | u64 spent_millibits | u64 budget_millibits
@@ -13,17 +12,21 @@
 //     -> ks.ref.ok body = blob ref.r2
 //   ks.ref.commit  body = str tenant | str key | u64 epoch | blob digest
 //     -> ks.ref.commit.ok body = u64 new_epoch
-//   ks.hello       body = str tenant | str key | <svc.hello body>
-//     -> ks.hello.ok      body = <svc.hello.ok body>
+//   ks.hello       body = str tenant | str key | <hello body>
+//     -> ks.hello.ok      body = <hello.ok body>
 //   ks.put         body = str tenant | str key | blob sk2_ser
 //     -> ks.put.ok        body = (empty)
 //   ks.map         body = (empty)
 //     -> ks.map.ok        body = ShardMap::encode()
 //
+// where digest = SHA-256 of the ref round-1 message, identifying WHICH
+// prepared refresh is being committed (duplicated/stale commits are
+// detected, never applied twice), and the hello bodies are
+// service/protocol.hpp's.
+//
 // Live resharding (DESIGN.md §14) adds an operator/peer surface, gated on
-// the PR 9 hello-v2 wire version (a propose names the minimum version every
-// shard must speak, because the migration routes below did not exist before
-// it):
+// wire version 2 (a propose names the minimum version every shard must
+// speak, because the migration routes below did not exist before it):
 //
 //   ks.map.propose body = u8 min_wire_version | blob ShardMap::encode()
 //     -> ks.map.propose.ok body = u32 outgoing_keys
@@ -46,8 +49,9 @@
 // ks.dec.ok piggybacks the server's leakage accounting (spent/budget in
 // MILLIbits so fractional per-op charges stay integral on the wire): the
 // client fleet mirrors it into its own refresh scheduler without a separate
-// polling route. ks.hello is PER KEY -- reconnect reconciliation only runs
-// for keys with a pending refresh, never as a 10k-key blanket exchange.
+// polling route. ks.hello is PER KEY -- the fleet reconciles only keys with
+// a pending refresh, never as a 10k-key blanket exchange; DecryptionClient
+// also sends its one key's hello on every new connection.
 #pragma once
 
 #include <cstdint>
@@ -86,8 +90,7 @@ struct KsRequest {
   std::uint64_t epoch = 0;
   Bytes payload;  // dec.r1 / ref.r1 / commit digest
   /// Remaining client deadline budget at send time; 0 = none. Trailing and
-  /// optional exactly like the svc.* request field -- senders stamp it only
-  /// after a >= kWireDeadlineVersion hello.
+  /// optional: a request without a budget omits it.
   std::uint32_t deadline_ms = 0;
 };
 

@@ -1,26 +1,23 @@
 // KsServer<GG> -- one shard of the multi-tenant keystore service, and the
 // single-key P2 server: service::P2Server<GG> is this class.
 //
-// Thread architecture (DESIGN.md §12): every decryption request (ks.dec AND
-// the single-key svc.dec route) flows through decode -> BatchCollector ->
-// crypto worker -> coalesced encode. Readers decode and address-check; a
-// crypto worker that wakes takes whatever is queued, up to
-// min(max_batch, 2 x workers) requests, groups them by (tenant, key), and
-// serves each group through one KeyStore::DecSession (one shared entry lock
-// + one share-vector recode per key per batch). A refresh commit takes the
-// entry's exclusive lock, so it drains every open session first and no batch
-// ever spans two epochs. Control-plane routes (ks.ref / commit / hello / put
-// / map and the svc.* refresh routes) run on a small WorkerPool. One
-// background compaction thread periodically folds the segmented journal,
-// when the store keeps one.
+// Thread architecture (DESIGN.md §12): every decryption request (ks.dec)
+// flows through decode -> BatchCollector -> crypto worker -> coalesced
+// encode. Readers decode and address-check; a crypto worker that wakes takes
+// whatever is queued, up to min(max_batch, 2 x workers) requests, groups
+// them by (tenant, key), and serves each group through one
+// KeyStore::DecSession (one shared entry lock + one share-vector recode per
+// key per batch). A refresh commit takes the entry's exclusive lock, so it
+// drains every open session first and no batch ever spans two epochs.
+// Control-plane routes (ks.ref / commit / hello / put / map / the resharding
+// routes) run on a small WorkerPool. One background compaction thread
+// periodically folds the segmented journal, when the store keeps one.
 //
 // Every ks.* request names a (tenant, key) and is served by the KeyStore's
-// per-key epoch machine. The single-key routes (svc.dec / svc.ref /
-// svc.ref.commit / svc.hello, which name no key) are the same machine for
-// default_key_id(): constructed with a default share, the server is the
-// paper's one auxiliary device P2 as a one-key store, and DecryptionClient
-// talks to it unchanged. Its svc.* replies are pinned byte for byte
-// (ServiceWireTest); an error that no key's own state raised carries the
+// per-key epoch machine. Constructed with a default share, the server is the
+// paper's one auxiliary device P2 as a one-key store: DecryptionClient names
+// default_key_id() on the same ks.* routes, and the replies are pinned byte
+// for byte (KsWireTest). An error that no key's own state raised carries the
 // default key's epoch, which a single-key peer reads as the server's epoch.
 //
 // Sharding: the server carries a shard id and a versioned ShardMap (empty =
@@ -46,8 +43,8 @@
 // "does not exist". The operator must propose the SAME map (same version) to
 // every shard of old ∪ new; after a crash-restart, re-proposing with a
 // bumped version resumes journaled half-done migrations and re-closes
-// windows. The whole surface is gated on hello-v2 (ks.map.propose names the
-// minimum wire version, PR 9).
+// windows. The whole surface is gated on wire version 2 (ks.map.propose
+// names the minimum wire version every shard must speak).
 //
 // The REFRESH SCHEDULER deliberately does not live here: refresh is a
 // two-party protocol and the P1 half lives in the client fleet (KsFleet),
@@ -241,7 +238,7 @@ class KsServer {
     {
       std::lock_guard lk(mig_mu_);
       for (const auto& id : store_.key_ids()) {
-        if (id == default_key_id()) continue;  // compat key never migrates
+        if (id == default_key_id()) continue;  // the one-key server's key never migrates
         const auto rs = store_.route_state(id);
         const bool out = rs == Store::RouteState::Released ||
                          (rs == Store::RouteState::Serving &&
@@ -364,7 +361,6 @@ class KsServer {
     KeyId id;
     std::uint64_t epoch = 0;
     Bytes payload;
-    bool compat = false;  // arrived on the svc.dec route -> svc.dec.ok reply
     std::chrono::steady_clock::time_point enq;
     /// Absolute expiry from the request's deadline budget; epoch value = none.
     std::chrono::steady_clock::time_point deadline{};
@@ -410,8 +406,8 @@ class KsServer {
                                          std::chrono::steady_clock::now() - started_at_)
                                          .count())},
     };
-    // The single-key server's own epoch (the svc.* routes' key); read
-    // without the entry lock, so a scrape never waits out a commit.
+    // The one-key server's own epoch (its default key's); read without the
+    // entry lock, so a scrape never waits out a commit.
     if (store_.contains(default_key_id()))
       fields.emplace_back("epoch", std::to_string(default_epoch()));
     return fields;
@@ -454,7 +450,7 @@ class KsServer {
         break;
       }
       if (f.type != transport::FrameType::Data) continue;
-      if (f.label == kKsDec || f.label == service::kLabelDecReq) {
+      if (f.label == kKsDec) {
         if (!enqueue_dec(conn, std::move(f))) break;
         continue;
       }
@@ -510,8 +506,7 @@ class KsServer {
   /// route-state verdict, and only then does the map speak -- WrongShard if
   /// it names another shard, Draining if it names us but the key has not
   /// arrived and the reshard window is still open. The default key is exempt
-  /// -- the single-key compat routes must keep working while a map is
-  /// installed.
+  /// -- the one-key server's key answers whatever map is installed.
   void check_owned(const KeyId& id) const {
     if (id == default_key_id()) return;
     switch (store_.route_state(id)) {
@@ -547,30 +542,19 @@ class KsServer {
         send_err(*conn, f, ServiceErrc::Shutdown, "server shutting down");
         return true;
       }
+      KsRequest req = decode_ks(f);
+      check_owned(req.id);
       KsDecJob job;
-      std::uint32_t deadline_ms = 0;
-      job.compat = (f.label == service::kLabelDecReq);
-      if (job.compat) {
-        service::Request req = decode_svc(f);
-        job.id = default_key_id();
-        job.epoch = req.epoch;
-        job.payload = std::move(req.round1);
-        deadline_ms = req.deadline_ms;
-      } else {
-        KsRequest req = decode_ks(f);
-        check_owned(req.id);
-        job.id = std::move(req.id);
-        job.epoch = req.epoch;
-        job.payload = std::move(req.payload);
-        deadline_ms = req.deadline_ms;
-      }
+      job.id = std::move(req.id);
+      job.epoch = req.epoch;
+      job.payload = std::move(req.payload);
       job.conn = conn;
       job.session = f.session;
       job.trace_id = f.trace_id;
       job.parent_span = f.parent_span;
       job.enq = std::chrono::steady_clock::now();
-      if (deadline_ms != 0)
-        job.deadline = job.enq + std::chrono::milliseconds(deadline_ms);
+      if (req.deadline_ms != 0)
+        job.deadline = job.enq + std::chrono::milliseconds(req.deadline_ms);
       switch (batcher_.try_submit(job)) {
         case service::BatchCollector<KsDecJob>::Submit::Ok:
           return true;
@@ -674,18 +658,13 @@ class KsServer {
         auto session = store_.dec_session(*id);
         for (const std::size_t i : idxs) {
           auto& j = batch[i];
-          telemetry::ScopedSpan span(j.compat ? "svc.dec" : "ks.dec",
+          telemetry::ScopedSpan span("ks.dec",
                                      telemetry::TraceContext{j.trace_id, j.parent_span});
           try {
             auto out = session.run(j.epoch, j.payload);
-            if (j.compat) {
-              outs[i].body = std::move(out.reply);
-              outs[i].label = service::kLabelDecOk;
-            } else {
-              outs[i].body = encode_ks_dec_ok(
-                  {std::move(out.reply), out.spent_millibits, out.budget_millibits});
-              outs[i].label = kKsDecOk;
-            }
+            outs[i].body =
+                encode_ks_dec_ok({std::move(out.reply), out.spent_millibits, out.budget_millibits});
+            outs[i].label = kKsDecOk;
           } catch (const ServiceError& e) {
             outs[i].errc = e.code();
             outs[i].err_epoch = e.server_epoch();
@@ -741,7 +720,7 @@ class KsServer {
       }
       transport::Frame out;
       if (o.label != nullptr) {
-        if (j.compat) requests_counter().add();
+        requests_counter().add();
         out = transport::Frame{j.session, transport::FrameType::Data,
                                static_cast<std::uint8_t>(net::DeviceId::P2), o.label,
                                std::move(o.body)};
@@ -813,12 +792,6 @@ class KsServer {
         handle_mig_commit(conn, f);
       } else if (f.label == kKsMigDone) {
         handle_mig_done(conn, f);
-      } else if (f.label == service::kLabelRefReq) {
-        handle_compat_ref(conn, f);
-      } else if (f.label == service::kLabelRefCommit) {
-        handle_compat_commit(conn, f);
-      } else if (f.label == service::kLabelHello) {
-        handle_compat_hello(conn, f);
       } else {
         send_err(conn, f, ServiceErrc::BadRequest, "unknown label '" + f.label + "'");
       }
@@ -872,9 +845,7 @@ class KsServer {
       return;
     }
     check_owned(kh.id);
-    service::HelloOk ok = store_.hello(kh.id, kh.hello);
-    ok.version = std::min<std::uint8_t>(kh.hello.version, service::kWireDeadlineVersion);
-    reply_data(conn, f, kKsHelloOk, service::encode_hello_ok(ok));
+    reply_data(conn, f, kKsHelloOk, service::encode_hello_ok(store_.hello(kh.id, kh.hello)));
   }
 
   void handle_put(transport::Conn& conn, const transport::Frame& f) {
@@ -1182,58 +1153,9 @@ class KsServer {
     }
   }
 
-  // ---- single-key routes (svc.*): the default key ---------------------
-
-  void handle_compat_ref(transport::Conn& conn, const transport::Frame& f) {
-    telemetry::ScopedSpan span("svc.refresh",
-                               telemetry::TraceContext{f.trace_id, f.parent_span});
-    service::Request req = decode_svc(f);
-    if (maybe_shed_refresh(conn, f, default_key_id())) return;
-    reply_data(conn, f, service::kLabelRefOk,
-               store_.ref_prepare(default_key_id(), req.epoch, req.round1));
-  }
-
-  void handle_compat_commit(transport::Conn& conn, const transport::Frame& f) {
-    telemetry::ScopedSpan span("svc.refresh",
-                               telemetry::TraceContext{f.trace_id, f.parent_span});
-    service::CommitMsg cm;
-    try {
-      cm = service::decode_commit(f.body);
-    } catch (const std::exception& e) {
-      send_err(conn, f, ServiceErrc::BadRequest, e.what());
-      return;
-    }
-    reply_data(conn, f, service::kLabelRefCommitOk,
-               service::encode_commit_ok(
-                   store_.ref_commit(default_key_id(), cm.epoch, cm.digest)));
-  }
-
-  void handle_compat_hello(transport::Conn& conn, const transport::Frame& f) {
-    service::HelloMsg h;
-    try {
-      h = service::decode_hello(f.body);
-    } catch (const std::exception& e) {
-      send_err(conn, f, ServiceErrc::BadRequest, e.what());
-      return;
-    }
-    service::HelloOk ok = store_.hello(default_key_id(), h);
-    // The echoed version arms wire tracing on the client; a legacy client
-    // (version 0) never receives a trace envelope it would reject.
-    ok.version = std::min<std::uint8_t>(h.version, service::kWireDeadlineVersion);
-    reply_data(conn, f, service::kLabelHelloOk, service::encode_hello_ok(ok));
-  }
-
   [[nodiscard]] KsRequest decode_ks(const transport::Frame& f) const {
     try {
       return decode_ks_request(f.body);
-    } catch (const std::exception& e) {
-      throw ServiceError(ServiceErrc::BadRequest, default_epoch(), e.what());
-    }
-  }
-
-  [[nodiscard]] service::Request decode_svc(const transport::Frame& f) const {
-    try {
-      return service::decode_request(f.body);
     } catch (const std::exception& e) {
       throw ServiceError(ServiceErrc::BadRequest, default_epoch(), e.what());
     }
@@ -1300,6 +1222,7 @@ class KsServer {
                            std::to_string(kSlowRequestMs) + " n=" + std::to_string(nth));
   }
 
+  /// svc.requests: every decryption answered ok, for every key.
   static telemetry::Counter& requests_counter() {
     static telemetry::Counter& c = telemetry::Registry::global().counter("svc.requests");
     return c;

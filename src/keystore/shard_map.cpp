@@ -67,7 +67,12 @@ ShardMap ShardMap::decode(const Bytes& body) {
     ShardInfo s;
     s.id = r.u32();
     s.host = r.str();
-    s.port = static_cast<std::uint16_t>(r.u32());
+    const std::uint32_t port = r.u32();
+    if (port > 0xffff) throw std::invalid_argument("shard map: port out of range");
+    s.port = static_cast<std::uint16_t>(port);
+    if (std::any_of(shards.begin(), shards.end(),
+                    [&](const ShardInfo& o) { return o.id == s.id; }))
+      throw std::invalid_argument("shard map: repeated shard id");
     shards.push_back(std::move(s));
   }
   if (!r.done()) throw std::invalid_argument("shard map: trailing bytes");

@@ -56,6 +56,8 @@ class ShardMap {
   [[nodiscard]] const ShardInfo* shard(std::uint32_t id) const;
 
   [[nodiscard]] Bytes encode() const;
+  /// Throws std::out_of_range on truncated input and std::invalid_argument on
+  /// trailing bytes, a port above 65535 or a repeated shard id.
   [[nodiscard]] static ShardMap decode(const Bytes& body);
 
   bool operator==(const ShardMap& o) const {

@@ -43,11 +43,16 @@
 // StaleEpoch, refetch the shard map after a WrongShard, or drop the lane
 // after a transport failure. retry.deadline is an operation's one budget.
 //
-// DecryptionClient is RetryCore over one endpoint. It adds the hello (with
-// its legacy fallback) on every new connection, trace envelopes, the
-// svc.client.* spans and auto-refresh every K decryptions. Several
-// DecryptionClients may share one P1Runtime to fan out over multiple
-// connections.
+// Beside it sits the one copy of each per-key exchange both clients run on an
+// attempt: dec_exchange (ks.dec), refresh_exchange (ks.ref + ks.ref.commit)
+// and hello_exchange (ks.hello). Every request they send carries the calling
+// thread's current trace context (none outside a span).
+//
+// DecryptionClient is RetryCore over one endpoint, running the exchanges for
+// keystore::default_key_id(), the one key of the one-key server. It adds the
+// hello on every new connection, the svc.client.* spans and auto-refresh
+// every K decryptions. Several DecryptionClients may share one P1Runtime to
+// fan out over multiple connections.
 #pragma once
 
 #include <algorithm>
@@ -69,6 +74,7 @@
 
 #include "crypto/rng.hpp"
 #include "crypto/sha256.hpp"
+#include "keystore/ks_protocol.hpp"
 #include "keystore/segment_journal.hpp"
 #include "schemes/dlr.hpp"
 #include "service/admin.hpp"
@@ -664,6 +670,70 @@ class RetryCore {
   std::atomic<std::uint64_t> reconnects_{0};
 };
 
+/// Send one P1 request on a new session of `mux`, stamped with the calling
+/// thread's current trace context; the session receives the reply.
+[[nodiscard]] inline std::unique_ptr<transport::SessionMux::Session> send_request(
+    transport::SessionMux& mux, const char* label, Bytes body) {
+  auto sess = mux.open();
+  sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1), label,
+             std::move(body), telemetry::Tracer::global().current());
+  return sess;
+}
+
+/// ks.dec: one decryption of `c` under key `id` on attempt `a`, carrying the
+/// budget left. `ledger`, when set, receives the server's (spent, budget)
+/// for the key.
+template <group::BilinearGroup GG>
+[[nodiscard]] typename GG::GT dec_exchange(P1Runtime<GG>& p1, const keystore::KeyId& id,
+                                           const RetryCore::Attempt& a,
+                                           const typename schemes::DlrCore<GG>::Ciphertext& c,
+                                           keystore::KsDecOk* ledger = nullptr) {
+  thread_local crypto::Rng rng = crypto::Rng::from_os_entropy();
+  const auto snap = p1.begin_decrypt(c, rng);
+  const auto sess =
+      send_request(a.mux, keystore::kKsDec,
+                   keystore::encode_ks_request(id, snap.epoch, snap.round1, a.deadline_ms()));
+  keystore::KsDecOk ok =
+      keystore::decode_ks_dec_ok(expect_ok(sess->recv(a.timeout()), keystore::kKsDecOk));
+  auto m = p1.finish_decrypt(snap, ok.reply);
+  if (ledger) *ledger = std::move(ok);
+  return m;
+}
+
+/// ks.ref + ks.ref.commit: P1Runtime::refresh of key `id` on attempt `a`.
+template <group::BilinearGroup GG>
+void refresh_exchange(P1Runtime<GG>& p1, const keystore::KeyId& id, const RetryCore::Attempt& a) {
+  p1.refresh(
+      [&](std::uint64_t e, const Bytes& r1) {
+        auto sess = send_request(a.mux, keystore::kKsRef, keystore::encode_ks_request(id, e, r1));
+        return [&a, sess = std::move(sess)] {
+          return expect_ok(sess->recv(a.timeout()), keystore::kKsRefOk);
+        };
+      },
+      [&](std::uint64_t e, const Bytes& digest) {
+        const auto sess = send_request(a.mux, keystore::kKsRefCommit,
+                                       keystore::encode_ks_request(id, e, digest));
+        return decode_commit_ok(expect_ok(sess->recv(a.timeout()), keystore::kKsRefCommitOk));
+      });
+}
+
+/// ks.hello: report P1's epoch for key `id` and its pending refresh `info`
+/// over `mux`; returns the server's verdict (P1Runtime::reconcile's
+/// exchange).
+template <group::BilinearGroup GG>
+[[nodiscard]] HelloOk hello_exchange(const P1Runtime<GG>& p1, const keystore::KeyId& id,
+                                     transport::SessionMux& mux,
+                                     const typename P1Runtime<GG>::PendingInfo& info,
+                                     transport::Millis timeout) {
+  HelloMsg h;
+  h.epoch = p1.epoch();
+  h.has_pending = info.active;
+  h.pending_epoch = info.epoch;
+  h.pending_digest = info.digest;
+  const auto sess = send_request(mux, keystore::kKsHello, keystore::encode_ks_hello(id, h));
+  return decode_hello_ok(expect_ok(sess->recv(timeout), keystore::kKsHelloOk));
+}
+
 template <group::BilinearGroup GG>
 class DecryptionClient {
  public:
@@ -696,15 +766,11 @@ class DecryptionClient {
   [[nodiscard]] P1Runtime<GG>& p1() { return *p1_; }
   [[nodiscard]] std::uint64_t epoch() const { return p1_->epoch(); }
 
-  /// Wire-trace version negotiated with the peer in the last hello: 0 means
-  /// a legacy (pre-trace) server, so request frames carry no trace envelope.
-  [[nodiscard]] std::uint8_t wire_version() const { return wire_version_.load(); }
-
   /// Endpoint circuit breaker (tests/benches).
   [[nodiscard]] const transport::CircuitBreaker& breaker() { return core_.breaker(endpoint().id); }
 
   /// One DistDec round trip, no retry; throws ServiceError (retryable() for
-  /// StaleEpoch/Draining/DrainTimeout/Shutdown) and TransportError.
+  /// StaleEpoch/Draining/Shutdown) and TransportError.
   [[nodiscard]] GT decrypt_once(const typename Core::Ciphertext& c) {
     telemetry::ScopedSpan root("svc.client.dec");
     const auto m = core_.lane(endpoint());
@@ -739,24 +805,7 @@ class DecryptionClient {
                 // Reconciliation, or another client's refresh of this runtime,
                 // moved us.
                 if (p1_->epoch() > start) return;
-                p1_->refresh(
-                    [&](std::uint64_t e, const Bytes& r1) {
-                      auto sess = a.mux.open();
-                      sess->send(transport::FrameType::Data,
-                                 static_cast<std::uint8_t>(net::DeviceId::P1), kLabelRefReq,
-                                 encode_request(e, r1), send_ctx());
-                      return [&a, sess = std::move(sess)] {
-                        return expect_ok(sess->recv(a.timeout()), kLabelRefOk);
-                      };
-                    },
-                    [&](std::uint64_t e, const Bytes& digest) {
-                      auto sess = a.mux.open();
-                      sess->send(transport::FrameType::Data,
-                                 static_cast<std::uint8_t>(net::DeviceId::P1), kLabelRefCommit,
-                                 encode_commit(CommitMsg{e, digest}), send_ctx());
-                      return decode_commit_ok(
-                          expect_ok(sess->recv(a.timeout()), kLabelRefCommitOk));
-                    });
+                refresh_exchange(*p1_, keystore::default_key_id(), a);
               });
   }
 
@@ -772,49 +821,17 @@ class DecryptionClient {
   /// (P1Runtime::reconcile: waits out a refresh another thread is driving).
   void hello(transport::SessionMux& m) {
     count_verdict(p1_->reconcile([&](const PendingInfo& info) {
-      return hello_exchange(m, info, core_.options().request_timeout);
+      return hello_exchange(*p1_, keystore::default_key_id(), m, info,
+                            core_.options().request_timeout);
     }));
   }
 
   /// The hello only for a refresh stuck pending (P1Runtime::reconcile_if_stuck).
   void hello_if_stuck(const RetryCore::Attempt& a) {
-    const auto ok = p1_->reconcile_if_stuck(
-        [&](const PendingInfo& info) { return hello_exchange(a.mux, info, a.timeout()); });
+    const auto ok = p1_->reconcile_if_stuck([&](const PendingInfo& info) {
+      return hello_exchange(*p1_, keystore::default_key_id(), a.mux, info, a.timeout());
+    });
     if (ok) count_verdict(*ok);
-  }
-
-  /// One hello reporting `info`. The client first offers wire version
-  /// kWireDeadlineVersion as a trailing hello byte; a legacy server rejects
-  /// the unknown byte with BadRequest, in which case we re-hello bare and
-  /// remember the peer as legacy (trace envelopes stay off for this client --
-  /// old peers keep decrypting, just untraced).
-  [[nodiscard]] HelloOk hello_exchange(transport::SessionMux& m, const PendingInfo& info,
-                                       transport::Millis timeout) {
-    HelloMsg h;
-    h.epoch = p1_->epoch();
-    h.has_pending = info.active;
-    h.pending_epoch = info.epoch;
-    h.pending_digest = info.digest;
-    h.version = legacy_peer_.load() ? 0 : kWireDeadlineVersion;
-    HelloOk ok;
-    try {
-      ok = hello_once(m, h, timeout);
-    } catch (const ServiceError& e) {
-      if (h.version == 0 || e.code() != ServiceErrc::BadRequest) throw;
-      legacy_peer_.store(true);
-      h.version = 0;
-      ok = hello_once(m, h, timeout);
-    }
-    wire_version_.store(ok.version);
-    return ok;
-  }
-
-  [[nodiscard]] static HelloOk hello_once(transport::SessionMux& m, const HelloMsg& h,
-                                          transport::Millis timeout) {
-    auto sess = m.open();
-    sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
-               kLabelHello, encode_hello(h));
-    return decode_hello_ok(expect_ok(sess->recv(timeout), kLabelHelloOk));
   }
 
   /// Telemetry for an applied reconciliation verdict.
@@ -830,27 +847,9 @@ class DecryptionClient {
     }
   }
 
-  /// Trace context to stamp onto an outgoing request frame: the innermost
-  /// open span when the peer negotiated wire tracing, nothing otherwise.
-  [[nodiscard]] telemetry::TraceContext send_ctx() const {
-    return wire_version_.load() ? telemetry::Tracer::global().current()
-                                : telemetry::TraceContext{};
-  }
-
   [[nodiscard]] GT decrypt_on(const RetryCore::Attempt& a, const typename Core::Ciphertext& c) {
     telemetry::ScopedSpan span("svc.client.attempt");
-    thread_local crypto::Rng rng = crypto::Rng::from_os_entropy();
-    const auto snap = p1_->begin_decrypt(c, rng);
-    auto sess = a.mux.open();
-    // The remaining budget rides the request only when the peer negotiated
-    // the deadline wire version (a pre-deadline server rejects trailing
-    // request bytes as BadRequest).
-    const std::uint32_t wire_deadline =
-        wire_version_.load() >= kWireDeadlineVersion ? a.deadline_ms() : 0;
-    sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
-               kLabelDecReq, encode_request(snap.epoch, snap.round1, wire_deadline),
-               send_ctx());
-    return p1_->finish_decrypt(snap, expect_ok(sess->recv(a.timeout()), kLabelDecOk));
+    return dec_exchange(*p1_, keystore::default_key_id(), a, c);
   }
 
   void maybe_auto_refresh() {
@@ -874,8 +873,6 @@ class DecryptionClient {
   std::uint16_t port_;
   int auto_refresh_every_;
   std::atomic<std::uint64_t> dec_count_{0};
-  std::atomic<std::uint8_t> wire_version_{0};  // negotiated in the last hello
-  std::atomic<bool> legacy_peer_{false};       // peer rejected the version byte once
   std::atomic<bool> refreshing_{false};
   RetryCore core_;  // last: its lanes' hellos use the members above
 };

@@ -1,6 +1,6 @@
 // P2Server -- the paper's auxiliary device P2 (§1.1) as a network service:
 // the one-key KsServer, whose store holds the P2 share as default_key_id()
-// and answers the single-key svc.* routes (keystore/ks_server.hpp).
+// and answers that key on the ks.* routes (keystore/ks_server.hpp).
 #pragma once
 
 #include "keystore/ks_server.hpp"

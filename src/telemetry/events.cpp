@@ -14,7 +14,6 @@ const char* event_kind_name(EventKind k) {
     case EventKind::FaultInjected: return "fault-injected";
     case EventKind::Retry: return "retry";
     case EventKind::Reconnect: return "reconnect";
-    case EventKind::DrainTimeout: return "drain-timeout";
     case EventKind::JournalRecovery: return "journal-recovery";
     case EventKind::SlowRequest: return "slow-request";
     case EventKind::Shed: return "shed";

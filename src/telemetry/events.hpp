@@ -33,7 +33,6 @@ enum class EventKind : std::uint8_t {
   FaultInjected,    // transport fault injector fired
   Retry,            // client retried a request
   Reconnect,        // client re-dialed the server
-  DrainTimeout,     // server stop() abandoned in-flight work
   JournalRecovery,  // runtime resolved a pending refresh from its journal
   SlowRequest,      // server-side request latency over threshold
   Shed,             // server turned a request away (overload / deadline)

@@ -4,7 +4,8 @@
 //
 //   * send(from, ...) with from == the local device transmits the message as
 //     a Data frame AND records it in the transcript (the public-channel
-//     contract of Section 3.2 -- both directions appear in comm^t).
+//     contract of Section 3.2 -- both directions appear in comm^t). The frame
+//     carries the sending thread's current trace context (DESIGN.md §10).
 //   * recv() blocks for the peer's next frame, records it in the transcript
 //     under the peer's device id, and returns the body by reference exactly
 //     like the in-process Channel::send does for the consuming side.
@@ -22,18 +23,14 @@ namespace dlr::transport {
 
 class MuxChannel final : public net::Channel {
  public:
-  /// `wire_trace` stamps outgoing Data frames with the sending thread's
-  /// current TraceContext (DESIGN.md §10). Leave it off unless the peer
-  /// negotiated wire tracing in svc.hello -- v1 decoders reject the envelope.
-  MuxChannel(SessionMux::Session& session, net::DeviceId local, bool wire_trace = false)
-      : session_(session), local_(local), wire_trace_(wire_trace) {}
+  MuxChannel(SessionMux::Session& session, net::DeviceId local)
+      : session_(session), local_(local) {}
 
   [[nodiscard]] net::DeviceId local() const { return local_; }
   [[nodiscard]] net::DeviceId peer() const {
     return local_ == net::DeviceId::P1 ? net::DeviceId::P2 : net::DeviceId::P1;
   }
 
-  void set_wire_trace(bool on) { wire_trace_ = on; }
   /// Trace envelope of the last received frame (empty if the peer sent none).
   [[nodiscard]] telemetry::TraceContext last_trace() const { return last_trace_; }
 
@@ -43,8 +40,7 @@ class MuxChannel final : public net::Channel {
   const Bytes& send(net::DeviceId from, std::string label, Bytes body) override {
     if (from == local_)
       session_.send(FrameType::Data, static_cast<std::uint8_t>(from), label, body,
-                    wire_trace_ ? telemetry::Tracer::global().current()
-                                : telemetry::TraceContext{});
+                    telemetry::Tracer::global().current());
     return record(from, std::move(label), std::move(body));
   }
 
@@ -65,7 +61,6 @@ class MuxChannel final : public net::Channel {
  private:
   SessionMux::Session& session_;
   net::DeviceId local_;
-  bool wire_trace_ = false;
   telemetry::TraceContext last_trace_;
 };
 

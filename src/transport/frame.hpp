@@ -12,16 +12,15 @@
 //     u8  from       bits 0-6: device id (0 = unspecified, 1 = P1, 2 = P2);
 //                    bit 7 (kTraceFlag): a 16-byte trace envelope follows
 //                    the label
-//     u8  label_len  protocol message label, e.g. "dec.r1" / "svc.dec"
+//     u8  label_len  protocol message label, e.g. "dec.r1" / "ks.dec"
 //     label bytes
 //     [u64 trace_id, u64 parent_span]   iff bit 7 of `from` is set
 //     body bytes     everything remaining
 //
 // The trace envelope (DESIGN.md §10) carries the sender's TraceContext so a
-// request's spans form one tree across processes. v1 decoders reject any
-// `from` above 2, so an envelope must never be sent to a peer that did not
-// negotiate it -- the svc.hello version exchange (service/protocol.hpp)
-// gates stamping, keeping old peers interoperable.
+// request's spans form one tree across processes. Every peer decodes it; a
+// sender stamps its current context whenever a span is open, with no
+// negotiation.
 //
 // The CRC makes single-bit corruption of any frame field a typed
 // ChecksumMismatch instead of a silently different message; length-prefix

@@ -56,8 +56,7 @@ class SessionMux {
     }
 
     /// Traced send: stamp `ctx` into the frame's trace envelope. An empty
-    /// context sends a plain v1 frame; a nonzero one sets the envelope, which
-    /// only a wire-trace-negotiated peer will accept (see frame.hpp).
+    /// context sends no envelope (see frame.hpp).
     void send(FrameType type, std::uint8_t from, std::string label, Bytes body,
               telemetry::TraceContext ctx) {
       Frame f{id_, type, from, std::move(label), std::move(body)};

@@ -2,8 +2,9 @@
 // compaction crash matrix, consistent-hash shard placement, the
 // budget-driven refresh scheduler, the per-key two-phase epoch machine, and
 // the sharded service end-to-end -- routing with WrongShard redirects,
-// crash-restart recovery of a whole shard, single-key compatibility with
-// the PR 2-5 client, and a seeded chaos soak.
+// crash-restart recovery of a whole shard, the single-key client on a
+// KsServer, a seeded chaos soak -- and a fuzz pass over every payload
+// decoder of the wire.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -236,6 +237,51 @@ TEST(ShardMapTest, EmptyMapMeansUnsharded) {
   EXPECT_TRUE(m.empty());
   EXPECT_EQ(m.owner(KeyId{"any", "key"}), 0u);
   EXPECT_EQ(ShardMap::decode(m.encode()), m);
+}
+
+/// ShardMap::encode() of `shards` with each port written as the raw u32 the
+/// wire carries, so a test can put any value there.
+Bytes raw_map(std::uint64_t version,
+              const std::vector<std::pair<std::uint32_t, std::uint32_t>>& shards) {
+  ByteWriter w;
+  w.u64(version);
+  w.u32(static_cast<std::uint32_t>(shards.size()));
+  for (const auto& [id, port] : shards) {
+    w.u32(id);
+    w.str("");
+    w.u32(port);
+  }
+  return w.take();
+}
+
+TEST(ShardMapTest, DecodeRejectsAPortAboveSixteenBitsAndARepeatedShardId) {
+  // Both maps arrive from outside (ks.map.propose, ks.map.ok). A port above
+  // 65535 would be cut to 16 bits and route to the wrong port; a repeated id
+  // would leave its second address unreachable through shard().
+  EXPECT_EQ(ShardMap::decode(raw_map(3, {{0, 9001}, {1, 65535}})).shard(1)->port, 65535);
+  EXPECT_THROW((void)ShardMap::decode(raw_map(3, {{0, 9001}, {1, 65536 + 9002}})),
+               std::invalid_argument);
+  EXPECT_THROW((void)ShardMap::decode(raw_map(3, {{0, 9001}, {1, 9002}, {0, 9003}})),
+               std::invalid_argument);
+
+  // On the wire, ks.map.propose answers either map with BadRequest and
+  // installs nothing.
+  const MockGroup gg = make_mock();
+  KsServer<MockGroup> server(gg, mock_params(), crypto::Rng(7390),
+                             KsServer<MockGroup>::Options{});
+  server.start();
+  transport::SessionMux mux(std::make_shared<transport::FramedConn>(
+      transport::connect_loopback(server.port()), transport::TransportOptions{}));
+  for (const Bytes& bad : {raw_map(3, {{0, 9001}, {1, 65536 + 9002}}),
+                           raw_map(3, {{0, 9001}, {0, 9003}})}) {
+    auto sess = mux.open();
+    sess->send(transport::FrameType::Data, 1, kKsMapPropose, encode_ks_map_propose(bad));
+    const auto resp = sess->recv(transport::Millis{5000});
+    ASSERT_EQ(resp.type, transport::FrameType::Error);
+    EXPECT_EQ(service::decode_error(resp.body).code(), service::ServiceErrc::BadRequest);
+  }
+  EXPECT_TRUE(server.shard_map().empty());
+  server.stop();
 }
 
 // ---- refresh scheduler --------------------------------------------------------
@@ -1045,9 +1091,9 @@ TEST(KeyStoreTest, RolledBackDigestSurvivesRestart) {
 }
 
 TEST(KsServiceTest, OldSingleKeyClientSpeaksToAKsServerUnchanged) {
-  // Satellite of the tentpole: single-key mode is a 1-key store. A PR 2-5
-  // DecryptionClient (svc.* labels, raw reply bodies, hello reconciliation)
-  // works against a KsServer holding its share under default_key_id().
+  // Single-key mode is a 1-key store: DecryptionClient names
+  // default_key_id() on the ks.* routes (decryption, refresh, hello
+  // reconciliation) of a KsServer whose share was put under that key.
   MockGroup gg = make_mock();
   const auto prm = mock_params();
   crypto::Rng rng(7500);
@@ -1500,6 +1546,86 @@ TEST(KsOverloadTest, SoakUnderOverloadKeepsEveryKeyInsideItsLeakageBudget) {
     EXPECT_LT(owner.spent_frac(id), 1.0)
         << id.display() << " exhausted its leakage budget under overload";
   }
+}
+
+// ---- every payload decoder, fuzzed -----------------------------------------------
+
+/// Feed `decode` mutations of `valid`, one valid encoding: 512 seeded
+/// single-bit flips, every truncation, extensions by 1 to 8 random bytes, and
+/// 512 random strings of up to 96 bytes. Each input must decode to a value or
+/// throw std::invalid_argument or std::out_of_range -- nothing else (the
+/// sanitizer build runs this too).
+template <class Decode>
+void fuzz_decoder(const char* name, const Bytes& valid, Decode decode, std::uint64_t seed) {
+  SCOPED_TRACE(name);
+  std::size_t typed = 0, decoded = 0;
+  const auto feed = [&](const Bytes& in) {
+    try {
+      (void)decode(in);
+      ++decoded;
+    } catch (const std::invalid_argument&) {
+      ++typed;
+    } catch (const std::out_of_range&) {
+      ++typed;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "input " << to_hex(in) << " threw an untyped error: " << e.what();
+    } catch (...) {
+      ADD_FAILURE() << "input " << to_hex(in) << " threw a non-std exception";
+    }
+  };
+  ASSERT_NO_THROW((void)decode(valid)) << "the valid encoding does not decode";
+  ASSERT_FALSE(valid.empty());
+  crypto::Rng rng(seed);
+  for (int i = 0; i < 512; ++i) {
+    Bytes m = valid;
+    const std::uint64_t bit = rng.u64() % (m.size() * 8);
+    m[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    feed(m);
+  }
+  for (std::size_t n = 0; n < valid.size(); ++n)
+    feed(Bytes(valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(n)));
+  for (std::size_t k = 1; k <= 8; ++k) {
+    Bytes m = valid;
+    for (std::size_t j = 0; j < k; ++j) m.push_back(static_cast<std::uint8_t>(rng.u64()));
+    feed(m);
+  }
+  for (int i = 0; i < 512; ++i) {
+    Bytes m(rng.u64() % 97);
+    for (auto& b : m) b = static_cast<std::uint8_t>(rng.u64());
+    feed(m);
+  }
+  EXPECT_GT(typed, 0u);
+  EXPECT_GT(decoded, 0u);
+}
+
+TEST(WireDecoderFuzzTest, EveryPayloadDecoderReturnsAValueOrThrowsTyped) {
+  const KeyId id{"acme", "k1"};
+  service::HelloMsg hello;
+  hello.epoch = 3;
+  hello.has_pending = true;
+  hello.pending_epoch = 2;
+  hello.pending_digest = Bytes(32, 0xab);
+  const Bytes map = ShardMap(2, {{0, "", 7000}, {1, "h1", 7001}}).encode();
+
+  fuzz_decoder("decode_error",
+               service::encode_error(service::ServiceErrc::Overloaded, 7, "queue full", 12),
+               service::decode_error, 1);
+  fuzz_decoder("decode_hello", service::encode_hello(hello), service::decode_hello, 2);
+  fuzz_decoder("decode_hello_ok",
+               service::encode_hello_ok({4, service::RefDisposition::Commit}),
+               service::decode_hello_ok, 3);
+  fuzz_decoder("decode_commit_ok", service::encode_commit_ok(5), service::decode_commit_ok, 4);
+  fuzz_decoder("decode_ks_request", encode_ks_request(id, 3, Bytes(40, 7), 250),
+               decode_ks_request, 5);
+  fuzz_decoder("decode_ks_dec_ok", encode_ks_dec_ok({Bytes(24, 9), 1500, 128000}),
+               decode_ks_dec_ok, 6);
+  fuzz_decoder("decode_ks_hello", encode_ks_hello(id, hello), decode_ks_hello, 7);
+  fuzz_decoder("decode_ks_put", encode_ks_put(id, Bytes(64, 3)), decode_ks_put, 8);
+  fuzz_decoder("decode_ks_map_propose", encode_ks_map_propose(map), decode_ks_map_propose, 9);
+  fuzz_decoder("decode_ks_migrate", encode_ks_migrate({9, 1, id, 77, Bytes(48, 5)}),
+               decode_ks_migrate, 10);
+  fuzz_decoder("decode_ks_mig_done", encode_ks_mig_done(9, 1), decode_ks_mig_done, 11);
+  fuzz_decoder("ShardMap::decode", map, ShardMap::decode, 12);
 }
 
 }  // namespace

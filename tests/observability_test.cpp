@@ -1,7 +1,7 @@
 // Observability plane (DESIGN.md §10): end-to-end trace propagation over
 // real sockets, the admin endpoint's Prometheus scrape and health document,
-// hello version negotiation against a legacy peer, trace integrity under the
-// PR 4 fault injector, and the structured event log.
+// trace integrity under the PR 4 fault injector, and the structured event
+// log.
 //
 // A listener dumps the event ring to stderr whenever a test here fails, so a
 // red chaos run leaves a diagnosable artifact instead of a bare assertion.
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "group/mock_group.hpp"
-#include "legacy_peer.hpp"
 #include "service/admin.hpp"
 #include "service/client.hpp"
 #include "service/p2_server.hpp"
@@ -122,13 +121,12 @@ TEST(ObservabilityTraceTest, SingleDecryptionYieldsOneTraceTreeAcrossLayers) {
   crypto::Rng rng(1);
   const auto m = svc.gg.gt_random(rng);
   ASSERT_TRUE(svc.gg.gt_eq(client.decrypt(svc.encrypt(m, rng)), m));
-  EXPECT_EQ(client.wire_version(), kWireDeadlineVersion);
 
   const auto imp = exported_spans(svc);
 #if DLR_TELEMETRY_ENABLED
   const auto roots = spans_labeled(imp, "svc.client.dec");
   const auto attempts = spans_labeled(imp, "svc.client.attempt");
-  const auto workers = spans_labeled(imp, "svc.dec");
+  const auto workers = spans_labeled(imp, "ks.dec");
   const auto crypto_cli = spans_labeled(imp, "dec.round1");
   const auto crypto_srv = spans_labeled(imp, "dec.round2");
   ASSERT_EQ(roots.size(), 1u);
@@ -141,7 +139,7 @@ TEST(ObservabilityTraceTest, SingleDecryptionYieldsOneTraceTreeAcrossLayers) {
   EXPECT_NE(trace, 0u);
   EXPECT_EQ(roots[0]->parent, 0u);
   // client root -> attempt -> { dec.round1 (client crypto),
-  //                             svc.dec (server worker, remote parent)
+  //                             ks.dec (server worker, remote parent)
   //                               -> dec.round2 (server crypto) }
   EXPECT_EQ(attempts[0]->trace_id, trace);
   EXPECT_EQ(attempts[0]->parent, roots[0]->id);
@@ -216,34 +214,6 @@ TEST(ObservabilityAdminTest, ScrapeSurvivesConcurrentLoadAndCountsItself) {
 #endif
 }
 
-// ---- hello negotiation: legacy peers keep working, tracing stays off ----------
-
-TEST(ObservabilityNegotiationTest, LegacyServerStillDecryptsWithTracingOff) {
-  Obs svc;
-  // A pre-trace peer in front of the server: it rejects the version byte.
-  LegacyPeer v1(svc.server->port());
-  DecryptionClient<MockGroup> client(svc.p1, v1.port());
-  EXPECT_EQ(client.wire_version(), 0u);
-
-  crypto::Rng rng(4);
-  const auto m = svc.gg.gt_random(rng);
-  ASSERT_TRUE(svc.gg.gt_eq(client.decrypt(svc.encrypt(m, rng)), m));
-  EXPECT_EQ(v1.rejected_hellos(), 1u);
-  EXPECT_EQ(v1.envelopes(), 0u) << "a trace envelope crossed to a v1 peer";
-
-  const auto imp = exported_spans(svc);
-#if DLR_TELEMETRY_ENABLED
-  // The client still spans locally, but no envelope crossed the wire: the
-  // worker minted its own trace, disjoint from the client's.
-  const auto roots = spans_labeled(imp, "svc.client.dec");
-  const auto workers = spans_labeled(imp, "svc.dec");
-  ASSERT_EQ(roots.size(), 1u);
-  ASSERT_EQ(workers.size(), 1u);
-  EXPECT_NE(workers[0]->trace_id, roots[0]->trace_id);
-  EXPECT_EQ(workers[0]->parent, 0u);
-#endif
-}
-
 // ---- trace integrity under the fault injector ---------------------------------
 
 TEST(ObservabilityFaultTest, RetriedAndDuplicatedFramesNeverCrossLinkTraces) {
@@ -295,7 +265,7 @@ TEST(ObservabilityFaultTest, RetriedAndDuplicatedFramesNeverCrossLinkTraces) {
   EXPECT_GT(total_attempts, static_cast<std::size_t>(kRequests))
       << "fault plan injected no retries; raise the rates";
 
-  for (const auto* w : spans_labeled(imp, "svc.dec")) {
+  for (const auto* w : spans_labeled(imp, "ks.dec")) {
     if (w->trace_id == 0) continue;  // an untraced duplicate of a dead session
     ASSERT_TRUE(attempt_trace.count(w->parent))
         << "server span parented to something that is not a client attempt";

@@ -1,6 +1,6 @@
 // Service runtime: the single-key server's epoch machine (its store's
 // default key), the end-to-end decryption service over real sockets with its
-// svc.* reply bytes pinned, refresh/decrypt interleaving under
+// ks.* reply bytes pinned, refresh/decrypt interleaving under
 // multi-threaded load (the continual-leakage deployment loop of §1.1/§4.4 run
 // as a server workload), the two-phase epoch commit with its journaled
 // crash/reconnect recovery, and the deterministic fault-injection chaos soak.
@@ -24,7 +24,6 @@
 #include "group/mock_group.hpp"
 #include "group/tate_group.hpp"
 #include "keystore/ks_client.hpp"
-#include "legacy_peer.hpp"
 #include "service/client.hpp"
 #include "service/p2_server.hpp"
 #include "telemetry/events.hpp"
@@ -35,6 +34,8 @@ namespace {
 
 using group::make_mock;
 using group::MockGroup;
+using keystore::default_key_id;
+using keystore::encode_ks_request;
 using Core = schemes::DlrCore<MockGroup>;
 
 schemes::DlrParams mock_params() {
@@ -353,8 +354,8 @@ TEST(ServiceTest, StaleEpochIsDeterministicallyRejectedAndRetryable) {
   transport::SessionMux mux(std::make_shared<transport::FramedConn>(
       transport::connect_loopback(svc.server->port()), transport::TransportOptions{}));
   auto sess = mux.open();
-  sess->send(transport::FrameType::Data, 1, kLabelDecReq,
-             encode_request(999, svc.p1->begin_decrypt(c, rng).round1));
+  sess->send(transport::FrameType::Data, 1, keystore::kKsDec,
+             encode_ks_request(default_key_id(), 999, svc.p1->begin_decrypt(c, rng).round1));
   const auto resp = sess->recv(transport::Millis{5000});
   EXPECT_EQ(resp.type, transport::FrameType::Error);
   const ServiceError err = decode_error(resp.body);
@@ -374,7 +375,7 @@ TEST(ServiceTest, MalformedRequestsGetBadRequestNotACrash) {
   // Body that is not even a valid request encoding.
   {
     auto sess = mux.open();
-    sess->send(transport::FrameType::Data, 1, kLabelDecReq, Bytes{0xFF, 0x01});
+    sess->send(transport::FrameType::Data, 1, keystore::kKsDec, Bytes{0xFF, 0x01});
     const ServiceError err = decode_error(sess->recv(transport::Millis{5000}).body);
     EXPECT_EQ(err.code(), ServiceErrc::BadRequest);
     EXPECT_FALSE(err.retryable());
@@ -382,8 +383,8 @@ TEST(ServiceTest, MalformedRequestsGetBadRequestNotACrash) {
   // Valid envelope at the right epoch, garbage round-1 payload inside.
   {
     auto sess = mux.open();
-    sess->send(transport::FrameType::Data, 1, kLabelDecReq,
-               encode_request(0, Bytes{1, 2, 3, 4, 5}));
+    sess->send(transport::FrameType::Data, 1, keystore::kKsDec,
+               encode_ks_request(default_key_id(), 0, Bytes{1, 2, 3, 4, 5}));
     const ServiceError err = decode_error(sess->recv(transport::Millis{5000}).body);
     EXPECT_EQ(err.code(), ServiceErrc::BadRequest);
   }
@@ -605,7 +606,7 @@ TEST(ServiceRefreshOverlapTest, ConnectionSeveredMidRefreshKeepsEpochsAgreedAndM
 }
 
 TEST(ServiceRefreshOverlapTest, CommitUnderADecryptFloodCompletesWithinABound) {
-  // Raw svc.dec floods from several connections keep every crypto worker
+  // Raw ks.dec floods from several connections keep every crypto worker
   // inside a decryption session of the key (real SS256 shares, so sessions
   // last milliseconds and overlap). The COMMIT must still get the exclusive
   // entry lock promptly: new sessions wait at the entry's gate while the
@@ -644,7 +645,8 @@ TEST(ServiceRefreshOverlapTest, CommitUnderADecryptFloodCompletesWithinABound) {
         std::deque<std::unique_ptr<transport::SessionMux::Session>> inflight;
         while (go.load() && std::chrono::steady_clock::now() < flood_end) {
           auto sess = mux.open();
-          sess->send(transport::FrameType::Data, 1, kLabelDecReq, encode_request(0, round1));
+          sess->send(transport::FrameType::Data, 1, keystore::kKsDec,
+                     encode_ks_request(default_key_id(), 0, round1));
           inflight.push_back(std::move(sess));
           if (inflight.size() < 8) continue;
           if (inflight.front()->recv(transport::Millis{10000}).type == transport::FrameType::Data)
@@ -670,7 +672,7 @@ TEST(ServiceRefreshOverlapTest, CommitUnderADecryptFloodCompletesWithinABound) {
   server.stop();
 }
 
-// ---- svc.* wire bytes ---------------------------------------------------------
+// ---- the one-key server's wire bytes -------------------------------------------
 
 /// SHA-256 (hex) over a reply's (type, label, body): everything a single-key
 /// peer reads of it except the session id and the trace envelope.
@@ -682,12 +684,13 @@ std::string reply_digest(const transport::Frame& f) {
   return to_hex(crypto::Sha256::hash(w.bytes()));
 }
 
-TEST(ServiceWireTest, SvcRepliesArePinnedByteForByte) {
-  // One fixed script of raw svc.* frames: a v2 hello, four decryptions, the
-  // error cases, one PREPARE/COMMIT, and the error cases again one epoch
-  // later. Every reply is pinned by its digest, except the PREPARE reply:
-  // its round 2 depends on how the server derives P2's coins, so only its
-  // label and length are checked.
+TEST(KsWireTest, OneKeyServerRepliesArePinned) {
+  // One fixed script of raw ks.* frames for the one-key server's key,
+  // default_key_id(): a hello, four decryptions, the error cases, one
+  // PREPARE/COMMIT, and the error cases again one epoch later. Every reply is
+  // pinned by its digest, except the PREPARE reply: its round 2 depends on
+  // how the server derives P2's coins, so only its label and length are
+  // checked.
   MockGroup gg = make_mock();
   const auto prm = mock_params();
   crypto::Rng rng(7800);
@@ -698,6 +701,7 @@ TEST(ServiceWireTest, SvcRepliesArePinnedByteForByte) {
   schemes::DlrParty1<MockGroup> party(gg, prm, kg.pk, kg.sk1, schemes::P1Mode::Plain,
                                       crypto::Rng(7802));
   party.prepare_period();
+  const auto& id = keystore::default_key_id();
 
   transport::SessionMux mux(std::make_shared<transport::FramedConn>(
       transport::connect_loopback(server.port()), transport::TransportOptions{}));
@@ -710,47 +714,48 @@ TEST(ServiceWireTest, SvcRepliesArePinnedByteForByte) {
   std::vector<std::string> got;
   const auto pin = [&](const transport::Frame& f) { got.push_back(reply_digest(f)); };
 
-  HelloMsg hello;
-  hello.version = kWireDeadlineVersion;
-  pin(roundtrip(kLabelHello, encode_hello(hello)));
+  pin(roundtrip(keystore::kKsHello, keystore::encode_ks_hello(id, HelloMsg{})));
   for (int i = 0; i < 4; ++i) {
     const auto c = Core::enc(gg, kg.pk, gg.gt_random(rng), rng);
-    pin(roundtrip(kLabelDecReq, encode_request(0, party.dec_round1(c, rng))));
+    pin(roundtrip(keystore::kKsDec, keystore::encode_ks_request(id, 0, party.dec_round1(c, rng))));
   }
   const auto c = Core::enc(gg, kg.pk, gg.gt_random(rng), rng);
   const Bytes round1 = party.dec_round1(c, rng);
   const auto error_cases = [&](std::uint64_t epoch) {
-    pin(roundtrip(kLabelDecReq, encode_request(999, round1)));                // stale epoch
-    pin(roundtrip(kLabelDecReq, Bytes{0xFF, 0x01}));                          // bad envelope
-    pin(roundtrip(kLabelDecReq, encode_request(epoch, Bytes{1, 2, 3, 4, 5})));  // bad round 1
-    pin(roundtrip("svc.bogus", Bytes{}));                                     // unknown label
+    using keystore::encode_ks_request;
+    pin(roundtrip(keystore::kKsDec, encode_ks_request(id, 999, round1)));  // stale epoch
+    pin(roundtrip(keystore::kKsDec, Bytes{0xFF, 0x01}));                   // bad envelope
+    pin(roundtrip(keystore::kKsDec,
+                  encode_ks_request(id, epoch, Bytes{1, 2, 3, 4, 5})));  // bad round 1
+    pin(roundtrip("ks.bogus", Bytes{}));                                 // unknown label
   };
   error_cases(0);
 
   const Bytes r1 = party.ref_round1();
-  const auto prepared = roundtrip(kLabelRefReq, encode_request(0, r1));
+  const auto prepared = roundtrip(keystore::kKsRef, keystore::encode_ks_request(id, 0, r1));
   EXPECT_EQ(prepared.type, transport::FrameType::Data);
-  EXPECT_EQ(prepared.label, kLabelRefOk);
+  EXPECT_EQ(prepared.label, keystore::kKsRefOk);
   EXPECT_EQ(prepared.body.size(), 40u);
-  pin(roundtrip(kLabelRefCommit,
-                encode_commit(CommitMsg{0, crypto::digest_to_bytes(crypto::Sha256::hash(r1))})));
+  pin(roundtrip(keystore::kKsRefCommit,
+                keystore::encode_ks_request(id, 0,
+                                            crypto::digest_to_bytes(crypto::Sha256::hash(r1)))));
   error_cases(1);
 
   const std::vector<std::string> want = {
-      "4a8f8680ef5a545eed65c75d3db4746195bfe8de00bc0e2c79805f85ac0f0fe1",  // hello.ok
-      "715a0e97435098d5ea5c1e3e1fb3f942d9cef23d8293a75d6a7a566bb379577a",  // dec.ok x4
-      "a050c159d6324cc8ec00926adb7293ce794be356d0272a48d6ac89004a861173",
-      "33eb436dd61a1fe941d5284156648fc68b4a0c898400cdb7aae4fd1f897ea627",
-      "4c08f4131ac3daa74d2a223c34738c1d2a885bdab890906b61bae078551c2909",
+      "de3f480c22eae42e0d9cfd51fd29a86f4c3cc07ca298ef651ec3ff04716fc724",  // hello.ok
+      "db36b183a80faf44020632575bdb31137b78eed8fb33b4604b759558e2f97687",  // dec.ok x4
+      "12587dba1d2e90944322f69630433736979f008098562db65c45e3706734e3e1",
+      "343100d86bd91b2a903195c09777768988311dac3c9a9bd89786fd05aa88137d",
+      "fe8195bb97be9f728e7524f858651a8c5964005a931a366c579b495fcbf9d25d",
       "7caf86f17c8bf322d12e130ef288a4947c635defefcb7f7523bad4c758045444",  // epoch 0 errors
       "ea94a24be15fa9c0fa39d885d49c45872f80f276fff1920156457c27b8ef1b76",
       "ea94a24be15fa9c0fa39d885d49c45872f80f276fff1920156457c27b8ef1b76",
-      "4f37b9b6d999854d223e5cde1ed89b551f65e1859afaa3055f703b5a1d662eaf",
-      "77af171f40ec4acd654a6ce3ccd029751cd32c1a51294a3ac38fc08f8aeb8dc4",  // commit.ok
+      "2305d8b25097ee396ab8ff08229b058a54c94fdae199567c8b1c749e77e46947",
+      "da724559f6a0f164d0470270f4fe63a5d6c222abe47106f4eeb39131b91cba4d",  // commit.ok
       "61f2fb0991440ceb2ed2d732b59b51999ba1782de80929b942b6a5fa4d6a8c3c",  // epoch 1 errors
       "ab99e46c089bbd78ac3123292ade9c3cefc9c6510864d87689cc774ab7ceba5c",
       "ab99e46c089bbd78ac3123292ade9c3cefc9c6510864d87689cc774ab7ceba5c",
-      "379556b3b455285b8aa851cf5f40174271752a7b5cfb46b8bb9cb18a913ae177",
+      "9ac5ae2df862de16b6b0d585f6563eb437e568dbda218fdef3f00b482f23319c",
   };
   EXPECT_EQ(got, want);
 }
@@ -775,16 +780,8 @@ struct SentLog {
     for (const auto& f : frames) {
       std::string s = std::string(f.type == transport::FrameType::Data ? "Data " : "Other ") +
                       f.label + " len=" + std::to_string(f.body.size());
-      if (f.label == kLabelDecReq || f.label == kLabelRefReq) {
-        const Request r = decode_request(f.body);
-        s += " epoch=" + std::to_string(r.epoch) + " deadline=" + std::to_string(r.deadline_ms);
-      } else if (f.label == kLabelRefCommit) {
-        s += " epoch=" + std::to_string(decode_commit(f.body).epoch);
-      } else if (f.label == kLabelHello) {
-        const HelloMsg h = decode_hello(f.body);
-        s += " epoch=" + std::to_string(h.epoch) + " pending=" + std::to_string(h.has_pending);
-      } else if (f.label == keystore::kKsDec || f.label == keystore::kKsRef ||
-                 f.label == keystore::kKsRefCommit) {
+      if (f.label == keystore::kKsDec || f.label == keystore::kKsRef ||
+          f.label == keystore::kKsRefCommit) {
         const keystore::KsRequest r = keystore::decode_ks_request(f.body);
         s += " epoch=" + std::to_string(r.epoch) + " deadline=" + std::to_string(r.deadline_ms);
       } else if (f.label == keystore::kKsHello) {
@@ -851,13 +848,12 @@ const std::string kTraced = DLR_TELEMETRY_ENABLED ? "1" : "0";
 TEST(ClientWireTest, DecryptionClientFramesArePinned) {
   // One fixed script through DecryptionClient: connect hellos, a decryption,
   // a decryption held until a refresh commits (StaleEpoch, then a retry at
-  // the new epoch), a refresh whose COMMIT reply is lost (the reconnect
-  // hello reports the refresh pending and rolls it forward), and a client of
-  // a v1 peer (versioned hello refused, bare re-hello, untraced requests).
+  // the new epoch), and a refresh whose COMMIT reply is lost (the reconnect
+  // hello, sent inside the refresh's span, reports the refresh pending and
+  // rolls it forward). Every request names default_key_id().
   Service svc(/*workers=*/2, 7850);
   auto log_a = std::make_shared<SentLog>();
   auto log_b = std::make_shared<SentLog>();
-  auto log_c = std::make_shared<SentLog>();
   typename DecryptionClient<MockGroup>::Options opt;
   opt.retry.base = transport::Millis{2};
   opt.retry.cap = transport::Millis{20};
@@ -875,7 +871,7 @@ TEST(ClientWireTest, DecryptionClientFramesArePinned) {
   // B's next request leaves only once A's refresh has committed at the server.
   std::atomic<bool> held{false};
   log_b->hold = [&](const transport::Frame& f) {
-    if (f.label != kLabelDecReq || held.exchange(true)) return;
+    if (f.label != keystore::kKsDec || held.exchange(true)) return;
     (void)wait_until([&] { return svc.epoch() == 1; });
   };
   const auto m = svc.gg.gt_random(rng);
@@ -887,42 +883,28 @@ TEST(ClientWireTest, DecryptionClientFramesArePinned) {
   held_dec.join();
   EXPECT_TRUE(b_ok.load());
 
-  log_a->lose_reply = kLabelRefCommitOk;
+  log_a->lose_reply = keystore::kKsRefCommitOk;
   a.refresh();
   EXPECT_EQ(a.epoch(), 2u);
   EXPECT_EQ(svc.epoch(), 2u);
   EXPECT_GE(a.reconnects(), 1u);
 
-  LegacyPeer v1(svc.server->port());
-  opt.conn_wrapper = record_into(log_c);
-  DecryptionClient<MockGroup> legacy(svc.p1, v1.port(), opt);
-  EXPECT_EQ(legacy.wire_version(), 0u);
-  EXPECT_TRUE(dec(legacy));
-  EXPECT_EQ(v1.rejected_hellos(), 1u);
-  EXPECT_EQ(v1.envelopes(), 0u) << "a trace envelope crossed to a v1 peer";
-
   const std::vector<std::string> want_a = {
-      "Data svc.hello len=26 epoch=0 pending=0 trace=0",
-      "Data svc.ref len=1736 epoch=0 deadline=0 trace=" + kTraced,
-      "Data svc.ref.commit len=48 epoch=0 trace=" + kTraced,
-      "Data svc.ref len=1736 epoch=1 deadline=0 trace=" + kTraced,
-      "Data svc.ref.commit len=48 epoch=1 trace=" + kTraced,
-      "Data svc.hello len=58 epoch=1 pending=1 trace=0",
+      "Data ks.hello len=57 epoch=0 pending=0 trace=0",
+      "Data ks.ref len=1768 epoch=0 deadline=0 trace=" + kTraced,
+      "Data ks.ref.commit len=80 epoch=0 deadline=0 trace=" + kTraced,
+      "Data ks.ref len=1768 epoch=1 deadline=0 trace=" + kTraced,
+      "Data ks.ref.commit len=80 epoch=1 deadline=0 trace=" + kTraced,
+      "Data ks.hello len=89 epoch=1 pending=1 trace=" + kTraced,
   };
   const std::vector<std::string> want_b = {
-      "Data svc.hello len=26 epoch=0 pending=0 trace=0",
-      "Data svc.dec len=936 epoch=0 deadline=0 trace=" + kTraced,
-      "Data svc.dec len=936 epoch=0 deadline=0 trace=" + kTraced,
-      "Data svc.dec len=936 epoch=1 deadline=0 trace=" + kTraced,
-  };
-  const std::vector<std::string> want_c = {
-      "Data svc.hello len=26 epoch=2 pending=0 trace=0",
-      "Data svc.hello len=25 epoch=2 pending=0 trace=0",
-      "Data svc.dec len=936 epoch=2 deadline=0 trace=0",
+      "Data ks.hello len=57 epoch=0 pending=0 trace=0",
+      "Data ks.dec len=968 epoch=0 deadline=0 trace=" + kTraced,
+      "Data ks.dec len=968 epoch=0 deadline=0 trace=" + kTraced,
+      "Data ks.dec len=968 epoch=1 deadline=0 trace=" + kTraced,
   };
   EXPECT_EQ(log_a->fields(), want_a);
   EXPECT_EQ(log_b->fields(), want_b);
-  EXPECT_EQ(log_c->fields(), want_c);
 }
 
 TEST(ClientWireTest, KsFleetFramesArePinned) {
@@ -1059,7 +1041,8 @@ TEST(ServicePipelineTest, SeveredConnectionMidBatchFailsOnlyThatRequest) {
     const auto snap = svc.p1->begin_decrypt(c, rng);
     raw->send(transport::Frame{/*session=*/1, transport::FrameType::Data,
                                static_cast<std::uint8_t>(net::DeviceId::P1),
-                               kLabelDecReq, encode_request(snap.epoch, snap.round1)});
+                               keystore::kKsDec,
+                               encode_ks_request(default_key_id(), snap.epoch, snap.round1)});
     raw->shutdown();  // gone before the crypto worker can reply
   }
   for (int i = 0; i < 4; ++i) {
@@ -1106,19 +1089,21 @@ TEST(ServiceTwoPhaseTest, DuplicatePrepareAndCommitAreIdempotent) {
   // PREPARE twice with the identical round-1 message: the replies must be
   // byte-identical (a resampled s' would desync the committed share) and the
   // epoch must not move.
-  const Bytes req = encode_request(0, r1);
-  const Bytes r2a = expect_ok(roundtrip(kLabelRefReq, req), kLabelRefOk);
-  const Bytes r2b = expect_ok(roundtrip(kLabelRefReq, req), kLabelRefOk);
+  const Bytes req = encode_ks_request(default_key_id(), 0, r1);
+  const Bytes r2a = expect_ok(roundtrip(keystore::kKsRef, req), keystore::kKsRefOk);
+  const Bytes r2b = expect_ok(roundtrip(keystore::kKsRef, req), keystore::kKsRefOk);
   EXPECT_EQ(r2a, r2b);
   EXPECT_EQ(svc.epoch(), 0u) << "prepare must not advance the epoch";
   EXPECT_TRUE(svc.server->store().has_pending(keystore::default_key_id()));
 
   // COMMIT twice: first installs (epoch 1), second acks idempotently.
   const Bytes digest = crypto::digest_to_bytes(crypto::Sha256::hash(r1));
-  const Bytes cbody = encode_commit(CommitMsg{0, digest});
-  EXPECT_EQ(decode_commit_ok(expect_ok(roundtrip(kLabelRefCommit, cbody), kLabelRefCommitOk)),
+  const Bytes cbody = encode_ks_request(default_key_id(), 0, digest);
+  EXPECT_EQ(decode_commit_ok(
+                expect_ok(roundtrip(keystore::kKsRefCommit, cbody), keystore::kKsRefCommitOk)),
             1u);
-  EXPECT_EQ(decode_commit_ok(expect_ok(roundtrip(kLabelRefCommit, cbody), kLabelRefCommitOk)),
+  EXPECT_EQ(decode_commit_ok(
+                expect_ok(roundtrip(keystore::kKsRefCommit, cbody), keystore::kKsRefCommitOk)),
             1u);
   EXPECT_EQ(svc.epoch(), 1u);
   EXPECT_FALSE(svc.server->store().has_pending(keystore::default_key_id()));
@@ -1130,8 +1115,8 @@ TEST(ServiceTwoPhaseTest, DuplicatePrepareAndCommitAreIdempotent) {
       svc.kg.msk));
 
   // A commit for a digest nobody prepared is rejected, not applied.
-  const Bytes bogus = encode_commit(CommitMsg{1, Bytes(32, 0x42)});
-  const auto resp = roundtrip(kLabelRefCommit, bogus);
+  const Bytes bogus = encode_ks_request(default_key_id(), 1, Bytes(32, 0x42));
+  const auto resp = roundtrip(keystore::kKsRefCommit, bogus);
   EXPECT_EQ(resp.type, transport::FrameType::Error);
   EXPECT_EQ(decode_error(resp.body).code(), ServiceErrc::StaleEpoch);
 }
@@ -1406,7 +1391,8 @@ TEST(ServiceTest, DrainingServerAnswersRetryableShutdown) {
   transport::SessionMux mux(std::make_shared<transport::FramedConn>(
       transport::connect_loopback(svc.server->port()), transport::TransportOptions{}));
   auto sess = mux.open();
-  sess->send(transport::FrameType::Data, 1, kLabelDecReq, encode_request(0, Bytes{1}));
+  sess->send(transport::FrameType::Data, 1, keystore::kKsDec,
+             encode_ks_request(default_key_id(), 0, Bytes{1}));
   const auto resp = sess->recv(transport::Millis{5000});
   ASSERT_EQ(resp.type, transport::FrameType::Error);
   const ServiceError err = decode_error(resp.body);
@@ -1534,7 +1520,8 @@ TEST(ServiceOverloadTest, SaturatedQueueShedsTypedOverloadedWithRetryAfter) {
   std::vector<std::unique_ptr<transport::SessionMux::Session>> sessions;
   for (int i = 0; i < kFlood; ++i) {
     auto sess = mux.open();
-    sess->send(transport::FrameType::Data, 1, kLabelDecReq, encode_request(0, round1));
+    sess->send(transport::FrameType::Data, 1, keystore::kKsDec,
+               encode_ks_request(default_key_id(), 0, round1));
     sessions.push_back(std::move(sess));
   }
 
@@ -1572,11 +1559,12 @@ TEST(ServiceOverloadTest, ExpiredDeadlineIsDroppedBeforeCryptoIsSpent) {
       transport::connect_loopback(svc.server->port()), transport::TransportOptions{}));
   // First request occupies the single worker for ~30 ms...
   auto busy = mux.open();
-  busy->send(transport::FrameType::Data, 1, kLabelDecReq, encode_request(0, round1));
+  busy->send(transport::FrameType::Data, 1, keystore::kKsDec,
+             encode_ks_request(default_key_id(), 0, round1));
   // ...so the second, carrying a 1 ms deadline budget, expires while queued.
   auto doomed = mux.open();
-  doomed->send(transport::FrameType::Data, 1, kLabelDecReq,
-               encode_request(0, round1, /*deadline_ms=*/1));
+  doomed->send(transport::FrameType::Data, 1, keystore::kKsDec,
+               encode_ks_request(default_key_id(), 0, round1, /*deadline_ms=*/1));
 
   const auto resp = doomed->recv(transport::Millis{10000});
   ASSERT_EQ(resp.type, transport::FrameType::Error);
@@ -1602,7 +1590,8 @@ TEST(ServiceOverloadTest, DegradedModeDeprioritizesRefreshPrepares) {
   std::vector<std::unique_ptr<transport::SessionMux::Session>> flood;
   for (int i = 0; i < 10; ++i) {
     auto sess = mux.open();
-    sess->send(transport::FrameType::Data, 1, kLabelDecReq, encode_request(0, round1));
+    sess->send(transport::FrameType::Data, 1, keystore::kKsDec,
+               encode_ks_request(default_key_id(), 0, round1));
     flood.push_back(std::move(sess));
   }
 
@@ -1610,7 +1599,8 @@ TEST(ServiceOverloadTest, DegradedModeDeprioritizesRefreshPrepares) {
   // refresh prepare is turned away so decrypts keep the worker. The shed
   // happens before the payload is decoded, so dummy bytes suffice.
   auto sess = mux.open();
-  sess->send(transport::FrameType::Data, 1, kLabelRefReq, encode_request(0, Bytes{1, 2, 3}));
+  sess->send(transport::FrameType::Data, 1, keystore::kKsRef,
+             encode_ks_request(default_key_id(), 0, Bytes{1, 2, 3}));
   const auto resp = sess->recv(transport::Millis{10000});
   ASSERT_EQ(resp.type, transport::FrameType::Error);
   const ServiceError err = decode_error(resp.body);
@@ -1732,8 +1722,8 @@ TEST(ServiceOverloadTest, StopWhileFloodedJoinsWithoutDeadlock) {
         std::vector<std::unique_ptr<transport::SessionMux::Session>> pending;
         while (go.load()) {
           auto sess = mux.open();
-          sess->send(transport::FrameType::Data, 1, kLabelDecReq,
-                     encode_request(0, round1));
+          sess->send(transport::FrameType::Data, 1, keystore::kKsDec,
+                     encode_ks_request(default_key_id(), 0, round1));
           pending.push_back(std::move(sess));
           if (pending.size() > 64) pending.erase(pending.begin());
         }
@@ -1758,7 +1748,7 @@ TEST(ServiceOverloadTest, StopWhileFloodedJoinsWithoutDeadlock) {
 
 TEST(ClientRetryTest, BudgetRidesSvcDecAndTheServerDropsExpiredWork) {
   // 120 ms of queued crypto ahead of a decryption with a 60 ms budget. The
-  // budget rides svc.dec; the server drops the request once it expires, and
+  // budget rides ks.dec; the server drops the request once it expires, and
   // the client gives up when the budget does, with its own last error. The
   // busy requests' first reply proves the rest are queued: the server orders
   // nothing across connections.
@@ -1772,7 +1762,8 @@ TEST(ClientRetryTest, BudgetRidesSvcDecAndTheServerDropsExpiredWork) {
   std::vector<std::unique_ptr<transport::SessionMux::Session>> busy;
   for (int i = 0; i < 4; ++i) {
     busy.push_back(mux.open());
-    busy.back()->send(transport::FrameType::Data, 1, kLabelDecReq, encode_request(0, round1));
+    busy.back()->send(transport::FrameType::Data, 1, keystore::kKsDec,
+                      encode_ks_request(default_key_id(), 0, round1));
   }
   ASSERT_EQ(busy.front()->recv(transport::Millis{10000}).type, transport::FrameType::Data);
   busy.erase(busy.begin());
@@ -1787,8 +1778,8 @@ TEST(ClientRetryTest, BudgetRidesSvcDecAndTheServerDropsExpiredWork) {
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(1000));
   {
     std::lock_guard lk(log->mu);
-    ASSERT_EQ(log->frames.size(), 2u);  // the hello and one svc.dec
-    const Request req = decode_request(log->frames[1].body);
+    ASSERT_EQ(log->frames.size(), 2u);  // the hello and one ks.dec
+    const keystore::KsRequest req = keystore::decode_ks_request(log->frames[1].body);
     EXPECT_GT(req.deadline_ms, 0u);
     EXPECT_LE(req.deadline_ms, 60u);
   }

@@ -9,7 +9,7 @@
 //      criterion: the scrape agrees with the work actually issued);
 //   3. fetch adm.health and sanity-check the JSON mentions both parties;
 //   4. dump adm.events and require the epoch prepare/commit pair;
-//   5. dump adm.spans and require a traced server-side svc.dec span.
+//   5. dump adm.spans and require a traced server-side ks.dec span.
 //
 // Prints everything it checked; exits 0 only if all checks hold, making it a
 // single CI step. `--requests N` scales the workload, `--dump` prints the
@@ -121,8 +121,8 @@ int main(int argc, char** argv) {
   const auto imported = telemetry::import_jsonl(spans);
   bool traced_dec = false;
   for (const auto& s : imported.spans)
-    if (s.label == "svc.dec" && s.trace_id != 0) traced_dec = true;
-  check(traced_dec, "server exported a traced svc.dec span");
+    if (s.label == "ks.dec" && s.trace_id != 0) traced_dec = true;
+  check(traced_dec, "server exported a traced ks.dec span");
 #endif
 
   client.close();
