@@ -323,7 +323,7 @@ double overload_capacity(Fixture& fx, int requests) {
   for (int c = 0; c < kClients; ++c)
     ts.emplace_back([&] {
       transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-          transport::connect_loopback(server.port()), transport::TransportOptions{}));
+          transport::connect_loopback(server.port())));
       for (int i = 0; i < per_client; ++i) {
         auto sess = mux.open();
         sess->send(transport::FrameType::Data, 1, keystore::kKsDec, body);
@@ -376,7 +376,7 @@ OverloadStats run_overload_point(Fixture& fx, double offered_rps, double seconds
       using Clock = std::chrono::steady_clock;
       OverloadStats local;
       transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-          transport::connect_loopback(server.port()), transport::TransportOptions{}));
+          transport::connect_loopback(server.port())));
 
       std::mutex mu;
       std::condition_variable cv;

@@ -40,8 +40,7 @@ constexpr std::uint32_t kProtocolSession = 1;
 constexpr int kPeriods = 3;
 
 int run_p2(transport::Socket sock, schemes::DlrParty2<GG> p2) {
-  transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-      std::move(sock), transport::TransportOptions{}));
+  transport::SessionMux mux(std::make_shared<transport::FramedConn>(std::move(sock)));
   const auto session = mux.open_with_id(kProtocolSession);
   transport::MuxChannel ch(*session, net::DeviceId::P2);
   try {
@@ -105,8 +104,7 @@ int main() {
   crypto::Rng rng = crypto::Rng::from_os_entropy();
   bool all_ok = true;
   {
-    transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-        std::move(parent_sock), transport::TransportOptions{}));
+    transport::SessionMux mux(std::make_shared<transport::FramedConn>(std::move(parent_sock)));
     const auto session = mux.open_with_id(kProtocolSession);
     transport::MuxChannel ch(*session, net::DeviceId::P1);
     try {

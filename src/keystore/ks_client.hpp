@@ -21,11 +21,12 @@
 // retry.deadline budget. The fleet adds the routing: it caches a versioned
 // ShardMap, and a WrongShard response -- stale map after a re-shard --
 // triggers a single-flight ks.map refetch from the answering shard (every
-// shard serves the whole map) and a re-route. With an EMPTY map everything
-// routes to the bootstrap port (single-shard mode). A key whose refresh is
-// stuck pending is reconciled over ks.hello before each attempt on it. The
-// fleet opens no client spans; its requests carry the calling thread's trace
-// context, so a caller's span parents the server's.
+// shard serves the whole map), waited for within that budget, and a
+// re-route. With an EMPTY map everything routes to the bootstrap port
+// (single-shard mode). A key whose refresh is stuck pending is reconciled
+// over ks.hello before each attempt on it. The fleet opens no client spans;
+// its requests carry the calling thread's trace context, so a caller's span
+// parents the server's.
 //
 // The refresh scheduler (scheduler.hpp) lives HERE because refresh is a
 // two-party protocol and this process holds the P1 shares. Its Source is
@@ -91,8 +92,8 @@ class KsFleet {
                      .reconnects = "ks.client.reconnects",
                      .lanes = kConnsPerShard,
                      .on_wrong_shard =
-                         [this](std::uint32_t shard, transport::SessionMux& m) {
-                           return refetch_map_single_flight(shard, m);
+                         [this](std::uint32_t shard, const Attempt& a) {
+                           return refetch_map_single_flight(shard, a);
                          }}) {}
 
   ~KsFleet() { close(); }
@@ -154,7 +155,7 @@ class KsFleet {
   /// Fetch the shard map from `port` (default: bootstrap) and adopt it.
   void fetch_map(std::uint16_t port = 0) {
     auto m = core_.connect(port ? port : bootstrap_port_);
-    adopt_map(fetch_map_on(*m));
+    adopt_map(fetch_map_on(*m, opt_.request_timeout));
     m->stop();
   }
 
@@ -311,10 +312,9 @@ class KsFleet {
     };
   }
 
-  [[nodiscard]] ShardMap fetch_map_on(transport::SessionMux& m) {
+  [[nodiscard]] ShardMap fetch_map_on(transport::SessionMux& m, transport::Millis timeout) {
     const auto sess = service::send_request(m, kKsMap, Bytes{});
-    return ShardMap::decode(
-        service::expect_ok(sess->recv(opt_.request_timeout), kKsMapOk));
+    return ShardMap::decode(service::expect_ok(sess->recv(timeout), kKsMapOk));
   }
 
   void adopt_map(ShardMap fresh) {
@@ -326,23 +326,24 @@ class KsFleet {
   /// (every request in flight when a reshard lands) must not turn into a
   /// storm of identical map fetches on the same mux. The first caller
   /// fetches + adopts; the rest block until that fetch completes and re-route
-  /// against the refreshed map. Returns whether a fetch succeeded (ours or
-  /// the one we waited on); false sends the caller down the backoff path.
-  bool refetch_map_single_flight(std::uint32_t shard, transport::SessionMux& m) {
+  /// against the refreshed map. Both wait within attempt `a`'s budget
+  /// (Attempt::timeout). Returns whether a fetch succeeded (ours or the one
+  /// we waited on); false sends the caller down the backoff path.
+  bool refetch_map_single_flight(std::uint32_t shard, const Attempt& a) {
     std::unique_lock lk(map_fetch_mu_);
     auto& st = map_fetches_[shard];
     if (st.in_flight) {
       map_fetch_waits_.fetch_add(1);
       telemetry::Registry::global().counter("ks.client.map_fetch_waits").add();
       const std::uint64_t seen = st.completions;
-      map_fetch_cv_.wait(lk, [&] { return st.completions != seen; });
-      return st.last_ok;
+      return map_fetch_cv_.wait_for(lk, a.timeout(), [&] { return st.completions != seen; }) &&
+             st.last_ok;
     }
     st.in_flight = true;
     lk.unlock();
     bool ok = false;
     try {
-      adopt_map(fetch_map_on(m));
+      adopt_map(fetch_map_on(a.mux, a.timeout()));
       map_refetches_.fetch_add(1);
       ok = true;
     } catch (const std::exception&) {

@@ -99,7 +99,6 @@ class KsServer {
   struct Options {
     int workers = 4;
     std::size_t queue_cap = 1024;
-    transport::TransportOptions transport{};
     /// This process's shard id (matched against the installed ShardMap).
     std::uint32_t shard_id = 0;
     typename Store::Options store{};
@@ -169,8 +168,7 @@ class KsServer {
     for (int i = 0; i < opt_.workers; ++i)
       crypto_threads_.emplace_back([this] { crypto_loop(); });
     if (opt_.admin) {
-      admin_ = std::make_unique<service::AdminServer>(
-          service::AdminServer::Options{.transport = opt_.transport});
+      admin_ = std::make_unique<service::AdminServer>();
       admin_->register_health("keystore", [this] { return health_fields(); });
       admin_->start(opt_.admin_port);
     }
@@ -333,7 +331,7 @@ class KsServer {
       if (c->reader.joinable()) c->reader.join();
     // Close the sockets now, not when the server is destroyed: a peer blocked
     // sending into a full receive buffer only wakes when the fd closes (a
-    // shutdown() leaves the window shut until its send_timeout). With the
+    // shutdown() leaves the window shut until its send's kIoTimeout). With the
     // readers, workers and batcher done, these are the last references.
     conns.clear();
     {
@@ -389,6 +387,7 @@ class KsServer {
         {"compactions", j ? std::to_string(j->compactions()) : "0"},
         {"draining", draining_stop_.load() ? "true" : "false"},
         {"batch_queue", std::to_string(batcher_.queued())},
+        {"control_queue", std::to_string(pool_ ? pool_->queued() : 0)},
         {"queue_cap", std::to_string(opt_.queue_cap)},
         {"degraded",
          gov_.degraded(batcher_.queued() + (pool_ ? pool_->queued() : 0)) ? "true"
@@ -426,7 +425,7 @@ class KsServer {
         return;  // listener closed
       }
       auto st = std::make_shared<ConnState>();
-      auto fc = std::make_shared<transport::FramedConn>(std::move(sock), opt_.transport);
+      auto fc = std::make_shared<transport::FramedConn>(std::move(sock));
       st->conn = opt_.conn_wrapper
                      ? opt_.conn_wrapper(std::move(fc))
                      : std::static_pointer_cast<transport::Conn>(std::move(fc));
@@ -1109,14 +1108,10 @@ class KsServer {
                            "no address for peer shard " + std::to_string(shard));
       port = s->port;
     }
-    // One dial, no connect retries: a refused peer is down or has moved, and
-    // migrate_loop retries on the TransportError (the key goes back on the
-    // queue, a broadcast waits for the next tick). Retrying here held the
-    // loop for the whole connect backoff (about 1.6 s) per dead port.
-    transport::TransportOptions dial = opt_.transport;
-    dial.connect_retries = 0;
-    auto fc = std::make_shared<transport::FramedConn>(transport::connect_loopback(port, dial),
-                                                      opt_.transport);
+    // A refused peer is down or has moved: migrate_loop retries on the
+    // TransportError (the key goes back on the queue, a broadcast waits for
+    // the next tick).
+    auto fc = std::make_shared<transport::FramedConn>(transport::connect_loopback(port));
     auto m = std::make_shared<transport::SessionMux>(
         std::static_pointer_cast<transport::Conn>(std::move(fc)));
     std::lock_guard lk(peer_mu_);

@@ -132,7 +132,7 @@ void AdminServer::accept_loop() {
       return;  // listener closed
     }
     auto st = std::make_shared<ConnState>();
-    st->conn = std::make_shared<transport::FramedConn>(std::move(sock), opt_.transport);
+    st->conn = std::make_shared<transport::FramedConn>(std::move(sock));
     st->reader = std::thread([this, conn = st->conn] { serve(conn); });
     std::lock_guard lock(conns_mu_);
     std::erase_if(conns_, [](const std::shared_ptr<ConnState>& c) {
@@ -171,11 +171,10 @@ void AdminServer::serve(const std::shared_ptr<transport::FramedConn>& conn) {
     if (c->conn == conn) c->done.store(true);
 }
 
-std::string AdminClient::fetch(std::uint16_t port, const std::string& label,
-                               const transport::TransportOptions& opt) {
-  transport::FramedConn conn(transport::connect_loopback(port, opt), opt);
+std::string AdminClient::fetch(std::uint16_t port, const std::string& label) {
+  transport::FramedConn conn(transport::connect_loopback(port));
   conn.send(transport::Frame{1, transport::FrameType::Data, 0, label, {}});
-  transport::Frame f = conn.recv(opt.recv_timeout);
+  transport::Frame f = conn.recv(transport::kIoTimeout);
   if (f.type == transport::FrameType::Error)
     throw std::runtime_error("admin: " + std::string(f.body.begin(), f.body.end()));
   return {f.body.begin(), f.body.end()};

@@ -56,12 +56,7 @@ class AdminServer {
   using HealthProvider =
       std::function<std::vector<std::pair<std::string, std::string>>()>;
 
-  struct Options {
-    transport::TransportOptions transport{};
-  };
-
-  AdminServer() : AdminServer(Options{}) {}
-  explicit AdminServer(Options opt) : opt_(std::move(opt)) {}
+  AdminServer() = default;
   ~AdminServer() { stop(); }
   AdminServer(const AdminServer&) = delete;
   AdminServer& operator=(const AdminServer&) = delete;
@@ -90,7 +85,6 @@ class AdminServer {
   void serve(const std::shared_ptr<transport::FramedConn>& conn);
   [[nodiscard]] std::string respond(const std::string& label, std::string& ok_label) const;
 
-  Options opt_;
   transport::Listener listener_;
   std::thread accept_thread_;
   std::mutex conns_mu_;
@@ -102,13 +96,13 @@ class AdminServer {
   std::atomic<bool> started_{false};
 };
 
-/// One-shot admin fetch: connect, send `label`, return the response body as
-/// text. Throws TransportError on connection trouble and std::runtime_error
-/// on an adm.err response.
+/// One-shot admin fetch: connect (one dial), send `label`, wait at most
+/// transport::kIoTimeout for the reply and return its body as text. Throws
+/// TransportError on connection trouble and std::runtime_error on an adm.err
+/// response.
 class AdminClient {
  public:
-  [[nodiscard]] static std::string fetch(std::uint16_t port, const std::string& label,
-                                         const transport::TransportOptions& opt = {});
+  [[nodiscard]] static std::string fetch(std::uint16_t port, const std::string& label);
 };
 
 }  // namespace dlr::service

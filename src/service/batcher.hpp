@@ -11,7 +11,8 @@
 // try_submit never blocks: a full queue answers Full and the caller sheds
 // (DESIGN.md §13). Many producers and many consumers are fine; every
 // hand-off happens under one mutex, so a batch is consumed by exactly one
-// worker.
+// worker. Gauge svc.queue_depth tracks the backlog, set under that mutex on
+// each push and each take.
 #pragma once
 
 #include <algorithm>
@@ -22,6 +23,8 @@
 #include <mutex>
 #include <utility>
 #include <vector>
+
+#include "telemetry/metrics.hpp"
 
 namespace dlr::service {
 
@@ -49,6 +52,7 @@ class BatchCollector {
     if (stopping_) return Submit::Stopped;
     if (q_.size() >= opt_.queue_cap) return Submit::Full;
     q_.push_back(std::move(item));
+    depth_gauge().set(static_cast<double>(q_.size()));
     lk.unlock();
     not_empty_.notify_one();
     return Submit::Ok;
@@ -67,6 +71,7 @@ class BatchCollector {
       batch.push_back(std::move(q_.front()));
       q_.pop_front();
     }
+    depth_gauge().set(static_cast<double>(q_.size()));
     const bool more = !q_.empty();
     lk.unlock();
     if (more) not_empty_.notify_one();
@@ -89,6 +94,11 @@ class BatchCollector {
   }
 
  private:
+  static telemetry::Gauge& depth_gauge() {
+    static telemetry::Gauge& g = telemetry::Registry::global().gauge("svc.queue_depth");
+    return g;
+  }
+
   Options opt_;
   mutable std::mutex mu_;
   std::condition_variable not_empty_;

@@ -41,7 +41,8 @@
 // lane, run one attempt, and on failure back off -- never for less than the
 // server's retry-after hint -- wait for the key's epoch to move after a
 // StaleEpoch, refetch the shard map after a WrongShard, or drop the lane
-// after a transport failure. retry.deadline is an operation's one budget.
+// after a transport failure. A dial is one attempt: the transport never
+// retries on its own. retry.deadline is an operation's one budget.
 //
 // Beside it sits the one copy of each per-key exchange both clients run on an
 // attempt: dec_exchange (ks.dec), refresh_exchange (ks.ref + ks.ref.commit)
@@ -390,8 +391,8 @@ using ConnWrapper =
 /// The one retry loop of the P1 clients. DecryptionClient runs it over one
 /// endpoint, KsFleet over every shard of its map. An operation is a sequence
 /// of attempts; each is admitted by the endpoint's circuit breaker, runs on
-/// the calling thread's lane (connected, with Hooks::on_connect, when empty)
-/// and ends one of four ways:
+/// the calling thread's lane (connected with one dial, then Hooks::on_connect,
+/// when empty) and ends one of four ways:
 ///
 ///   - success: the breaker hears it, the result returns;
 ///   - a ServiceError that is not retryable: rethrown;
@@ -399,23 +400,23 @@ using ConnWrapper =
 ///     retry-after hint, where a StaleEpoch instead waits, bounded by the
 ///     same backoff, for the key's epoch to move, and a WrongShard runs
 ///     Hooks::on_wrong_shard and re-routes at once if that refreshed the map;
-///   - a TransportError: back off on a new lane (the next attempt connects).
+///   - a TransportError, a refused dial included: back off on a new lane
+///     (the next attempt dials again).
 ///
 /// Only transport failures and Overloaded sheds count against a breaker; any
 /// other typed answer proves the endpoint alive. An open breaker fails an
 /// attempt fast with a retryable Overloaded carrying its remaining cooldown.
 /// Options::retry.deadline is the operation's one budget: the schedule
 /// refuses a backoff that would overrun it, every reply wait is capped by
-/// what is left (Attempt::timeout), and the rest rides the request
-/// (Attempt::deadline_ms). When the schedule gives up, the operation ends
-/// with its last error.
+/// what is left (Attempt::timeout) -- the hooks' hello and map fetch
+/// included -- and the rest rides the request (Attempt::deadline_ms). When
+/// the schedule gives up, the operation ends with its last error.
 class RetryCore {
  public:
   using Clock = std::chrono::steady_clock;
 
   /// The settings both clients share; each client's Options adds its own.
   struct Options {
-    transport::TransportOptions transport{};
     /// Longest wait for one reply; what is left of the budget caps it too.
     transport::Millis request_timeout{10000};
     /// Backoff shape and attempt count of one operation (a first try and 8
@@ -425,18 +426,6 @@ class RetryCore {
     /// Per-endpoint circuit breaker, layered under the schedule (DESIGN.md §13).
     transport::CircuitBreaker::Options breaker{};
     ConnWrapper conn_wrapper;
-  };
-
-  /// What the owning client plugs in.
-  struct Hooks {
-    std::string metrics{};     // counters <metrics>.retries and <metrics>.breaker.*
-    std::string reconnects{};  // counter of lanes connected again after a failure
-    std::size_t lanes = 1;     // connections per endpoint; each thread hashes to one
-    /// Runs on every new lane before it serves an attempt (the hello).
-    std::function<void(transport::SessionMux&)> on_connect{};
-    /// WrongShard from shard `id` over `mux`: refresh the routing; true
-    /// re-routes at once, false backs off.
-    std::function<bool(std::uint32_t id, transport::SessionMux& mux)> on_wrong_shard{};
   };
 
   /// Where an attempt goes: a breaker and lane key (the shard) and its port.
@@ -468,6 +457,18 @@ class RetryCore {
     }
   };
 
+  /// What the owning client plugs in.
+  struct Hooks {
+    std::string metrics{};     // counters <metrics>.retries and <metrics>.breaker.*
+    std::string reconnects{};  // counter of lanes connected again after a failure
+    std::size_t lanes = 1;     // connections per endpoint; each thread hashes to one
+    /// Runs on every new lane before it serves attempt `a` (the hello).
+    std::function<void(const Attempt& a)> on_connect{};
+    /// WrongShard from shard `id` on attempt `a`: refresh the routing; true
+    /// re-routes at once, false backs off.
+    std::function<bool(std::uint32_t id, const Attempt& a)> on_wrong_shard{};
+  };
+
   RetryCore(Options opt, Hooks hooks) : opt_(std::move(opt)), hooks_(std::move(hooks)) {}
   ~RetryCore() { close(); }
   RetryCore(const RetryCore&) = delete;
@@ -477,17 +478,18 @@ class RetryCore {
 
   /// A new connection to `port` outside the lanes (wrapped; no on_connect).
   [[nodiscard]] std::shared_ptr<transport::SessionMux> connect(std::uint16_t port) const {
-    auto fc = std::make_shared<transport::FramedConn>(
-        transport::connect_loopback(port, opt_.transport), opt_.transport);
+    auto fc = std::make_shared<transport::FramedConn>(transport::connect_loopback(port));
     std::shared_ptr<transport::Conn> conn =
         opt_.conn_wrapper ? opt_.conn_wrapper(std::move(fc))
                           : std::static_pointer_cast<transport::Conn>(std::move(fc));
     return std::make_shared<transport::SessionMux>(std::move(conn));
   }
 
-  /// The calling thread's lane to `ep`, connected first if it is empty.
+  /// The calling thread's lane to `ep`, connected first if it is empty. Its
+  /// Hooks::on_connect runs outside any operation, so it waits the whole
+  /// request_timeout.
   [[nodiscard]] std::shared_ptr<transport::SessionMux> lane(const Endpoint& ep) {
-    return lane(slot(ep.id), ep);
+    return lane(slot(ep.id), ep, Clock::time_point{});
   }
 
   /// Run `op(Attempt&)` under the retry rules above and return its result.
@@ -518,7 +520,7 @@ class RetryCore {
                              static_cast<std::uint32_t>(adm.retry_after.count()));
         }
         admitted = true;
-        m = lane(*s, ep);
+        m = lane(*s, ep, deadline);
         Attempt a{*m, opt_.request_timeout, deadline};
         if constexpr (std::is_void_v<Result>) {
           op(a);
@@ -542,7 +544,7 @@ class RetryCore {
         if (!delay) throw;
         retried(name, service_errc_name(e.code()));
         if (e.code() == ServiceErrc::WrongShard && m && hooks_.on_wrong_shard &&
-            hooks_.on_wrong_shard(ep.id, *m))
+            hooks_.on_wrong_shard(ep.id, Attempt{*m, opt_.request_timeout, deadline}))
           continue;  // re-route against the refreshed map; no backoff
         if (key && e.code() == ServiceErrc::StaleEpoch)
           key->wait_epoch_change(seen, *delay);
@@ -599,7 +601,9 @@ class RetryCore {
     return slots_.try_emplace(id, hooks_.lanes, opt_.breaker).first->second;
   }
 
-  [[nodiscard]] std::shared_ptr<transport::SessionMux> lane(Slot& s, const Endpoint& ep) {
+  /// `deadline` bounds the on_connect hook's waits ({} = unbounded).
+  [[nodiscard]] std::shared_ptr<transport::SessionMux> lane(Slot& s, const Endpoint& ep,
+                                                            Clock::time_point deadline) {
     const std::size_t i =
         hooks_.lanes > 1 ? std::hash<std::thread::id>{}(std::this_thread::get_id()) % hooks_.lanes
                          : 0;
@@ -613,7 +617,8 @@ class RetryCore {
     if (closed_) throw transport::TransportError(transport::Errc::ConnectionClosed, "closed");
     if (s.lanes[i]) return s.lanes[i];
     auto m = connect(ep.port);
-    if (hooks_.on_connect) hooks_.on_connect(*m);  // a throw drops the half-open mux
+    // A throw drops the half-open mux.
+    if (hooks_.on_connect) hooks_.on_connect(Attempt{*m, opt_.request_timeout, deadline});
     s.lanes[i] = m;
     if (s.connected[i]) {
       const auto n = reconnects_.fetch_add(1) + 1;
@@ -747,16 +752,17 @@ class DecryptionClient {
 
   /// Connects and runs the hello reconciliation; a journaled pending refresh
   /// from a previous (crashed) process is resolved before the first request.
-  /// A transport failure here leaves the client disconnected -- decrypt() and
-  /// refresh() reconnect (and reconcile) lazily under their retry schedules.
-  /// Protocol-level hello failures (e.g. a detected epoch fork) still throw.
+  /// A transport failure here (a dead port fails its one dial at once) leaves
+  /// the client disconnected -- decrypt() and refresh() reconnect (and
+  /// reconcile) lazily under their retry schedules. Protocol-level hello
+  /// failures (e.g. a detected epoch fork) still throw.
   DecryptionClient(std::shared_ptr<P1Runtime<GG>> p1, std::uint16_t port, Options opt = {})
       : p1_(std::move(p1)),
         port_(port),
         auto_refresh_every_(opt.auto_refresh_every),
         core_(std::move(opt), {.metrics = "svc.client",
                                .reconnects = "svc.reconnects",
-                               .on_connect = [this](transport::SessionMux& m) { hello(m); }}) {
+                               .on_connect = [this](const RetryCore::Attempt& a) { hello(a); }}) {
     try {
       (void)core_.lane(endpoint());
     } catch (const transport::TransportError&) {
@@ -818,11 +824,11 @@ class DecryptionClient {
   [[nodiscard]] RetryCore::Endpoint endpoint() const { return {0, port_}; }
 
   /// Hello exchange + pending-refresh reconciliation on a new connection
-  /// (P1Runtime::reconcile: waits out a refresh another thread is driving).
-  void hello(transport::SessionMux& m) {
+  /// (P1Runtime::reconcile: waits out a refresh another thread is driving),
+  /// within attempt `a`'s budget.
+  void hello(const RetryCore::Attempt& a) {
     count_verdict(p1_->reconcile([&](const PendingInfo& info) {
-      return hello_exchange(*p1_, keystore::default_key_id(), m, info,
-                            core_.options().request_timeout);
+      return hello_exchange(*p1_, keystore::default_key_id(), a.mux, info, a.timeout());
     }));
   }
 

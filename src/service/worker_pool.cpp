@@ -2,16 +2,7 @@
 
 #include <stdexcept>
 
-#include "telemetry/metrics.hpp"
-
 namespace dlr::service {
-
-namespace {
-telemetry::Gauge& depth_gauge() {
-  static telemetry::Gauge& g = telemetry::Registry::global().gauge("svc.queue_depth");
-  return g;
-}
-}  // namespace
 
 WorkerPool::WorkerPool(int workers, std::size_t queue_cap) : queue_cap_(queue_cap) {
   if (workers < 1) throw std::invalid_argument("WorkerPool: need at least one worker");
@@ -25,7 +16,6 @@ WorkerPool::Submit WorkerPool::try_submit(std::function<void()> job) {
     if (stopping_) return Submit::Stopped;
     if (queue_.size() >= queue_cap_) return Submit::Full;
     queue_.push_back(std::move(job));
-    depth_gauge().set(static_cast<double>(queue_.size()));
   }
   cv_nonempty_.notify_one();
   return Submit::Ok;
@@ -56,7 +46,6 @@ void WorkerPool::run() {
       if (queue_.empty()) return;  // stopping && drained
       job = std::move(queue_.front());
       queue_.pop_front();
-      depth_gauge().set(static_cast<double>(queue_.size()));
     }
     job();
   }

@@ -3,7 +3,8 @@
 // try_submit() never blocks: a full queue answers Full (the connection
 // reader sheds the request instead of growing memory without bound) and a
 // stopping pool answers Stopped. stop() lets queued jobs drain, then joins.
-// Gauge svc.queue_depth tracks the backlog.
+// queued() reports the backlog (KsServer's health section reads it as
+// control_queue).
 #pragma once
 
 #include <condition_variable>

@@ -10,10 +10,8 @@
 
 #include <cerrno>
 #include <cstring>
-#include <thread>
 
 #include "telemetry/metrics.hpp"
-#include "transport/retry.hpp"
 
 namespace dlr::transport {
 
@@ -179,58 +177,31 @@ Socket Listener::accept(Millis timeout) {
   }
 }
 
-Socket connect_loopback(std::uint16_t port, const TransportOptions& opt) {
-  static telemetry::Counter& retries =
-      telemetry::Registry::global().counter("transport.retries");
-  RetryPolicy policy;
-  policy.max_attempts = opt.connect_retries + 1;
-  policy.base = opt.connect_backoff;
-  policy.cap = Millis{500};
-  policy.jitter = 0.0;  // connect backoff stays deterministic (test seeds)
-  RetrySchedule sched(policy);
-  std::string last_error = "no attempt made";
-  for (;;) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) throw_errno(Errc::Io, "socket");
-    Socket sock(fd);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    // EINTR on a non-blocking connect means the attempt proceeds
-    // asynchronously (POSIX) -- treat it exactly like EINPROGRESS.
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0 ||
-        errno == EINPROGRESS || errno == EINTR) {
-      bool ready = true;
-      try {
-        wait_ready(fd, POLLOUT, Clock::now() + opt.send_timeout);
-      } catch (const TransportError& e) {
-        last_error = e.what();
-        ready = false;
-      }
-      if (ready) {
-        int err = 0;
-        socklen_t len = sizeof(err);
-        ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
-        if (err == 0) {
-          const int one = 1;
-          ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-          return sock;
-        }
-        last_error = std::strerror(err);
-      }
-    } else {
-      last_error = std::strerror(errno);
-    }
-    const auto delay = sched.next();
-    if (!delay)
-      throw TransportError(Errc::RetriesExhausted,
-                           "connect 127.0.0.1:" + std::to_string(port) + " failed after " +
-                               std::to_string(opt.connect_retries + 1) +
-                               " attempts: " + last_error);
-    retries.add();
-    std::this_thread::sleep_for(*delay);
+Socket connect_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) throw_errno(Errc::Io, "socket");
+  Socket sock(fd);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  // EINTR on a non-blocking connect means the attempt proceeds
+  // asynchronously (POSIX) -- treat it exactly like EINPROGRESS.
+  int err = 0;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 &&
+      errno != EINPROGRESS && errno != EINTR) {
+    err = errno;
+  } else {
+    wait_ready(fd, POLLOUT, Clock::now() + kIoTimeout);
+    socklen_t len = sizeof(err);
+    ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
   }
+  if (err != 0)
+    throw TransportError(Errc::Io, "connect 127.0.0.1:" + std::to_string(port) + ": " +
+                                       std::strerror(err));
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return sock;
 }
 
 void FramedConn::send(const Frame& f) {
@@ -240,7 +211,7 @@ void FramedConn::send(const Frame& f) {
   static telemetry::Counter& c_bytes =
       telemetry::Registry::global().counter("transport.bytes.sent");
   std::lock_guard lock(send_mu_);
-  sock_.send_all(wire, opt_.send_timeout);
+  sock_.send_all(wire, kIoTimeout);
   c_frames.add();
   c_bytes.add(wire.size());
 }
@@ -261,14 +232,14 @@ void FramedConn::send_many(std::span<const Frame> fs) {
   static telemetry::Counter& c_bytes =
       telemetry::Registry::global().counter("transport.bytes.sent");
   std::lock_guard lock(send_mu_);
-  sock_.send_all(wire, opt_.send_timeout);
+  sock_.send_all(wire, kIoTimeout);
   c_frames.add(fs.size());
   c_bytes.add(wire.size());
 }
 
 void FramedConn::send_raw(std::span<const std::uint8_t> wire) {
   std::lock_guard lock(send_mu_);
-  sock_.send_all(wire, opt_.send_timeout);
+  sock_.send_all(wire, kIoTimeout);
 }
 
 Frame FramedConn::recv(std::optional<Millis> timeout) {
@@ -283,7 +254,7 @@ Frame FramedConn::recv(std::optional<Millis> timeout) {
                             static_cast<std::uint32_t>(hdr[6]) << 16 |
                             static_cast<std::uint32_t>(hdr[7]) << 24;
   // Cap check BEFORE the allocation: a corrupt prefix cannot size a buffer.
-  check_frame_len(len, opt_.max_frame_bytes);
+  check_frame_len(len);
   Bytes payload(len);
   sock_.recv_exact(payload, timeout);
   return decode_checked(crc, payload);

@@ -1,10 +1,11 @@
 // Blocking-style socket endpoints with poll()-based deadlines.
 //
 // Every file descriptor here is non-blocking under the hood; send_all /
-// recv_exact loop poll()+read/write so each call honours a configurable
-// deadline and surfaces Timeout / ConnectionClosed / Io as typed
-// TransportErrors. connect_loopback retries a bounded number of times with
-// doubling backoff (counted in the transport.retries telemetry counter).
+// recv_exact loop poll()+read/write so each call honours a deadline and
+// surfaces Timeout / ConnectionClosed / Io as typed TransportErrors.
+// connect_loopback dials once: a caller that wants another attempt retries
+// on its own schedule (service::RetryCore for the P1 clients, the migration
+// loop for peer shards).
 //
 // FramedConn layers the frame codec on a Socket: writes are mutex-serialized
 // so many worker threads can reply over one shared connection, reads are
@@ -25,13 +26,10 @@ namespace dlr::transport {
 
 using Millis = std::chrono::milliseconds;
 
-struct TransportOptions {
-  Millis send_timeout{10000};
-  Millis recv_timeout{10000};
-  int connect_retries = 8;        // additional attempts after the first
-  Millis connect_backoff{10};     // doubles per retry, capped at 500ms
-  std::uint32_t max_frame_bytes = kMaxFrameBytes;
-};
+/// Bound on one frame's send, on a connect's handshake and on a one-shot
+/// reply wait (AdminClient::fetch). Request replies wait the caller's own
+/// timeout instead.
+inline constexpr Millis kIoTimeout{10000};
 
 /// RAII non-blocking socket. Move-only; closes on destruction.
 class Socket {
@@ -88,11 +86,10 @@ class Listener {
   std::uint16_t port_ = 0;
 };
 
-/// Connect to 127.0.0.1:port with bounded retries + doubling backoff
-/// (RetryPolicy derived from TransportOptions). Each re-attempt increments
-/// the transport.retries counter; exhausting the budget throws
-/// RetriesExhausted.
-Socket connect_loopback(std::uint16_t port, const TransportOptions& opt = {});
+/// Connect to 127.0.0.1:port: one dial, waiting at most kIoTimeout for the
+/// handshake. A refused or failed dial throws Io at once; a handshake that
+/// outlasts the bound throws Timeout.
+Socket connect_loopback(std::uint16_t port);
 
 /// Frame-granular connection interface. FramedConn is the real socket
 /// implementation; FaultInjector (transport/fault.hpp) wraps one to inject
@@ -113,19 +110,18 @@ class Conn {
   /// timeout == nullopt blocks indefinitely (pump threads, woken by
   /// shutdown()).
   virtual Frame recv(std::optional<Millis> timeout) = 0;
-  Frame recv() { return recv(options().recv_timeout); }
   /// Block until a frame arrives or the connection dies (pump threads).
   Frame recv_blocking() { return recv(std::nullopt); }
 
-  [[nodiscard]] virtual const TransportOptions& options() const = 0;
   virtual void shutdown() noexcept = 0;
 };
 
-/// Frame-granular connection over a Socket. Thread-safe concurrent send();
-/// recv() is single-consumer.
+/// Frame-granular connection over a Socket. Thread-safe concurrent send(),
+/// each bounded by kIoTimeout; recv() is single-consumer and rejects a
+/// length prefix above kMaxFrameBytes before allocating.
 class FramedConn : public Conn {
  public:
-  FramedConn(Socket sock, TransportOptions opt) : sock_(std::move(sock)), opt_(opt) {}
+  explicit FramedConn(Socket sock) : sock_(std::move(sock)) {}
 
   void send(const Frame& f) override;
   /// Encodes every frame into one buffer and writes it with a single
@@ -133,19 +129,16 @@ class FramedConn : public Conn {
   /// peer's poller) per batch instead of one per reply.
   void send_many(std::span<const Frame> fs) override;
   Frame recv(std::optional<Millis> timeout) override;
-  using Conn::recv;
 
   /// Write raw bytes as-is (no frame header, no CRC). Exists solely so the
   /// fault injector can put malformed data on the wire; honest peers never
   /// call this.
   void send_raw(std::span<const std::uint8_t> wire);
 
-  [[nodiscard]] const TransportOptions& options() const override { return opt_; }
   void shutdown() noexcept override { sock_.shutdown_both(); }
 
  private:
   Socket sock_;
-  TransportOptions opt_;
   std::mutex send_mu_;
 };
 

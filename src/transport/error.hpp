@@ -2,10 +2,11 @@
 //
 // Every failure mode of the framed socket layer surfaces as a TransportError
 // carrying a machine-checkable Errc -- never std::abort(), never a raw errno
-// escape. Callers branch on code(): Timeout and RetriesExhausted are
-// transient-infrastructure failures, ConnectionClosed ends a peer session,
-// and the codec codes (FrameTooLarge/Malformed/ChecksumMismatch/Truncated)
-// indicate a corrupt or hostile byte stream that must be dropped.
+// escape. Callers branch on code(): Timeout and Io (a refused dial among
+// them) are transient-infrastructure failures that the caller's own retry
+// loop may try again, ConnectionClosed ends a peer session, and the codec
+// codes (FrameTooLarge/Malformed/ChecksumMismatch/Truncated) indicate a
+// corrupt or hostile byte stream that must be dropped.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +22,8 @@ enum class Errc : std::uint8_t {
   Truncated = 4,       // byte stream ended inside a frame
   ConnectionClosed = 5,  // peer closed / EOF / EPIPE
   Timeout = 6,         // send/recv deadline expired
-  Io = 7,              // other OS-level I/O failure
-  RetriesExhausted = 8,  // bounded connect/retry budget spent
+  Io = 7,              // other OS-level I/O failure, a refused dial included
+  // 8 is unused, so no other number changes meaning.
   SessionClosed = 9,   // logical session torn down while a receiver waited
   Protocol = 10,       // well-formed frame violating higher-level expectations
 };
@@ -36,7 +37,6 @@ enum class Errc : std::uint8_t {
     case Errc::ConnectionClosed: return "ConnectionClosed";
     case Errc::Timeout: return "Timeout";
     case Errc::Io: return "Io";
-    case Errc::RetriesExhausted: return "RetriesExhausted";
     case Errc::SessionClosed: return "SessionClosed";
     case Errc::Protocol: return "Protocol";
   }

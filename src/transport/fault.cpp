@@ -114,6 +114,15 @@ void FaultInjector::send(const Frame& f) {
   }
 }
 
+void FaultInjector::shutdown() noexcept {
+  {
+    std::lock_guard lock(shut_mu_);
+    shut_ = true;
+  }
+  shut_cv_.notify_all();
+  under_->shutdown();
+}
+
 Frame FaultInjector::recv(std::optional<Millis> timeout) {
   for (;;) {
     {
@@ -134,10 +143,13 @@ Frame FaultInjector::recv(std::optional<Millis> timeout) {
       case FaultKind::Duplicate:
         redeliver_.push_back(f);
         break;
-      case FaultKind::Delay:
+      case FaultKind::Delay: {
         lock.unlock();
-        std::this_thread::sleep_for(Millis{act.param});
+        std::unique_lock shut(shut_mu_);
+        if (shut_cv_.wait_for(shut, Millis{act.param}, [&] { return shut_; }))
+          throw TransportError(Errc::ConnectionClosed, "fault: shut down during an inbound delay");
         return f;
+      }
       case FaultKind::Truncate:
         under_->shutdown();
         throw TransportError(Errc::Truncated, "fault: inbound frame truncated");

@@ -15,6 +15,7 @@
 // them. Every injected fault increments a fault.injected.<kind> counter.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -115,12 +116,9 @@ class FaultInjector final : public Conn {
 
   void send(const Frame& f) override;
   Frame recv(std::optional<Millis> timeout) override;
-  using Conn::recv;
-
-  [[nodiscard]] const TransportOptions& options() const override {
-    return under_->options();
-  }
-  void shutdown() noexcept override { under_->shutdown(); }
+  /// Also ends an inbound Delay early: the held frame dies with the
+  /// connection, so stopping a mux never waits out an injected delay.
+  void shutdown() noexcept override;
 
   /// Total faults injected (both directions) by this wrapper.
   [[nodiscard]] std::uint64_t injected() const {
@@ -141,6 +139,9 @@ class FaultInjector final : public Conn {
   std::optional<Frame> held_in_;         // HoldUntilNext (inbound)
   std::deque<Frame> redeliver_;          // inbound duplicates / released holds
   std::uint64_t injected_ = 0;
+  std::mutex shut_mu_;                   // guards shut_ (apart from mu_, which an
+  std::condition_variable shut_cv_;      // outbound Delay holds while it sleeps)
+  bool shut_ = false;
 };
 
 }  // namespace dlr::transport

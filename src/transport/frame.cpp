@@ -52,11 +52,11 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
   return c ^ 0xFFFFFFFFu;
 }
 
-void check_frame_len(std::uint32_t len, std::uint32_t max_frame_bytes) {
-  if (len > max_frame_bytes)
+void check_frame_len(std::uint32_t len) {
+  if (len > kMaxFrameBytes)
     throw TransportError(Errc::FrameTooLarge,
                          "length prefix " + std::to_string(len) + " exceeds cap " +
-                             std::to_string(max_frame_bytes));
+                             std::to_string(kMaxFrameBytes));
   if (len < kPayloadFixedBytes)
     throw TransportError(Errc::Malformed,
                          "length prefix " + std::to_string(len) + " below minimum payload");
@@ -138,20 +138,20 @@ void FrameDeframer::feed(std::span<const std::uint8_t> data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
   // Validate the length prefix as soon as it is complete, so an oversize
   // frame is rejected long before its payload could be buffered.
-  if (buf_.size() >= 4) check_frame_len(rd_u32(buf_.data()), max_frame_bytes_);
+  if (buf_.size() >= 4) check_frame_len(rd_u32(buf_.data()));
 }
 
 std::optional<Frame> FrameDeframer::poll() {
   if (buf_.size() < kFrameHeaderBytes) return std::nullopt;
   const std::uint32_t len = rd_u32(buf_.data());
-  check_frame_len(len, max_frame_bytes_);
+  check_frame_len(len);
   if (buf_.size() < kFrameHeaderBytes + len) return std::nullopt;
   const std::uint32_t crc = rd_u32(buf_.data() + 4);
   Frame f = decode_checked(
       crc, {buf_.data() + kFrameHeaderBytes, static_cast<std::size_t>(len)});
   buf_.erase(buf_.begin(),
              buf_.begin() + static_cast<std::ptrdiff_t>(kFrameHeaderBytes + len));
-  if (buf_.size() >= 4) check_frame_len(rd_u32(buf_.data()), max_frame_bytes_);
+  if (buf_.size() >= 4) check_frame_len(rd_u32(buf_.data()));
   return f;
 }
 

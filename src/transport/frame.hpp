@@ -79,8 +79,9 @@ struct Frame {
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), init/xorout ~0.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data);
 
-/// Validate a length prefix against the cap; throws FrameTooLarge/Malformed.
-void check_frame_len(std::uint32_t len, std::uint32_t max_frame_bytes = kMaxFrameBytes);
+/// Validate a length prefix against kMaxFrameBytes; throws
+/// FrameTooLarge/Malformed.
+void check_frame_len(std::uint32_t len);
 
 /// Serialize header + payload. Throws FrameTooLarge if the frame exceeds the
 /// cap and Malformed if the label does not fit its u8 length field.
@@ -99,9 +100,6 @@ void check_frame_len(std::uint32_t len, std::uint32_t max_frame_bytes = kMaxFram
 /// before the payload is buffered.
 class FrameDeframer {
  public:
-  explicit FrameDeframer(std::uint32_t max_frame_bytes = kMaxFrameBytes)
-      : max_frame_bytes_(max_frame_bytes) {}
-
   void feed(std::span<const std::uint8_t> data);
   [[nodiscard]] std::optional<Frame> poll();
   /// End of stream: throws Truncated if a partial frame is pending.
@@ -109,7 +107,6 @@ class FrameDeframer {
   [[nodiscard]] std::size_t pending_bytes() const { return buf_.size(); }
 
  private:
-  std::uint32_t max_frame_bytes_;
   Bytes buf_;
 };
 

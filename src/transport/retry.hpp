@@ -25,11 +25,13 @@
 
 namespace dlr::transport {
 
+/// Jitter of every retry delay: +/- this fraction of it.
+inline constexpr double kRetryJitter = 0.5;
+
 struct RetryPolicy {
   int max_attempts = 8;                    // total attempts (first + retries)
   std::chrono::milliseconds base{10};      // delay before the first retry
   std::chrono::milliseconds cap{500};      // backoff ceiling
-  double jitter = 0.5;                     // +/- fraction of the delay
   std::chrono::milliseconds deadline{0};   // 0 = unbounded wall-clock budget
 };
 
@@ -52,13 +54,13 @@ class RetrySchedule {
     if (failed_attempts_ >= policy_.max_attempts) return std::nullopt;
     auto delay = backoff_;
     backoff_ = std::min(backoff_ * 2, policy_.cap);
-    if (policy_.jitter > 0.0 && rnd != 0) {
-      // Map rnd to u in [-1, 1) and scale the delay by (1 + jitter * u).
+    if (rnd != 0) {
+      // Map rnd to u in [-1, 1) and scale the delay by (1 + kRetryJitter * u).
       const double u = static_cast<double>(rnd % 8192) / 4096.0 - 1.0;
       const auto ms = static_cast<long long>(
-          static_cast<double>(delay.count()) * (1.0 + policy_.jitter * u));
-      // Clamp to >= 1 ms: jitter = 1.0 with an unlucky rnd maps the delay to
-      // 0, which turns a retry loop against an overloaded server into a hot
+          static_cast<double>(delay.count()) * (1.0 + kRetryJitter * u));
+      // Clamp to >= 1 ms: a 1 ms delay with an unlucky rnd truncates to 0,
+      // which turns a retry loop against an overloaded server into a hot
       // spin -- exactly the load amplification the backoff exists to avoid.
       delay = std::chrono::milliseconds{
           std::max<long long>(std::max<long long>(1, delay.count() / 2), ms)};

@@ -271,7 +271,7 @@ TEST(ShardMapTest, DecodeRejectsAPortAboveSixteenBitsAndARepeatedShardId) {
                              KsServer<MockGroup>::Options{});
   server.start();
   transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-      transport::connect_loopback(server.port()), transport::TransportOptions{}));
+      transport::connect_loopback(server.port())));
   for (const Bytes& bad : {raw_map(3, {{0, 9001}, {1, 65536 + 9002}}),
                            raw_map(3, {{0, 9001}, {0, 9003}})}) {
     auto sess = mux.open();
@@ -893,10 +893,6 @@ class SeverAtLabel final : public transport::Conn {
   transport::Frame recv(std::optional<transport::Millis> timeout) override {
     return under_->recv(timeout);
   }
-  using transport::Conn::recv;
-  [[nodiscard]] const transport::TransportOptions& options() const override {
-    return under_->options();
-  }
   void shutdown() noexcept override { under_->shutdown(); }
 
  private:
@@ -921,10 +917,6 @@ class HoldLabel final : public transport::Conn {
   }
   transport::Frame recv(std::optional<transport::Millis> timeout) override {
     return under_->recv(timeout);
-  }
-  using transport::Conn::recv;
-  [[nodiscard]] const transport::TransportOptions& options() const override {
-    return under_->options();
   }
   void shutdown() noexcept override { under_->shutdown(); }
 
@@ -1141,7 +1133,7 @@ TEST(KsServiceTest, StaleKsDecIsRejectedAndCountedInSvcStale) {
   auto& stale = telemetry::Registry::global().counter("svc.stale");
   [[maybe_unused]] const auto stale0 = stale.value();
   transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-      transport::connect_loopback(server.port()), transport::TransportOptions{}));
+      transport::connect_loopback(server.port())));
   auto sess = mux.open();
   sess->send(transport::FrameType::Data, 1, kKsDec,
              encode_ks_request(id, 5, p1.dec_round1(c, rng)));
@@ -1386,7 +1378,7 @@ TEST(KsOverloadTest, LeakageFloorExemptsSpentKeysFromRefreshShedding) {
   const auto c = Core::enc(gg, kg_cold.pk, m, rng);
   const Bytes r1 = p1_cold.dec_round1(c, rng);
   transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-      transport::connect_loopback(server.port()), transport::TransportOptions{}));
+      transport::connect_loopback(server.port())));
   std::vector<std::unique_ptr<transport::SessionMux::Session>> flood;
   for (int i = 0; i < 12; ++i) {
     auto sess = mux.open();
@@ -1449,7 +1441,7 @@ TEST(KsOverloadTest, StopWhileFloodedJoinsWithoutDeadlock) {
     flooders.emplace_back([&] {
       try {
         transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-            transport::connect_loopback(port), transport::TransportOptions{}));
+            transport::connect_loopback(port)));
         std::vector<std::unique_ptr<transport::SessionMux::Session>> pending;
         while (go.load()) {
           auto sess = mux.open();
@@ -1469,7 +1461,7 @@ TEST(KsOverloadTest, StopWhileFloodedJoinsWithoutDeadlock) {
   go.store(false);
   for (auto& t : flooders) t.join();
   // A flooder blocked sending into the server's full receive buffer wakes
-  // when stop() closes the socket, not after its 10 s send_timeout.
+  // when stop() closes the socket, not after the 10 s transport::kIoTimeout.
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(3))
       << "stop() left a flooder to wait out its send timeout";
   server.reset();

@@ -284,11 +284,9 @@ TEST(ReshardTest, TwoToThreeRebalanceMovesKeysAndConservesState) {
 
 TEST(ReshardTest, MapProposeWireRouteGatesVersionAndRejectsStaleMaps) {
   Reshard3 rig(9200);
-  transport::TransportOptions topt;
   std::vector<std::shared_ptr<transport::SessionMux>> muxes;
   for (const auto& s : rig.srv) {
-    auto fc = std::make_shared<transport::FramedConn>(
-        transport::connect_loopback(s->port(), topt), topt);
+    auto fc = std::make_shared<transport::FramedConn>(transport::connect_loopback(s->port()));
     muxes.push_back(std::make_shared<transport::SessionMux>(
         std::static_pointer_cast<transport::Conn>(fc)));
   }
@@ -471,10 +469,6 @@ class DropFrameAndSever final : public transport::Conn {
   transport::Frame recv(std::optional<transport::Millis> timeout) override {
     return under_->recv(timeout);
   }
-  using transport::Conn::recv;
-  [[nodiscard]] const transport::TransportOptions& options() const override {
-    return under_->options();
-  }
   void shutdown() noexcept override { under_->shutdown(); }
 
  private:
@@ -575,10 +569,6 @@ class DelayFrameAtLabel final : public transport::Conn {
   }
   transport::Frame recv(std::optional<transport::Millis> timeout) override {
     return under_->recv(timeout);
-  }
-  using transport::Conn::recv;
-  [[nodiscard]] const transport::TransportOptions& options() const override {
-    return under_->options();
   }
   void shutdown() noexcept override { under_->shutdown(); }
 

@@ -352,7 +352,7 @@ TEST(ServiceTest, StaleEpochIsDeterministicallyRejectedAndRetryable) {
   auto& stale = telemetry::Registry::global().counter("svc.stale");
   [[maybe_unused]] const auto stale0 = stale.value();
   transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-      transport::connect_loopback(svc.server->port()), transport::TransportOptions{}));
+      transport::connect_loopback(svc.server->port())));
   auto sess = mux.open();
   sess->send(transport::FrameType::Data, 1, keystore::kKsDec,
              encode_ks_request(default_key_id(), 999, svc.p1->begin_decrypt(c, rng).round1));
@@ -370,7 +370,7 @@ TEST(ServiceTest, StaleEpochIsDeterministicallyRejectedAndRetryable) {
 TEST(ServiceTest, MalformedRequestsGetBadRequestNotACrash) {
   Service svc;
   transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-      transport::connect_loopback(svc.server->port()), transport::TransportOptions{}));
+      transport::connect_loopback(svc.server->port())));
 
   // Body that is not even a valid request encoding.
   {
@@ -641,7 +641,7 @@ TEST(ServiceRefreshOverlapTest, CommitUnderADecryptFloodCompletesWithinABound) {
     flooders.emplace_back([&] {
       try {
         transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-            transport::connect_loopback(server.port()), transport::TransportOptions{}));
+            transport::connect_loopback(server.port())));
         std::deque<std::unique_ptr<transport::SessionMux::Session>> inflight;
         while (go.load() && std::chrono::steady_clock::now() < flood_end) {
           auto sess = mux.open();
@@ -704,7 +704,7 @@ TEST(KsWireTest, OneKeyServerRepliesArePinned) {
   const auto& id = keystore::default_key_id();
 
   transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-      transport::connect_loopback(server.port()), transport::TransportOptions{}));
+      transport::connect_loopback(server.port())));
   const auto roundtrip = [&](const char* label, const Bytes& body) {
     auto sess = mux.open();
     sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1), label,
@@ -823,10 +823,6 @@ class RecordingConn final : public transport::Conn {
       throw transport::TransportError(transport::Errc::ConnectionClosed, "lost " + f.label);
     }
     return f;
-  }
-  using transport::Conn::recv;
-  [[nodiscard]] const transport::TransportOptions& options() const override {
-    return under_->options();
   }
   void shutdown() noexcept override { under_->shutdown(); }
 
@@ -1035,7 +1031,7 @@ TEST(ServicePipelineTest, SeveredConnectionMidBatchFailsOnlyThatRequest) {
   }
   for (int round = 0; round < 3; ++round) {
     auto raw = std::make_shared<transport::FramedConn>(
-        transport::connect_loopback(svc.server->port()), transport::TransportOptions{});
+        transport::connect_loopback(svc.server->port()));
     const auto m = svc.gg.gt_random(rng);
     const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
     const auto snap = svc.p1->begin_decrypt(c, rng);
@@ -1079,7 +1075,7 @@ TEST(ServiceTwoPhaseTest, DuplicatePrepareAndCommitAreIdempotent) {
   const Bytes r1 = party.ref_round1();
 
   transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-      transport::connect_loopback(svc.server->port()), transport::TransportOptions{}));
+      transport::connect_loopback(svc.server->port())));
   const auto roundtrip = [&](const char* label, const Bytes& body) {
     auto sess = mux.open();
     sess->send(transport::FrameType::Data, 1, label, body);
@@ -1389,7 +1385,7 @@ TEST(ServiceTest, DrainingServerAnswersRetryableShutdown) {
   Service svc;
   svc.server->begin_drain();
   transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-      transport::connect_loopback(svc.server->port()), transport::TransportOptions{}));
+      transport::connect_loopback(svc.server->port())));
   auto sess = mux.open();
   sess->send(transport::FrameType::Data, 1, keystore::kKsDec,
              encode_ks_request(default_key_id(), 0, Bytes{1}));
@@ -1515,7 +1511,7 @@ TEST(ServiceOverloadTest, SaturatedQueueShedsTypedOverloadedWithRetryAfter) {
   const Bytes round1 = svc.p1->begin_decrypt(c, rng).round1;
 
   transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-      transport::connect_loopback(svc.server->port()), transport::TransportOptions{}));
+      transport::connect_loopback(svc.server->port())));
   constexpr int kFlood = 30;
   std::vector<std::unique_ptr<transport::SessionMux::Session>> sessions;
   for (int i = 0; i < kFlood; ++i) {
@@ -1556,7 +1552,7 @@ TEST(ServiceOverloadTest, ExpiredDeadlineIsDroppedBeforeCryptoIsSpent) {
   const Bytes round1 = svc.p1->begin_decrypt(c, rng).round1;
 
   transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-      transport::connect_loopback(svc.server->port()), transport::TransportOptions{}));
+      transport::connect_loopback(svc.server->port())));
   // First request occupies the single worker for ~30 ms...
   auto busy = mux.open();
   busy->send(transport::FrameType::Data, 1, keystore::kKsDec,
@@ -1586,7 +1582,7 @@ TEST(ServiceOverloadTest, DegradedModeDeprioritizesRefreshPrepares) {
   const Bytes round1 = svc.p1->begin_decrypt(c, rng).round1;
 
   transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-      transport::connect_loopback(svc.server->port()), transport::TransportOptions{}));
+      transport::connect_loopback(svc.server->port())));
   std::vector<std::unique_ptr<transport::SessionMux::Session>> flood;
   for (int i = 0; i < 10; ++i) {
     auto sess = mux.open();
@@ -1621,7 +1617,6 @@ TEST(ServiceOverloadTest, ClientBreakerOpensOnDeadEndpointAndFastFails) {
                                                    schemes::P1Mode::Plain,
                                                    crypto::Rng(7501), std::string{});
   typename DecryptionClient<MockGroup>::Options opt;
-  opt.transport.connect_retries = 0;  // fail each attempt fast
   opt.retry.max_attempts = 2;
   opt.retry.base = transport::Millis{1};
   opt.retry.cap = transport::Millis{2};
@@ -1664,7 +1659,6 @@ TEST(ServiceOverloadTest, BreakerRecoveryEmitsOpenAndCloseEvents) {
   svc.server->stop();  // endpoint goes dark; its port is what the client dials
 
   typename DecryptionClient<MockGroup>::Options opt;
-  opt.transport.connect_retries = 0;
   opt.retry.max_attempts = 2;
   opt.retry.base = transport::Millis{1};
   opt.retry.cap = transport::Millis{2};
@@ -1718,7 +1712,7 @@ TEST(ServiceOverloadTest, StopWhileFloodedJoinsWithoutDeadlock) {
     flooders.emplace_back([&] {
       try {
         transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-            transport::connect_loopback(port), transport::TransportOptions{}));
+            transport::connect_loopback(port)));
         std::vector<std::unique_ptr<transport::SessionMux::Session>> pending;
         while (go.load()) {
           auto sess = mux.open();
@@ -1738,7 +1732,7 @@ TEST(ServiceOverloadTest, StopWhileFloodedJoinsWithoutDeadlock) {
   go.store(false);
   for (auto& t : flooders) t.join();
   // A flooder blocked sending into the server's full receive buffer wakes
-  // when stop() closes the socket, not after its 10 s send_timeout.
+  // when stop() closes the socket, not after the 10 s transport::kIoTimeout.
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(3))
       << "stop() left a flooder to wait out its send timeout";
   svc.reset();
@@ -1758,7 +1752,7 @@ TEST(ClientRetryTest, BudgetRidesSvcDecAndTheServerDropsExpiredWork) {
   const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
   const Bytes round1 = svc.p1->begin_decrypt(c, rng).round1;
   transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-      transport::connect_loopback(svc.server->port()), transport::TransportOptions{}));
+      transport::connect_loopback(svc.server->port())));
   std::vector<std::unique_ptr<transport::SessionMux::Session>> busy;
   for (int i = 0; i < 4; ++i) {
     busy.push_back(mux.open());
@@ -1809,7 +1803,7 @@ TEST(ClientRetryTest, BudgetRidesKsDecAndTheShardDropsExpiredWork) {
   party.prepare_period();
   const auto c = Core::enc(gg, kg.pk, gg.gt_random(rng), rng);
   transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-      transport::connect_loopback(shard.port()), transport::TransportOptions{}));
+      transport::connect_loopback(shard.port())));
   std::vector<std::unique_ptr<transport::SessionMux::Session>> busy;
   for (int i = 0; i < 4; ++i) {
     busy.push_back(mux.open());
@@ -1862,7 +1856,6 @@ TEST(ClientRetryTest, DeadShardTripsItsOwnBreakerWhileTheOtherServes) {
   for (int i = 1; map.owner(on1) != 1; ++i) on1.key = "b" + std::to_string(i);
 
   typename KsFleet<MockGroup>::Options fo;
-  fo.transport.connect_retries = 0;  // each attempt at the dead shard fails fast
   fo.retry.base = transport::Millis{1};
   fo.retry.cap = transport::Millis{2};
   fo.retry.max_attempts = 3;
@@ -1956,6 +1949,196 @@ TEST(ClientRetryTest, RefreshTransportRetriesCountInSvcClientRetries) {
 #if DLR_TELEMETRY_ENABLED
   EXPECT_GT(retries.value(), retries0) << "the refresh's transport retry went uncounted";
 #endif
+}
+
+// ---- one budget for every wait of an operation ---------------------------------
+
+/// Milliseconds elapsed since `t0`.
+long long ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(std::chrono::steady_clock::now() -
+                                                               t0)
+      .count();
+}
+
+/// A loopback port nothing listens on: a listener's, opened and closed.
+std::uint16_t dead_port() {
+  auto l = transport::Listener::loopback();
+  return l.port();
+}
+
+TEST(ClientRetryTest, DecryptAgainstADeadEndpointReturnsWithinItsBudget) {
+  // A refused dial is one failed attempt: the retry schedule, not the dial,
+  // decides when to try again, so the 200 ms budget holds.
+  const auto gg = make_mock();
+  const auto prm = mock_params();
+  crypto::Rng rng(7510);
+  const auto kg = Core::gen(gg, prm, rng);
+  auto p1 = std::make_shared<P1Runtime<MockGroup>>(gg, prm, kg.pk, kg.sk1,
+                                                   schemes::P1Mode::Plain,
+                                                   crypto::Rng(7511), std::string{});
+  typename DecryptionClient<MockGroup>::Options opt;
+  opt.retry.deadline = transport::Millis{200};
+  DecryptionClient<MockGroup> client(p1, dead_port(), opt);
+  const auto c = Core::enc(gg, kg.pk, gg.gt_random(rng), rng);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_ANY_THROW((void)client.decrypt(c));
+  EXPECT_LT(ms_since(t0), 1000) << "decrypt() outlived its budget redialing a dead port";
+}
+
+/// Two shards serving one map with one key stored on each; add_keys() gives a
+/// fleet their P1 halves.
+struct TwoShards {
+  using KsServer = keystore::KsServer<MockGroup>;
+  using KsFleet = keystore::KsFleet<MockGroup>;
+  MockGroup gg = make_mock();
+  schemes::DlrParams prm = mock_params();
+  KsServer s0;
+  std::unique_ptr<KsServer> s1;
+  keystore::ShardMap map;
+  keystore::KeyId on0{"acme", "a0"}, on1{"acme", "b0"};
+  std::map<std::string, Core::KeyGenResult> kgs;
+  crypto::Rng rng;
+
+  explicit TwoShards(std::uint64_t seed)
+      : s0(gg, prm, crypto::Rng(seed), options(0)),
+        s1(std::make_unique<KsServer>(gg, prm, crypto::Rng(seed + 1), options(1))),
+        rng(seed + 2) {
+    s0.start();
+    s1->start();
+    map = keystore::ShardMap(1, {{0, "", s0.port()}, {1, "", s1->port()}});
+    s0.set_shard_map(map);
+    s1->set_shard_map(map);
+    for (int i = 1; map.owner(on0) != 0; ++i) on0.key = "a" + std::to_string(i);
+    for (int i = 1; map.owner(on1) != 1; ++i) on1.key = "b" + std::to_string(i);
+    for (const auto* id : {&on0, &on1}) {
+      auto kg = Core::gen(gg, prm, rng);
+      (id == &on0 ? s0 : *s1).store().put(*id, kg.sk2);
+      kgs.emplace(id->key, std::move(kg));
+    }
+  }
+
+  static typename KsServer::Options options(std::uint32_t shard) {
+    typename KsServer::Options o;
+    o.shard_id = shard;
+    return o;
+  }
+
+  void add_keys(KsFleet& fleet) {
+    for (const auto* id : {&on0, &on1}) {
+      const auto& kg = kgs.at(id->key);
+      fleet.add_key(*id, kg.pk, kg.sk1, schemes::P1Mode::Plain);
+    }
+  }
+
+  /// Decrypt a fresh ciphertext of key `id` through `fleet`; true iff correct.
+  bool dec(KsFleet& fleet, const keystore::KeyId& id) {
+    crypto::Rng r(rng.u64());
+    const auto m = gg.gt_random(r);
+    return gg.gt_eq(fleet.decrypt(id, Core::enc(gg, kgs.at(id.key).pk, m, r)), m);
+  }
+};
+
+TEST(ClientRetryTest, ADeadShardsDialDoesNotHoldUpTheLiveShard) {
+  // Shard 1 dies and a thread keeps redialing it for its key. A decryption
+  // on shard 0 must not queue behind those dials.
+  TwoShards sh(7520);
+  typename TwoShards::KsFleet::Options fo;
+  fo.retry.deadline = transport::Millis{1000};
+  TwoShards::KsFleet fleet(sh.gg, sh.prm, crypto::Rng(7523), sh.s0.port(), fo);
+  fleet.set_map(sh.map);
+  sh.add_keys(fleet);
+  ASSERT_TRUE(sh.dec(fleet, sh.on0));
+  ASSERT_TRUE(sh.dec(fleet, sh.on1));
+
+  sh.s1.reset();  // its connections close, its port refuses
+  crypto::Rng r(7524);
+  const auto c1 = Core::enc(sh.gg, sh.kgs.at(sh.on1.key).pk, sh.gg.gt_random(r), r);
+  std::atomic<bool> dead_threw{false};
+  std::thread dead([&] {
+    try {
+      (void)fleet.decrypt(sh.on1, c1);
+    } catch (const std::exception&) {
+      dead_threw.store(true);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(sh.dec(fleet, sh.on0));
+  EXPECT_LT(ms_since(t0), 500)
+      << "the live shard's decryption waited behind the dead shard's dial";
+  dead.join();
+  EXPECT_TRUE(dead_threw.load()) << "a decryption on the dead shard succeeded";
+  fleet.close();
+  sh.s0.stop();
+}
+
+TEST(ClientRetryTest, ReconnectHelloWaitsOnlyWhatIsLeftOfTheBudget) {
+  // The first ks.dec severs the connection, and the reconnect's ks.hello.ok
+  // is held 1.5 s. The hello runs inside the decryption's attempt, so the
+  // 300 ms budget caps its wait.
+  Service svc(/*workers=*/2, 7530);
+  typename DecryptionClient<MockGroup>::Options opt;
+  opt.retry.deadline = transport::Millis{300};
+  std::atomic<int> conns{0};
+  opt.conn_wrapper = [&](std::shared_ptr<transport::FramedConn> fc)
+      -> std::shared_ptr<transport::Conn> {
+    transport::FaultPlan plan;
+    if (conns.fetch_add(1) == 0)
+      plan.out_at(1, {transport::FaultKind::Sever});  // frame 0 is the hello
+    else
+      plan.in_at(0, {transport::FaultKind::Delay, 1500});
+    return std::make_shared<transport::FaultInjector>(std::move(fc), plan);
+  };
+  auto client = svc.client(opt);
+  crypto::Rng rng(7531);
+  const auto c = Core::enc(svc.gg, svc.kg.pk, svc.gg.gt_random(rng), rng);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)client.decrypt(c), transport::TransportError);
+  EXPECT_LT(ms_since(t0), 1000) << "the reconnect's hello outlived the decryption's budget";
+  EXPECT_EQ(conns.load(), 2) << "the decryption dialed again after its budget ran out";
+}
+
+TEST(ClientRetryTest, MapRefetchWaitsOnlyWhatIsLeftOfTheBudget) {
+  // The fleet has no map yet, so shard 1's key goes to shard 0, whose
+  // WrongShard starts a ks.map refetch; its ks.map.ok (inbound frame 1) is
+  // held 1.5 s. The fetch runs inside the decryption's attempt, so the
+  // 200 ms budget caps its wait.
+  TwoShards sh(7540);
+  typename TwoShards::KsFleet::Options fo;
+  fo.retry.deadline = transport::Millis{200};
+  fo.conn_wrapper = hold_inbound(1, 1500);
+  TwoShards::KsFleet fleet(sh.gg, sh.prm, crypto::Rng(7543), sh.s0.port(), fo);
+  sh.add_keys(fleet);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)sh.dec(fleet, sh.on1), transport::TransportError);
+  EXPECT_LT(ms_since(t0), 1000) << "the WrongShard map refetch outlived the decryption's budget";
+  fleet.close();
+  sh.s0.stop();
+}
+
+TEST(ServiceOverloadTest, QueueDepthGaugeCountsQueuedDecryptions) {
+  // svc.queue_depth is the decryption queue: 16 ks.dec frames against one
+  // worker at 30 ms per batch leave most of them queued 40 ms later.
+  TinyServer svc(std::chrono::microseconds{30000}, /*queue_cap=*/64);
+  crypto::Rng rng(43);
+  const auto c = Core::enc(svc.gg, svc.kg.pk, svc.gg.gt_random(rng), rng);
+  const Bytes round1 = svc.p1->begin_decrypt(c, rng).round1;
+  transport::SessionMux mux(std::make_shared<transport::FramedConn>(
+      transport::connect_loopback(svc.server->port())));
+  std::vector<std::unique_ptr<transport::SessionMux::Session>> sessions;
+  for (int i = 0; i < 16; ++i) {
+    sessions.push_back(mux.open());
+    sessions.back()->send(transport::FrameType::Data, 1, keystore::kKsDec,
+                          encode_ks_request(default_key_id(), 0, round1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  [[maybe_unused]] const double depth =
+      telemetry::Registry::global().gauge("svc.queue_depth").value();
+#if DLR_TELEMETRY_ENABLED
+  EXPECT_GE(depth, 8.0) << "the gauge missed the queued decryptions";
+#endif
+  for (auto& s : sessions)
+    EXPECT_EQ(s->recv(transport::Millis{10000}).type, transport::FrameType::Data);
 }
 
 }  // namespace

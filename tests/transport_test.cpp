@@ -1,6 +1,6 @@
 // Transport layer: frame codec round-trips and its never-crash/never-accept
 // contract under mutation (truncation, extension, bit flips, hostile length
-// prefixes), socket endpoints with deadlines and bounded retries, session
+// prefixes), socket endpoints with deadlines and one-dial connects, session
 // multiplexing, the MuxChannel transcript contract, the RetrySchedule
 // backoff math, and the deterministic FaultInjector.
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <chrono>
 #include <thread>
 
-#include "telemetry/metrics.hpp"
 #include "transport/breaker.hpp"
 #include "transport/channel.hpp"
 #include "transport/fault.hpp"
@@ -176,21 +175,21 @@ TEST(FrameCodecTest, ChunkedFeedReassemblesMultipleFrames) {
 
 TEST(EndpointTest, SocketpairFramedExchange) {
   auto [sa, sb] = Socket::pair();
-  FramedConn ca(std::move(sa), {});
-  FramedConn cb(std::move(sb), {});
+  FramedConn ca(std::move(sa));
+  FramedConn cb(std::move(sb));
   const Frame f = sample_frame();
   ca.send(f);
-  EXPECT_EQ(cb.recv(), f);
+  EXPECT_EQ(cb.recv(kIoTimeout), f);
   Frame g = f;
   g.session = 42;
   g.body = Bytes(100000, 0x77);  // larger than one socket buffer write
   cb.send(g);
-  EXPECT_EQ(ca.recv(), g);
+  EXPECT_EQ(ca.recv(kIoTimeout), g);
 }
 
 TEST(EndpointTest, RecvTimeoutIsTyped) {
   auto [sa, sb] = Socket::pair();
-  FramedConn ca(std::move(sa), {});
+  FramedConn ca(std::move(sa));
   try {
     (void)ca.recv(Millis{50});
     FAIL() << "recv on silent peer returned";
@@ -201,7 +200,7 @@ TEST(EndpointTest, RecvTimeoutIsTyped) {
 
 TEST(EndpointTest, PeerCloseIsConnectionClosed) {
   auto [sa, sb] = Socket::pair();
-  FramedConn ca(std::move(sa), {});
+  FramedConn ca(std::move(sa));
   { Socket dead = std::move(sb); }  // peer end destroyed
   try {
     (void)ca.recv(Millis{1000});
@@ -218,42 +217,36 @@ TEST(EndpointTest, LoopbackListenerAcceptConnect) {
   std::thread t([&] { client_side = connect_loopback(listener.port()); });
   Socket server_side = listener.accept(Millis{2000});
   t.join();
-  FramedConn server(std::move(server_side), {});
-  FramedConn client(std::move(client_side), {});
+  FramedConn server(std::move(server_side));
+  FramedConn client(std::move(client_side));
   client.send(sample_frame());
-  EXPECT_EQ(server.recv(), sample_frame());
+  EXPECT_EQ(server.recv(kIoTimeout), sample_frame());
 }
 
-TEST(EndpointTest, ConnectRetriesAreBoundedAndCounted) {
+TEST(EndpointTest, ConnectToADeadPortFailsAtOnceTyped) {
   // Grab an ephemeral port and free it again: nothing listens there.
   std::uint16_t dead_port;
   {
     auto l = Listener::loopback();
     dead_port = l.port();
-    l.close();
   }
-  auto& reg = telemetry::Registry::global();
-  const auto before = reg.counter_value("transport.retries");
-  TransportOptions opt;
-  opt.connect_retries = 3;
-  opt.connect_backoff = Millis{1};
+  // One dial: the refusal surfaces as Io with no redial and no sleep.
+  const auto t0 = std::chrono::steady_clock::now();
   try {
-    (void)connect_loopback(dead_port, opt);
+    (void)connect_loopback(dead_port);
     FAIL() << "connect to dead port succeeded";
   } catch (const TransportError& e) {
-    EXPECT_EQ(e.code(), Errc::RetriesExhausted);
+    EXPECT_EQ(e.code(), Errc::Io);
   }
-#if DLR_TELEMETRY_ENABLED
-  EXPECT_GE(reg.counter_value("transport.retries"), before + 3);
-#endif
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(500));
 }
 
 // ---- session multiplexing -----------------------------------------------------
 
 TEST(MuxTest, TwoSessionsInterleaveOverOneConnection) {
   auto [sa, sb] = Socket::pair();
-  SessionMux ma(std::make_shared<FramedConn>(std::move(sa), TransportOptions{}));
-  SessionMux mb(std::make_shared<FramedConn>(std::move(sb), TransportOptions{}));
+  SessionMux ma(std::make_shared<FramedConn>(std::move(sa)));
+  SessionMux mb(std::make_shared<FramedConn>(std::move(sb)));
 
   auto a1 = ma.open_with_id(1);
   auto a2 = ma.open_with_id(2);
@@ -273,8 +266,8 @@ TEST(MuxTest, TwoSessionsInterleaveOverOneConnection) {
 
 TEST(MuxTest, OrphanFramesAreDroppedAndCounted) {
   auto [sa, sb] = Socket::pair();
-  SessionMux ma(std::make_shared<FramedConn>(std::move(sa), TransportOptions{}));
-  auto conn_b = std::make_shared<FramedConn>(std::move(sb), TransportOptions{});
+  SessionMux ma(std::make_shared<FramedConn>(std::move(sa)));
+  auto conn_b = std::make_shared<FramedConn>(std::move(sb));
 
   auto a5 = ma.open_with_id(5);
   // Raw frame for a session that does not exist, then one that does; in-order
@@ -287,7 +280,7 @@ TEST(MuxTest, OrphanFramesAreDroppedAndCounted) {
 
 TEST(MuxTest, PeerDeathPoisonsBlockedReceivers) {
   auto [sa, sb] = Socket::pair();
-  SessionMux ma(std::make_shared<FramedConn>(std::move(sa), TransportOptions{}));
+  SessionMux ma(std::make_shared<FramedConn>(std::move(sa)));
   auto sess = ma.open_with_id(1);
   std::thread killer([&] {
     std::this_thread::sleep_for(Millis{50});
@@ -307,7 +300,7 @@ TEST(MuxTest, PeerDeathPoisonsBlockedReceivers) {
 
 TEST(MuxTest, SessionOpenedOnADeadMuxFailsAtOnce) {
   auto [sa, sb] = Socket::pair();
-  SessionMux ma(std::make_shared<FramedConn>(std::move(sa), TransportOptions{}));
+  SessionMux ma(std::make_shared<FramedConn>(std::move(sa)));
   auto sess = ma.open();
   { Socket dead = std::move(sb); }  // the peer hangs up
   try {
@@ -337,7 +330,7 @@ TEST(MuxTest, SessionOpenedOnADeadMuxFailsAtOnce) {
 
 TEST(MuxTest, StopIsIdempotentAndThreadSafe) {
   auto [sa, sb] = Socket::pair();
-  SessionMux ma(std::make_shared<FramedConn>(std::move(sa), TransportOptions{}));
+  SessionMux ma(std::make_shared<FramedConn>(std::move(sa)));
   std::thread t1([&] { ma.stop(); });
   std::thread t2([&] { ma.stop(); });
   t1.join();
@@ -349,8 +342,8 @@ TEST(MuxTest, StopIsIdempotentAndThreadSafe) {
 
 TEST(MuxChannelTest, ProtocolRunsOverWireWithFullTranscriptBothSides) {
   auto [sa, sb] = Socket::pair();
-  SessionMux ma(std::make_shared<FramedConn>(std::move(sa), TransportOptions{}));
-  SessionMux mb(std::make_shared<FramedConn>(std::move(sb), TransportOptions{}));
+  SessionMux ma(std::make_shared<FramedConn>(std::move(sa)));
+  SessionMux mb(std::make_shared<FramedConn>(std::move(sb)));
   auto session_a = ma.open_with_id(1);
   auto session_b = mb.open_with_id(1);
 
@@ -390,7 +383,6 @@ TEST(RetryScheduleTest, AttemptBudgetIsBounded) {
   RetryPolicy p;
   p.max_attempts = 3;
   p.base = Millis{1};
-  p.jitter = 0.0;
   RetrySchedule sched(p);
   EXPECT_TRUE(sched.next().has_value());   // failure 1 -> retry allowed
   EXPECT_TRUE(sched.next().has_value());   // failure 2 -> retry allowed
@@ -403,7 +395,6 @@ TEST(RetryScheduleTest, BackoffDoublesUpToCap) {
   p.max_attempts = 10;
   p.base = Millis{10};
   p.cap = Millis{25};
-  p.jitter = 0.0;
   RetrySchedule sched(p);
   EXPECT_EQ(sched.next()->count(), 10);
   EXPECT_EQ(sched.next()->count(), 20);
@@ -416,7 +407,6 @@ TEST(RetryScheduleTest, JitterStaysWithinTheConfiguredFraction) {
   p.max_attempts = 1000;
   p.base = Millis{100};
   p.cap = Millis{100};
-  p.jitter = 0.5;
   RetrySchedule sched(p);
   std::uint64_t rnd = 0x9E3779B97F4A7C15ull;
   for (int i = 0; i < 200; ++i) {
@@ -429,13 +419,13 @@ TEST(RetryScheduleTest, JitterStaysWithinTheConfiguredFraction) {
 }
 
 TEST(RetryScheduleTest, JitterNeverMapsTheDelayToZero) {
-  // rnd % 8192 == 0 maps u to exactly -1; with jitter = 1.0 the unclamped
-  // delay would be 0 ms -- a hot spin against an already-overloaded server.
+  // rnd % 8192 == 0 maps u to exactly -1; a 1 ms delay scaled by
+  // 1 - kRetryJitter truncates to 0 ms unclamped -- a hot spin against an
+  // already-overloaded server.
   RetryPolicy p;
   p.max_attempts = 1000;
-  p.base = Millis{2};
-  p.cap = Millis{2};
-  p.jitter = 1.0;
+  p.base = Millis{1};
+  p.cap = Millis{1};
   RetrySchedule sched(p);
   for (int i = 0; i < 50; ++i) {
     const auto d = sched.next(8192 * static_cast<std::uint64_t>(i + 1));
@@ -449,7 +439,6 @@ TEST(RetryScheduleTest, ServerHintFloorsTheDelay) {
   p.max_attempts = 10;
   p.base = Millis{10};
   p.cap = Millis{500};
-  p.jitter = 0.0;
   RetrySchedule sched(p);
   // A hint above the client's own backoff wins...
   EXPECT_EQ(sched.next(0, Millis{250})->count(), 250);
@@ -462,7 +451,6 @@ TEST(RetryScheduleTest, DeadlineCutsTheBudgetShort) {
   p.max_attempts = 1000;
   p.base = Millis{400};
   p.cap = Millis{400};
-  p.jitter = 0.0;
   p.deadline = Millis{200};  // first 400ms sleep would already overshoot
   RetrySchedule sched(p);
   EXPECT_FALSE(sched.next().has_value());
@@ -555,8 +543,8 @@ struct FaultyPair {
   explicit FaultyPair(FaultPlan plan) {
     auto [sa, sb] = Socket::pair();
     a = std::make_shared<FaultInjector>(
-        std::make_shared<FramedConn>(std::move(sa), TransportOptions{}), std::move(plan));
-    b = std::make_shared<FramedConn>(std::move(sb), TransportOptions{});
+        std::make_shared<FramedConn>(std::move(sa)), std::move(plan));
+    b = std::make_shared<FramedConn>(std::move(sb));
   }
 };
 
@@ -602,9 +590,9 @@ TEST(FaultInjectorTest, DuplicateToAOneShotMuxSessionIsOrphanedNotMisrouted) {
   // layer: the second copy finds its session gone and is dropped + counted.
   auto [sa, sb] = Socket::pair();
   auto inj = std::make_shared<FaultInjector>(
-      std::make_shared<FramedConn>(std::move(sa), TransportOptions{}),
+      std::make_shared<FramedConn>(std::move(sa)),
       FaultPlan{}.out_at(0, {FaultKind::Duplicate}));
-  SessionMux mb(std::make_shared<FramedConn>(std::move(sb), TransportOptions{}));
+  SessionMux mb(std::make_shared<FramedConn>(std::move(sb)));
   {
     auto sess = mb.open_with_id(7);
     inj->send(Frame{7, FrameType::Data, 1, "reply", Bytes{1}});
@@ -681,6 +669,21 @@ TEST(FaultInjectorTest, InboundFaultsApplyOnTheReceivePath) {
   EXPECT_EQ(fp.a->recv(Millis{2000}).label, "kept");
   EXPECT_EQ(fp.a->recv(Millis{2000}).label, "kept");
   EXPECT_EQ(fp.a->injected(), 2u);
+}
+
+TEST(FaultInjectorTest, ShutdownEndsAnInboundDelay) {
+  // Stopping a mux joins its pump thread; an inbound frame held by an
+  // injected delay must not hold that join for the whole delay.
+  auto [sa, sb] = Socket::pair();
+  auto mux = std::make_unique<SessionMux>(std::make_shared<FaultInjector>(
+      std::make_shared<FramedConn>(std::move(sa)),
+      FaultPlan{}.in_at(0, {FaultKind::Delay, 5000})));
+  FramedConn b(std::move(sb));
+  b.send(sample_frame());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // the pump holds it now
+  const auto t0 = std::chrono::steady_clock::now();
+  mux->stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(1000));
 }
 
 TEST(FaultPlanTest, SeededPlansAreDeterministicAndRateRespecting) {
